@@ -1,0 +1,105 @@
+"""Golden output: every byte a few tiny suites write, against one digest.
+
+The suites cover all five methods: ``sync_sgd`` with equal step times,
+``fedavg_full`` with a communication window, the three sparse methods
+under a Dirichlet partition with per-worker evaluation every other round,
+and a starved-worker suite that takes the skip path.  Output directories
+are relative, so the manifests do not depend on where the test runs.
+
+A change that moves any output byte must say why and re-record
+``GOLDEN_DIGEST``.
+"""
+
+import hashlib
+
+import pytest
+
+from overlap_sgd.config import validate_config
+from overlap_sgd.runner import run_suite
+
+# Recorded with NumPy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas), Python 3.11.
+GOLDEN_DIGEST = "b18153233171733db3d3fa13fcbdd76680f1e176e55a0ca8844c92add29b1293"
+
+_COMMON = {
+    "normalize": True,
+    "stepsize": 0.1,
+    "batch_size": 8,
+    "regularizer": {"strength": 0.01, "scale": 1.0},
+}
+
+SUITES = [
+    {
+        "name": "golden-sync",
+        "dataset": {"synthetic": {"dim": 7, "n_examples": 90, "separation": 1.5, "seed": 3}},
+        "val_fraction": 0.2,
+        "partition": {"mode": "shard"},
+        "step_times": [2, 2, 2],
+        "methods": ["sync_sgd"],
+        "sparsity": 1.0,
+        "rounds": 4,
+        "seeds": [0, 1],
+    },
+    {
+        "name": "golden-fedavg",
+        "dataset": {"synthetic": {"dim": 5, "n_examples": 80, "separation": 1.2, "seed": 4}},
+        "val_fraction": 0.1,
+        "partition": {"mode": "shared"},
+        "step_times": [1, 2, 3],
+        "comm_seconds": 6,
+        "methods": ["fedavg_full"],
+        "sparsity": 1.0,
+        "rounds": 3,
+        "seeds": [2],
+    },
+    {
+        "name": "golden-sparse",
+        "dataset": {"synthetic": {"dim": 9, "n_examples": 120, "separation": 1.5, "seed": 5}},
+        "val_fraction": 0.1,
+        "partition": {"mode": "dirichlet", "alpha": 0.5, "min_examples": 4},
+        "step_times": [1, 2, 3],
+        "compute_periods": 2,
+        "comm_seconds": 6,
+        "methods": ["local_sparse", "overlap_overwrite", "overlap_delay_corrected"],
+        "sparsity": 0.4,
+        "rounds": 5,
+        "seeds": [0, 1],
+        "eval_every": 2,
+        "eval_per_worker": True,
+    },
+    {
+        "name": "golden-starved",
+        "dataset": {"synthetic": {"dim": 4, "n_examples": 3, "separation": 1.0, "seed": 0}},
+        "val_fraction": 0.0,
+        "partition": {"mode": "dirichlet", "alpha": 1.0},
+        "step_times": [1, 1, 1, 1],
+        "methods": ["local_sparse", "fedavg_full"],
+        "sparsity": 1.0,
+        "rounds": 1,
+        "seeds": [0],
+        "eval_per_worker": True,
+    },
+]
+
+
+def output_digest(root) -> str:
+    """SHA-256 over the relative name and bytes of every file under ``root``."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        name = path.relative_to(root).as_posix().encode("utf-8")
+        data = path.read_bytes()
+        for part in (name, data):
+            h.update(len(part).to_bytes(8, "little"))
+            h.update(part)
+    return h.hexdigest()
+
+
+@pytest.mark.filterwarnings("ignore:worker .* received zero examples")
+def test_golden_suite_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for raw in SUITES:
+        config, issues = validate_config(
+            {**_COMMON, **raw, "output_dir": f"out/{raw['name']}"}
+        )
+        assert not issues, issues
+        run_suite(config)
+    assert output_digest(tmp_path / "out") == GOLDEN_DIGEST
