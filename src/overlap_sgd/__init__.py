@@ -7,10 +7,9 @@ from .data import Dataset, load_libsvm, parse_libsvm, synthetic_blobs
 from .engine import (
     Method,
     RoundOutcome,
-    WorkerState,
+    local_steps,
     merge_delay_corrected,
     merge_overwrite,
-    run_local_steps,
     run_round,
 )
 from .errors import ConfigurationError, DivergenceError, ParseError

@@ -21,6 +21,7 @@ import yaml
 
 from .config import load_config_file
 from .data import serialize_libsvm, synthetic_blobs
+from .errors import ConfigurationError
 from .metrics import atomic_write_bytes
 from .runner import run_suite, theory_report
 
@@ -47,7 +48,12 @@ def cmd_run(args) -> int:
     config, failed = _load_or_complain(args.config)
     if failed:
         return 1
-    result = run_suite(config)
+    try:
+        result = run_suite(config)
+    except ConfigurationError as exc:
+        # rules that need the loaded data, e.g. a libsvm file without 'dimension'
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return 1
     for run in result.runs:
         print(f"{run.method} seed={run.seed}: {run.status} -> {run.csv_path}")
     print(f"manifest: {result.manifest_path}")

@@ -14,7 +14,9 @@ from typing import Any, Mapping
 
 import yaml
 
-from .engine import Method
+from .engine import Method, method_plan_problems
+from .errors import ConfigurationError
+from .timing import build_plan
 
 __all__ = [
     "SyntheticSpec",
@@ -196,6 +198,13 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
     def bad(field_name: str, message: str, hint: str = ""):
         issues.append(ConfigIssue(field_name, message, hint))
 
+    def count(key: str, default: int, least: int):
+        """An integer field that must be at least ``least`` (0 or 1)."""
+        value = raw.get(key, default)
+        if not isinstance(value, int) or value < least:
+            bad(key, "must be a positive integer" if least else "must be a non-negative integer")
+        return value
+
     if not isinstance(raw, Mapping):
         return None, [ConfigIssue("<root>", "config must be a mapping")]
 
@@ -283,22 +292,8 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
     elif step_times and n_workers != len(step_times):
         bad("n_workers", f"is {n_workers} but step_times lists {len(step_times)} workers")
 
-    compute_periods = raw.get("compute_periods", 1)
-    if not isinstance(compute_periods, int) or compute_periods < 1:
-        bad("compute_periods", "must be a positive integer")
-
-    comm_seconds = raw.get("comm_seconds", 0)
-    if not isinstance(comm_seconds, int) or comm_seconds < 0:
-        bad("comm_seconds", "must be a non-negative integer")
-    elif step_times:
-        base = math.lcm(*step_times)
-        if comm_seconds % base != 0:
-            lo = (comm_seconds // base) * base
-            bad(
-                "comm_seconds",
-                f"must be a multiple of {base}",
-                f"nearest valid values are {lo} and {lo + base}",
-            )
+    compute_periods = count("compute_periods", 1, least=1)
+    comm_seconds = count("comm_seconds", 0, least=0)
 
     methods_raw = raw.get("methods")
     methods: list[str] = []
@@ -315,34 +310,14 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
     if not isinstance(stepsize, (int, float)) or stepsize <= 0:
         bad("stepsize", "must be a positive number")
 
-    batch_size = raw.get("batch_size", 256)
-    if not isinstance(batch_size, int) or batch_size < 1:
-        bad("batch_size", "must be a positive integer")
+    batch_size = count("batch_size", 256, least=1)
 
     sparsity = raw.get("sparsity", 1.0)
     if not isinstance(sparsity, (int, float)) or not 0.0 < float(sparsity) <= 1.0:
         bad("sparsity", "must be in (0, 1]")
         sparsity = 1.0
 
-    # method constraints that do not need the dataset
-    if "sync_sgd" in methods:
-        wants = []
-        if step_times and len(set(step_times)) != 1:
-            wants.append("equal step_times")
-        if compute_periods != 1:
-            wants.append("compute_periods == 1")
-        if comm_seconds != 0:
-            wants.append("comm_seconds == 0")
-        if float(sparsity) != 1.0:
-            wants.append("sparsity == 1.0 (full mask)")
-        if wants:
-            bad("methods", "sync_sgd requires " + ", ".join(wants))
-    if "fedavg_full" in methods and float(sparsity) != 1.0:
-        bad("methods", "fedavg_full requires sparsity == 1.0 (full mask)")
-
-    rounds = raw.get("rounds", 1)
-    if not isinstance(rounds, int) or rounds < 0:
-        bad("rounds", "must be a non-negative integer")
+    rounds = count("rounds", 1, least=0)
 
     seeds = _as_int_list(raw.get("seeds", [0]))
     if seeds is None:
@@ -363,13 +338,8 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
         if not isinstance(reg_scale, (int, float)) or reg_scale <= 0:
             bad("regularizer.scale", "must be > 0")
 
-    value_bit_width = raw.get("value_bit_width", 32)
-    if not isinstance(value_bit_width, int) or value_bit_width < 1:
-        bad("value_bit_width", "must be a positive integer")
-
-    eval_every = raw.get("eval_every", 1)
-    if not isinstance(eval_every, int) or eval_every < 1:
-        bad("eval_every", "must be a positive integer")
+    value_bit_width = count("value_bit_width", 32, least=1)
+    eval_every = count("eval_every", 1, least=1)
 
     eval_per_worker = raw.get("eval_per_worker", False)
     if not isinstance(eval_per_worker, bool):
@@ -397,6 +367,21 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
         except (TypeError, ValueError):
             bad("theory", "alpha/beta/c_round/epsilon must be numbers")
 
+    if issues:
+        return None, issues
+
+    # timing and method rules live with the code that enforces them
+    try:
+        plan = build_plan(step_times, compute_periods, comm_seconds)
+    except ConfigurationError as exc:
+        return None, [ConfigIssue("timing", str(exc))]
+    # a libsvm file without 'dimension' has no d until run_suite loads it
+    dim = dataset.synthetic.dim if dataset.synthetic is not None else dataset.dimension
+    if dim is not None:
+        mask_size = rand_k_size(float(sparsity), dim)
+        for m in methods:
+            for problem in method_plan_problems(Method(m), plan, mask_size, dim):
+                bad("methods", problem)
     if issues:
         return None, issues
 

@@ -1,10 +1,10 @@
 """Dense vector algebra, Rand-K masks, and the keyed random-number substrate.
 
-Model state throughout this package is a 1-D float64 numpy array.  All
-reductions use a fixed ascending-index summation order, and every random
-draw goes through a keyed :class:`RngStream`, so two runs with the same
-root seed are bit-identical regardless of how callers interleave their
-draws.
+A model is a 1-D float64 numpy array; a fleet of worker models is the
+rows of one ``(n, d)`` array.  All reductions use a fixed ascending-index
+summation order, and every random draw goes through a keyed
+:class:`RngStream`, so two runs with the same root seed are bit-identical
+regardless of how callers interleave their draws.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import ConfigurationError, DivergenceError
 __all__ = [
     "Mask",
     "RngStream",
-    "as_model_vector",
     "check_finite",
     "axpy",
     "project_mask",
@@ -28,17 +27,6 @@ __all__ = [
     "full_mask",
     "average",
 ]
-
-
-def as_model_vector(values, dim: int | None = None) -> np.ndarray:
-    """Coerce ``values`` to a finite 1-D float64 array of length ``dim``."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ConfigurationError(f"model vector must be 1-D, got shape {arr.shape}")
-    if dim is not None and arr.size != dim:
-        raise ConfigurationError(f"model vector has length {arr.size}, expected {dim}")
-    check_finite(arr)
-    return arr
 
 
 def check_finite(arr: np.ndarray, context: str = "vector") -> None:
@@ -180,8 +168,9 @@ def sample_rand_k(d: int, k: int, rng) -> Mask:
     return Mask.from_indices(pool[:k], d)
 
 
-def average(vs: list[np.ndarray]) -> np.ndarray:
-    """Arithmetic mean with an ascending-index summation order.
+def average(vs) -> np.ndarray:
+    """Arithmetic mean of a list of arrays, or of the rows of a 2-D array,
+    with an ascending-index summation order.
 
     The fold order is part of the reproducibility contract; callers must
     not replace this with a parallel reduction.

@@ -220,9 +220,6 @@ class Partition:
     def n_workers(self) -> int:
         return len(self.assignments)
 
-    def total_assigned(self) -> int:
-        return sum(a.size for a in self.assignments)
-
 
 def partition_shared(n_examples: int, n_workers: int) -> Partition:
     """Every worker samples from the full training set."""

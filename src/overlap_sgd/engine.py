@@ -3,8 +3,9 @@
 One round: every worker runs its pre-communication local steps, the
 masked models are averaged by the (simulated) server, overlap methods keep
 stepping while the message is in flight, and the configured merge rule
-produces the next round's starting models.  Everything is a deterministic
-sequential state transition on logical time.
+produces the next round's starting models.  The worker models are the rows
+of one float64 ``(n, d)`` array; a round reads it and returns new arrays.
+Everything is a deterministic sequential state transition on logical time.
 """
 
 from __future__ import annotations
@@ -20,16 +21,14 @@ from .timing import TimingPlan
 
 __all__ = [
     "Method",
-    "WorkerState",
     "RoundOutcome",
-    "BLOCKING_METHODS",
     "OVERLAP_METHODS",
-    "run_local_steps",
+    "local_steps",
     "merge_delay_corrected",
     "merge_overwrite",
+    "method_plan_problems",
     "validate_method_plan",
     "run_round",
-    "initial_states",
 ]
 
 # Runs abort once any coordinate leaves this range; prevents silent NaNs.
@@ -44,55 +43,38 @@ class Method(str, Enum):
     OVERLAP_DELAY_CORRECTED = "overlap_delay_corrected"
 
 
-# Blocking methods idle during the communication window; overlap methods
-# keep taking local steps.
-BLOCKING_METHODS = frozenset({Method.SYNC_SGD, Method.FEDAVG_FULL, Method.LOCAL_SPARSE})
+# Overlap methods keep taking local steps during the communication window;
+# the other (blocking) methods idle.
 OVERLAP_METHODS = frozenset({Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED})
-
-
-@dataclass
-class WorkerState:
-    """One worker's trajectory through a round.
-
-    start   model at the beginning of the round
-    sent    model after the pre-communication steps (what gets compressed)
-    latest  model when the server message arrives (== sent for blocking
-            methods, which take no overlap steps)
-    """
-
-    start: np.ndarray
-    sent: np.ndarray | None = None
-    latest: np.ndarray | None = None
-    steps_taken: int = 0
 
 
 @dataclass(frozen=True)
 class RoundOutcome:
-    """Everything one round produced.
+    """Everything one round produced; model arrays are ``(n, d)`` and may
+    share memory with each other (for ``sync_sgd`` all three are one array),
+    so callers treat them as read-only.
 
     next_models   merged per-worker models starting the next round
+    sent          models after the pre-communication steps (what gets
+                  compressed)
+    latest        models when the server message arrives (the same array
+                  as ``sent`` for blocking methods, which take no overlap
+                  steps)
     mask          the shared coordinate mask drawn for this round
-    message       server broadcast payload (zero off-mask for sparse methods)
     duration      logical seconds the round occupied
     steps         local steps executed per worker
     avg_grad_sum  sum over step indices of the worker-averaged applied
                   gradients; the mean model moves by exactly
                   -stepsize * avg_grad_sum each round
-    sent, latest  per-worker snapshots for drift diagnostics
     """
 
-    next_models: tuple[np.ndarray, ...]
+    next_models: np.ndarray
+    sent: np.ndarray
+    latest: np.ndarray
     mask: Mask
-    message: np.ndarray
     duration: int
     steps: tuple[int, ...]
     avg_grad_sum: np.ndarray
-    sent: tuple[np.ndarray, ...]
-    latest: tuple[np.ndarray, ...]
-
-
-def initial_states(x0: np.ndarray, n_workers: int) -> list[WorkerState]:
-    return [WorkerState(start=x0.copy()) for _ in range(n_workers)]
 
 
 def _guard(w: np.ndarray, round_index: int, worker: int) -> None:
@@ -104,20 +86,8 @@ def _guard(w: np.ndarray, round_index: int, worker: int) -> None:
         )
 
 
-def _steps_traced(start, count, stepsize, oracle, worker, round_index, first_step):
-    """Run ``count`` keyed SGD steps; return the end point and the gradient sum."""
-    w = start.copy()
-    grad_sum = np.zeros_like(start)
-    for t in range(first_step, first_step + count):
-        g = oracle.gradient(w, worker, round_index, t)
-        w -= stepsize * g
-        _guard(w, round_index, worker)
-        grad_sum += g
-    return w, grad_sum
-
-
-def run_local_steps(
-    start: np.ndarray,
+def local_steps(
+    w: np.ndarray,
     count: int,
     stepsize: float,
     oracle,
@@ -125,7 +95,7 @@ def run_local_steps(
     round_index: int = 0,
     first_step: int = 0,
 ) -> np.ndarray:
-    """Apply ``count`` sequential SGD steps from ``start``.
+    """Advance ``w`` in place by ``count`` SGD steps; return their gradient sum.
 
     Step ``t`` (for t in [first_step, first_step + count)) draws its sample
     from the stream keyed by (worker, round_index, t), so trajectories
@@ -136,59 +106,73 @@ def run_local_steps(
         raise ConfigurationError(f"step count must be >= 0, got {count}")
     if stepsize <= 0:
         raise ConfigurationError(f"stepsize must be positive, got {stepsize}")
-    end, _ = _steps_traced(start, count, stepsize, oracle, worker, round_index, first_step)
-    return end
+    grad_sum = np.zeros_like(w)
+    for t in range(first_step, first_step + count):
+        g = oracle.gradient(w, worker, round_index, t)
+        w -= stepsize * g
+        _guard(w, round_index, worker)
+        grad_sum += g
+    return grad_sum
 
 
 def merge_delay_corrected(
     latest: np.ndarray, sent: np.ndarray, sent_avg: np.ndarray, s: Mask
 ) -> np.ndarray:
-    """latest + Proj_s(sent_avg - sent).
+    """latest + Proj_s(sent_avg - sent), for one model or a stack of them.
 
-    On masked coordinates the worker moves to the delayed average plus its
+    On masked coordinates each worker moves to the delayed average plus its
     own overlap progress (latest - sent); off-mask coordinates keep the
     newest local value.
     """
-    if not (latest.shape == sent.shape == sent_avg.shape):
+    if latest.shape != sent.shape or latest.shape[-1:] != sent_avg.shape:
         raise ConfigurationError("merge inputs must share one dimension")
     out = latest.copy()
     idx = list(s.indices)
-    out[idx] = sent_avg[idx] + (latest[idx] - sent[idx])
+    out[..., idx] = sent_avg[idx] + (latest[..., idx] - sent[..., idx])
     return out
 
 
 def merge_overwrite(latest: np.ndarray, message: np.ndarray, s: Mask) -> np.ndarray:
     """Replace masked coordinates with the server message; keep the rest."""
-    if latest.shape != message.shape:
+    if latest.shape[-1:] != message.shape:
         raise ConfigurationError("merge inputs must share one dimension")
     out = latest.copy()
     idx = list(s.indices)
-    out[idx] = message[idx]
+    out[..., idx] = message[idx]
     return out
+
+
+def method_plan_problems(method: Method, plan: TimingPlan, mask_size: int, dim: int) -> list[str]:
+    """Every reason ``method`` cannot run on ``plan`` with a k-of-d mask."""
+    problems = []
+    if not 1 <= mask_size <= dim:
+        problems.append(f"mask size {mask_size} outside [1, {dim}]")
+    if method is Method.SYNC_SGD:
+        wants = []
+        if len(set(plan.step_times)) != 1:
+            wants.append("equal step_times")
+        if plan.compute_periods != 1:
+            wants.append("compute_periods == 1")
+        if plan.comm_seconds != 0:
+            wants.append("comm_seconds == 0")
+        if mask_size != dim:
+            wants.append(f"a full mask (k == d, got k={mask_size}, d={dim})")
+        if wants:
+            problems.append("sync_sgd requires " + ", ".join(wants))
+    elif method is Method.FEDAVG_FULL and mask_size != dim:
+        problems.append(f"fedavg_full requires a full mask (k == d, got k={mask_size}, d={dim})")
+    return problems
 
 
 def validate_method_plan(method: Method, plan: TimingPlan, mask_size: int, dim: int) -> None:
     """Reject method/plan combinations before round 0."""
-    if not 1 <= mask_size <= dim:
-        raise ConfigurationError(f"mask size {mask_size} outside [1, {dim}]")
-    if method is Method.SYNC_SGD:
-        problems = []
-        if len(set(plan.step_times)) != 1:
-            problems.append("equal step times")
-        if plan.compute_periods != 1:
-            problems.append("compute_periods == 1")
-        if plan.comm_seconds != 0:
-            problems.append("comm_seconds == 0")
-        if mask_size != dim:
-            problems.append("a full mask (sparsity 1.0)")
-        if problems:
-            raise ConfigurationError("sync_sgd requires " + ", ".join(problems))
-    elif method is Method.FEDAVG_FULL and mask_size != dim:
-        raise ConfigurationError("fedavg_full requires a full mask (sparsity 1.0)")
+    problems = method_plan_problems(method, plan, mask_size, dim)
+    if problems:
+        raise ConfigurationError("; ".join(problems))
 
 
 def run_round(
-    states: list[WorkerState],
+    start: np.ndarray,
     method: Method,
     plan: TimingPlan,
     mask_size: int,
@@ -197,81 +181,61 @@ def run_round(
     root_seed: int,
     round_index: int,
 ) -> RoundOutcome:
-    """Execute one round of ``method`` and return the merged next models.
+    """Execute one round of ``method`` from the ``(n, d)`` models ``start``.
 
-    The mask is drawn once from the round-keyed stream and shared by all
-    workers; sample streams are keyed (worker, round, step index), so
-    methods that take the same steps see the same randomness.
+    ``start`` is not modified.  The mask is drawn once from the
+    round-keyed stream and shared by all workers; sample streams are keyed
+    (worker, round, step index), so methods that take the same steps see
+    the same randomness.
     """
     method = Method(method)
-    n = len(states)
-    if n != plan.n_workers:
-        raise ConfigurationError(f"{n} worker states but plan has {plan.n_workers} workers")
-    dim = states[0].start.size
+    if start.ndim != 2 or start.shape[0] != plan.n_workers:
+        raise ConfigurationError(
+            f"start models have shape {start.shape} but plan has {plan.n_workers} workers"
+        )
+    n, dim = start.shape
     validate_method_plan(method, plan, mask_size, dim)
     mask = sample_rand_k(dim, mask_size, RngStream(root_seed, ("mask", round_index)))
 
     if method is Method.SYNC_SGD:
         # one gradient per worker at the common point, averaged, one global step
-        common = states[0].start
-        if any(not np.array_equal(st.start, common) for st in states[1:]):
-            raise ConfigurationError("sync_sgd requires identical worker states")
-        grads = [oracle.gradient(common, i, round_index, 0) for i in range(n)]
-        mean_grad = average(grads)
-        merged = axpy(-stepsize, mean_grad, common)
+        common = start[0]
+        if np.any(start != common):
+            raise ConfigurationError("sync_sgd requires identical worker models")
+        avg_grad_sum = average([oracle.gradient(common, i, round_index, 0) for i in range(n)])
+        merged = axpy(-stepsize, avg_grad_sum, common)
         _guard(merged, round_index, worker=-1)
-        next_models = tuple(merged.copy() for _ in range(n))
-        for st in states:
-            st.sent = merged.copy()
-            st.latest = st.sent
-            st.steps_taken = 1
-        return RoundOutcome(
-            next_models=next_models,
-            mask=mask,
-            message=mean_grad,
-            duration=plan.round_seconds,
-            steps=tuple(1 for _ in range(n)),
-            avg_grad_sum=mean_grad,
-            sent=tuple(st.sent for st in states),
-            latest=tuple(st.latest for st in states),
-        )
-
-    overlap = method in OVERLAP_METHODS
-    grad_sum = np.zeros(dim)
-    for i, st in enumerate(states):
-        y, gs = _steps_traced(st.start, plan.pre_steps[i], stepsize, oracle, i, round_index, 0)
-        st.sent = y
-        grad_sum += gs
-    sent_avg = average([st.sent for st in states])
-    message = project_mask(sent_avg, mask)
-
-    for i, st in enumerate(states):
-        if overlap and plan.overlap_steps[i] > 0:
-            z, gs = _steps_traced(
-                st.sent, plan.overlap_steps[i], stepsize, oracle, i, round_index, plan.pre_steps[i]
-            )
-            grad_sum += gs
+        sent = latest = next_models = np.tile(merged, (n, 1))
+        steps = (1,) * n
+    else:
+        grad_sum = np.zeros(dim)
+        sent = start.copy()
+        for i in range(n):
+            grad_sum += local_steps(sent[i], plan.pre_steps[i], stepsize, oracle, i, round_index)
+        sent_avg = average(sent)
+        if method in OVERLAP_METHODS:
+            latest = sent.copy()
+            for i in range(n):
+                grad_sum += local_steps(
+                    latest[i], plan.overlap_steps[i], stepsize, oracle, i, round_index, plan.pre_steps[i]
+                )
+            steps = plan.total_steps
         else:
-            z = st.sent
-        st.latest = z
-        st.steps_taken = plan.total_steps[i] if overlap else plan.pre_steps[i]
-
-    next_models = []
-    for st in states:
+            latest = sent
+            steps = plan.pre_steps
+        avg_grad_sum = grad_sum / n
         if method is Method.OVERLAP_DELAY_CORRECTED:
-            merged = merge_delay_corrected(st.latest, st.sent, sent_avg, mask)
+            next_models = merge_delay_corrected(latest, sent, sent_avg, mask)
         else:
-            # fedavg_full, local_sparse (latest == sent), overlap_overwrite
-            merged = merge_overwrite(st.latest, message, mask)
-        next_models.append(merged)
+            # fedavg_full, local_sparse (latest is sent), overlap_overwrite
+            next_models = merge_overwrite(latest, project_mask(sent_avg, mask), mask)
 
     return RoundOutcome(
-        next_models=tuple(next_models),
+        next_models=next_models,
+        sent=sent,
+        latest=latest,
         mask=mask,
-        message=message,
         duration=plan.round_seconds,
-        steps=tuple(st.steps_taken for st in states),
-        avg_grad_sum=grad_sum / n,
-        sent=tuple(st.sent for st in states),
-        latest=tuple(st.latest for st in states),
+        steps=steps,
+        avg_grad_sum=avg_grad_sum,
     )

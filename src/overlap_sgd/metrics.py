@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import average
 from .data import Dataset
-from .engine import RoundOutcome, WorkerState
+from .engine import RoundOutcome
 from .objective import RegularizerParams, dataset_accuracy, dataset_loss, full_gradient
 
 __all__ = [
@@ -71,20 +71,19 @@ class DriftDiagnostics:
     latest_dispersion_sq: float
 
 
-def disagreement(models: list[np.ndarray]) -> float:
-    """Sum of squared deviations of worker models from their mean."""
-    mean = average(list(models))
+def disagreement(models) -> float:
+    """Sum of squared deviations of worker models (rows) from their mean."""
+    mean = average(models)
     return float(sum(np.sum((m - mean) ** 2) for m in models))
 
 
-def drift_diagnostics(states: list[WorkerState]) -> DriftDiagnostics:
-    pre = [st.sent - st.start for st in states]
-    over = [st.latest - st.sent for st in states]
+def drift_diagnostics(start: np.ndarray, outcome: RoundOutcome) -> DriftDiagnostics:
+    """Dispersions of the round ``outcome`` that began at the models ``start``."""
     return DriftDiagnostics(
-        pre_drift_sq=disagreement(pre),
-        overlap_drift_sq=disagreement(over),
-        sent_dispersion_sq=disagreement([st.sent for st in states]),
-        latest_dispersion_sq=disagreement([st.latest for st in states]),
+        pre_drift_sq=disagreement(outcome.sent - start),
+        overlap_drift_sq=disagreement(outcome.latest - outcome.sent),
+        sent_dispersion_sq=disagreement(outcome.sent),
+        latest_dispersion_sq=disagreement(outcome.latest),
     )
 
 
@@ -117,8 +116,10 @@ class RunRecorder:
         self.processed_examples = 0
         self.comm_coordinates = 0
 
-    def _evaluate(self, models: list[np.ndarray]) -> MetricsRecord:
-        mean_model = average(list(models))
+    def _evaluate(self, models: np.ndarray) -> MetricsRecord:
+        if self.collect_per_worker:
+            self.worker_rows.extend(self.per_worker_rows(models))
+        mean_model = average(models)
         reg_value = self.regularizer.value(mean_model)
         grad = full_gradient(mean_model, self.train, self.regularizer)
         val_loss = dataset_loss(mean_model, self.val) if self.val.n_examples else float("nan")
@@ -131,15 +132,13 @@ class RunRecorder:
             train_accuracy=dataset_accuracy(mean_model, self.train),
             val_accuracy=val_acc,
             grad_norm=float(np.linalg.norm(grad)),
-            disagreement_x=disagreement(list(models)),
+            disagreement_x=disagreement(models),
             processed_examples=self.processed_examples,
             comm_coordinates=self.comm_coordinates,
             comm_bits=self.comm_coordinates * self.value_bit_width,
         )
 
-    def measure_initial(self, models: list[np.ndarray]) -> MetricsRecord:
-        if self.collect_per_worker:
-            self.worker_rows.extend(self.per_worker_rows(models))
+    def measure_initial(self, models: np.ndarray) -> MetricsRecord:
         return self._evaluate(models)
 
     def advance(self, outcome: RoundOutcome) -> None:
@@ -154,11 +153,9 @@ class RunRecorder:
     def measure_round(self, outcome: RoundOutcome) -> MetricsRecord:
         """Account for ``outcome`` and measure the post-merge state."""
         self.advance(outcome)
-        if self.collect_per_worker:
-            self.worker_rows.extend(self.per_worker_rows(list(outcome.next_models)))
-        return self._evaluate(list(outcome.next_models))
+        return self._evaluate(outcome.next_models)
 
-    def per_worker_rows(self, models: list[np.ndarray]) -> list[dict]:
+    def per_worker_rows(self, models: np.ndarray) -> list[dict]:
         rows = []
         for w, m in enumerate(models):
             rows.append(

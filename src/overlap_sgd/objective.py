@@ -24,8 +24,6 @@ __all__ = [
     "dataset_loss",
     "dataset_accuracy",
     "full_gradient",
-    "stochastic_gradient",
-    "quadratic_oracle",
 ]
 
 
@@ -144,10 +142,6 @@ class LogisticOracle:
             self, "worker_pools", tuple(np.asarray(p, dtype=np.int64) for p in self.worker_pools)
         )
 
-    @property
-    def dim(self) -> int:
-        return self.dataset.dim
-
     def gradient(self, w: np.ndarray, worker: int, round_index: int, step: int) -> np.ndarray:
         pool = self.worker_pools[worker]
         if pool.size == 0:
@@ -164,27 +158,9 @@ class LogisticOracle:
         return grad
 
 
-def stochastic_gradient(
-    oracle: LogisticOracle, w: np.ndarray, worker: int, round_index: int, step: int
-) -> np.ndarray:
-    return oracle.gradient(w, worker, round_index, step)
-
-
-def quadratic_oracle(w: np.ndarray, a_diag: np.ndarray, noise_sigma: float, rng: RngStream) -> np.ndarray:
-    """Gradient of 0.5 * sum_j a_j w_j^2 plus Gaussian noise from ``rng``."""
-    if np.any(a_diag <= 0):
-        raise ConfigurationError("quadratic curvatures must be positive")
-    if a_diag.shape != w.shape:
-        raise ConfigurationError(f"dimension mismatch: {a_diag.shape} vs {w.shape}")
-    grad = a_diag * w
-    if noise_sigma > 0:
-        grad = grad + noise_sigma * rng.generator().standard_normal(w.size)
-    return grad
-
-
 @dataclass(frozen=True)
 class QuadraticOracle:
-    """Keyed wrapper around :func:`quadratic_oracle` for the engine.
+    """Gradient of 0.5 * sum_j a_j w_j^2 plus Gaussian noise, keyed for the engine.
 
     Uses the same (sample, worker, round, step) key scheme as the logistic
     oracle.  Closed forms: smoothness L = max(a_diag), optimum value 0,
@@ -201,10 +177,11 @@ class QuadraticOracle:
             raise ConfigurationError("quadratic curvatures must be positive")
         object.__setattr__(self, "a_diag", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.a_diag.size
-
     def gradient(self, w: np.ndarray, worker: int, round_index: int, step: int) -> np.ndarray:
-        rng = RngStream(self.root_seed, ("sample", worker, round_index, step))
-        return quadratic_oracle(w, self.a_diag, self.noise_sigma, rng)
+        if self.a_diag.shape != w.shape:
+            raise ConfigurationError(f"dimension mismatch: {self.a_diag.shape} vs {w.shape}")
+        grad = self.a_diag * w
+        if self.noise_sigma > 0:
+            rng = RngStream(self.root_seed, ("sample", worker, round_index, step))
+            grad = grad + self.noise_sigma * rng.generator().standard_normal(w.size)
+        return grad

@@ -24,7 +24,7 @@ from .data import (
     split_train_val,
     synthetic_blobs,
 )
-from .engine import Method, WorkerState, initial_states, run_round, validate_method_plan
+from .engine import Method, run_round, validate_method_plan
 from .errors import DivergenceError
 from .metrics import MetricsRecord, RunRecorder, atomic_write_bytes, write_metrics
 from .objective import LogisticOracle, RegularizerParams
@@ -65,12 +65,6 @@ class SuiteResult:
     @property
     def any_diverged(self) -> bool:
         return any(r.status.startswith("diverged") for r in self.runs)
-
-    def final_train_loss(self, method: str, seed: int) -> float:
-        for r in self.runs:
-            if r.method == method and r.seed == seed:
-                return r.records[-1].train_loss
-        raise KeyError(f"no run for {method} seed {seed}")
 
 
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
@@ -144,14 +138,13 @@ def run_single(
 ) -> tuple[list[MetricsRecord], str]:
     """Drive one (method, seed) trajectory; returns (records, status)."""
     method = Method(method)
-    validate_method_plan(method, plan, mask_size, x0.size)
     if rounds == 0:
         return [], "ok"
-    states = initial_states(x0, plan.n_workers)
-    records = [recorder.measure_initial([st.start for st in states])]
+    models = np.tile(x0, (plan.n_workers, 1))
+    records = [recorder.measure_initial(models)]
     for r in range(rounds):
         try:
-            outcome = run_round(states, method, plan, mask_size, stepsize, oracle, root_seed, r)
+            outcome = run_round(models, method, plan, mask_size, stepsize, oracle, root_seed, r)
         except DivergenceError as exc:
             logger.warning("%s seed %s: %s", method.value, root_seed, exc)
             return records, f"diverged:round={r}"
@@ -160,12 +153,8 @@ def run_single(
             records.append(recorder.measure_round(outcome))
         else:
             recorder.advance(outcome)
-        states = initial_states_from(outcome.next_models)
+        models = outcome.next_models
     return records, "ok"
-
-
-def initial_states_from(models) -> list[WorkerState]:
-    return [WorkerState(start=m.copy()) for m in models]
 
 
 def run_suite(config: ExperimentConfig) -> SuiteResult:
@@ -174,15 +163,14 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     Writes one CSV + JSONL per pair plus a manifest that can be fed back
     to ``run`` to reproduce the outputs byte for byte.
     """
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     dataset = resolve_dataset(config)
     plan = build_plan(config.step_times, config.compute_periods, config.comm_seconds)
     mask_size = rand_k_size(config.sparsity, dataset.dim)
     for m in config.methods:
         validate_method_plan(Method(m), plan, mask_size, dataset.dim)
     reg = RegularizerParams(strength=config.regularizer_strength, scale=config.regularizer_scale)
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     reports: list[RunReport] = []
     artifact_hashes: dict[str, dict] = {}
@@ -193,54 +181,42 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
         for method in config.methods:
             if empty_pools:
                 # extreme partitions can starve a worker; record it and move on
-                stem = f"{method}_seed{seed}"
-                csv_path, jsonl_path = out_dir / f"{stem}.csv", out_dir / f"{stem}.jsonl"
-                write_metrics([], csv_path, jsonl_path)
-                reports.append(
-                    RunReport(
-                        method=method,
-                        seed=seed,
-                        csv_path=str(csv_path),
-                        jsonl_path=str(jsonl_path),
-                        status=f"skipped:workers-without-examples={empty_pools}",
-                        records=(),
-                    )
+                records, status = [], f"skipped:workers-without-examples={empty_pools}"
+            else:
+                oracle = LogisticOracle(
+                    dataset=artifacts.train,
+                    batch_size=config.batch_size,
+                    regularizer=reg,
+                    worker_pools=artifacts.partition.assignments,
+                    root_seed=seed,
                 )
-                continue
-            oracle = LogisticOracle(
-                dataset=artifacts.train,
-                batch_size=config.batch_size,
-                regularizer=reg,
-                worker_pools=artifacts.partition.assignments,
-                root_seed=seed,
-            )
-            recorder = RunRecorder(
-                train=artifacts.train,
-                val=artifacts.val,
-                regularizer=reg,
-                batch_size=config.batch_size,
-                n_workers=config.n_workers,
-                mask_size=mask_size,
-                value_bit_width=config.value_bit_width,
-                collect_per_worker=config.eval_per_worker,
-            )
-            records, status = run_single(
-                Method(method),
-                plan,
-                mask_size,
-                config.stepsize,
-                config.rounds,
-                seed,
-                oracle,
-                recorder,
-                artifacts.x0,
-                eval_every=config.eval_every,
-            )
+                recorder = RunRecorder(
+                    train=artifacts.train,
+                    val=artifacts.val,
+                    regularizer=reg,
+                    batch_size=config.batch_size,
+                    n_workers=config.n_workers,
+                    mask_size=mask_size,
+                    value_bit_width=config.value_bit_width,
+                    collect_per_worker=config.eval_per_worker,
+                )
+                records, status = run_single(
+                    Method(method),
+                    plan,
+                    mask_size,
+                    config.stepsize,
+                    config.rounds,
+                    seed,
+                    oracle,
+                    recorder,
+                    artifacts.x0,
+                    eval_every=config.eval_every,
+                )
             stem = f"{method}_seed{seed}"
             csv_path = out_dir / f"{stem}.csv"
             jsonl_path = out_dir / f"{stem}.jsonl"
             write_metrics(records, csv_path, jsonl_path)
-            if config.eval_per_worker:
+            if config.eval_per_worker and not empty_pools:
                 payload = "".join(json.dumps(row) + "\n" for row in recorder.worker_rows)
                 atomic_write_bytes(out_dir / f"{stem}_workers.jsonl", payload.encode("utf-8"))
             reports.append(

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .objective import RegularizerParams, full_gradient
-from .timing import TimingAggregates, TimingPlan
+from .timing import TimingAggregates, TimingPlan, aggregates
 from .data import Dataset
 
 __all__ = [
@@ -197,15 +197,11 @@ class TimeComplexity:
 
 
 def time_complexity(rounds: int, plan: TimingPlan) -> TimeComplexity:
-    """rounds * round_seconds, with the harmonic-mean identity checked exactly."""
+    """rounds * round_seconds; :func:`aggregates` checks the harmonic-mean identity exactly."""
     if rounds < 0:
         raise ConfigurationError("rounds must be >= 0")
-    n = plan.n_workers
-    harmonic = Fraction(n) / sum(Fraction(1, t) for t in plan.step_times)
-    mean_total = Fraction(sum(plan.total_steps), n)
-    seconds = rounds * plan.round_seconds
-    assert rounds * harmonic * mean_total == seconds
-    return TimeComplexity(seconds=seconds, harmonic_step_time=harmonic)
+    harmonic = aggregates(plan).harmonic_step_time
+    return TimeComplexity(seconds=rounds * plan.round_seconds, harmonic_step_time=harmonic)
 
 
 def tune_bound_params(

@@ -130,7 +130,9 @@ def aggregates(plan: TimingPlan) -> TimingAggregates:
         drift_sq_sum=drift_sq_sum,
         harmonic_step_time=harmonic,
     )
-    # Exact identity on the rationals; a failure means the plan is corrupt.
-    assert agg.harmonic_step_time * agg.mean_total == plan.round_seconds
-    assert (agg.drift_sq_sum == 0) == all(h == 1 for h in plan.total_steps)
+    # Exact identities on the rationals; a failure means the plan is corrupt.
+    if agg.harmonic_step_time * agg.mean_total != plan.round_seconds:
+        raise ConfigurationError("corrupt timing plan: harmonic_step_time * mean_total != round_seconds")
+    if (agg.drift_sq_sum == 0) != all(h == 1 for h in plan.total_steps):
+        raise ConfigurationError(f"corrupt timing plan: total steps {plan.total_steps}")
     return agg

@@ -15,7 +15,7 @@ from overlap_sgd.cli import main
 from overlap_sgd.config import rand_k_size, validate_config
 from overlap_sgd.core import average, project_mask, sample_rand_k, stream
 from overlap_sgd.data import synthetic_blobs
-from overlap_sgd.engine import Method, WorkerState, merge_delay_corrected, run_round
+from overlap_sgd.engine import Method, merge_delay_corrected, run_round
 from overlap_sgd.errors import ConfigurationError
 from overlap_sgd.objective import RegularizerParams, dataset_loss, full_gradient
 from overlap_sgd.runner import run_suite
@@ -33,10 +33,6 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {num:02d} {name}: {status}{suffix}")
     assert ok, f"criterion {num} ({name}) failed{suffix}"
-
-
-def states_from(models):
-    return [WorkerState(start=m.copy()) for m in models]
 
 
 def ordering_config(tmp_path, methods, compute_periods=3, comm_seconds=6, tag="run"):
@@ -94,7 +90,7 @@ def test_criterion_01_average_evolution_identity():
         for r in range(2):
             mean_before = average(models)
             out = run_round(
-                states_from(models), Method.OVERLAP_DELAY_CORRECTED, plan, k, eta, oracle, trial, r
+                np.stack(models), Method.OVERLAP_DELAY_CORRECTED, plan, k, eta, oracle, trial, r
             )
             mean_after = average(list(out.next_models))
             resid = np.linalg.norm(mean_after - (mean_before - eta * out.avg_grad_sum))
@@ -122,7 +118,7 @@ def test_criterion_02_mask_expectation_identity():
         oracle = make_quadratic_oracle(dim=d, noise=0.6, seed=trial + 1, curvature=1.0)
         models = [rng.standard_normal(d) for _ in range(n)]
         out = run_round(
-            states_from(models), Method.OVERLAP_DELAY_CORRECTED, plan, k, 0.1, oracle, trial + 1, 0
+            np.stack(models), Method.OVERLAP_DELAY_CORRECTED, plan, k, 0.1, oracle, trial + 1, 0
         )
         sent = np.stack(out.sent)
         latest = np.stack(out.latest)
@@ -172,7 +168,7 @@ def test_criterion_03_minibatch_equivalence():
     worst = 0.0
     for r in range(rounds):
         for m in methods:
-            out = run_round(states_from(models[m]), m, plan, d, 0.05, oracle, 31, r)
+            out = run_round(np.stack(models[m]), m, plan, d, 0.05, oracle, 31, r)
             models[m] = [v.copy() for v in out.next_models]
         ref = np.stack(models[Method.SYNC_SGD])
         for m in methods:

@@ -8,7 +8,7 @@ import yaml
 from conftest import base_config_dict
 from overlap_sgd.cli import main
 from overlap_sgd.config import rand_k_size, validate_config
-from overlap_sgd.data import load_libsvm
+from overlap_sgd.data import load_libsvm, serialize_libsvm, synthetic_blobs
 from overlap_sgd.metrics import read_metrics_csv
 from overlap_sgd.runner import run_suite
 
@@ -72,6 +72,36 @@ class TestValidateConfig:
         again, issues2 = validate_config(config.to_dict())
         assert not issues2 and again == config
 
+    def test_fedavg_accepts_sparsity_that_rounds_to_a_full_mask(self, tmp_path):
+        # k = rand_k_size(0.999, 100) == 100 == d: the engine's k == d rule holds
+        raw = base_config_dict(
+            dataset={"synthetic": {"dim": 100, "n_examples": 200, "separation": 1.5, "seed": 3}},
+            methods=["fedavg_full"],
+            sparsity=0.999,
+            rounds=1,
+            output_dir=str(tmp_path / "out"),
+        )
+        config, issues = validate_config(raw)
+        assert not issues, issues
+        result = run_suite(config)
+        assert [r.status for r in result.runs] == ["ok"]
+
+    def test_fedavg_rejects_partial_mask_at_fixed_dimension(self):
+        raw = base_config_dict(methods=["fedavg_full"], sparsity=0.9)
+        config, issues = validate_config(raw)
+        assert config is None
+        assert any("fedavg_full requires a full mask" in str(i) for i in issues)
+
+    def test_rejects_step_times_whose_lcm_is_too_large(self, tmp_path, capsys):
+        raw = base_config_dict(step_times=[65521, 65519, 65497], comm_seconds=0)
+        config, issues = validate_config(raw)
+        assert config is None
+        assert any("above the supported maximum" in str(i) for i in issues)
+        path = tmp_path / "lcm.yaml"
+        path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert "above the supported maximum" in capsys.readouterr().err
+
     def test_valid_config_round_trips(self):
         raw = base_config_dict()
         config, issues = validate_config(raw)
@@ -111,6 +141,19 @@ class TestRunCommand:
         assert main(["run", str(out_dir / "manifest.json")]) == 0
         assert snapshot(out_dir) == first
         capsys.readouterr()
+
+    def test_mask_rule_on_loaded_libsvm_dimension_is_a_config_error(self, tmp_path, capsys):
+        # without 'dimension' the width is known only after loading, so
+        # validate passes and run reports the rule without writing anything
+        data_path = tmp_path / "blobs.libsvm"
+        data_path.write_text(serialize_libsvm(synthetic_blobs(6, 40, 1.5, 0)), encoding="utf-8")
+        cfg = write_config(tmp_path, dataset={"path": str(data_path)}, methods=["fedavg_full"])
+        assert main(["validate", str(cfg)]) == 0
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid config: fedavg_full requires a full mask" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_zero_rounds_writes_header_only(self, tmp_path, capsys):
         cfg = write_config(tmp_path, rounds=0)

@@ -6,10 +6,10 @@ from overlap_sgd.core import Mask, average, full_mask, project_mask, sample_rand
 from overlap_sgd.data import synthetic_blobs
 from overlap_sgd.engine import (
     Method,
-    WorkerState,
+    local_steps,
     merge_delay_corrected,
     merge_overwrite,
-    run_local_steps,
+    method_plan_problems,
     run_round,
     validate_method_plan,
 )
@@ -18,41 +18,49 @@ from overlap_sgd.metrics import disagreement, drift_diagnostics
 from overlap_sgd.timing import build_plan
 
 
-def states_from(models):
-    return [WorkerState(start=m.copy()) for m in models]
-
-
 class TestRunLocalSteps:
     def test_zero_steps_returns_start(self):
         oracle = make_quadratic_oracle(dim=3)
-        start = np.array([1.0, 2.0, 3.0])
-        out = run_local_steps(start, 0, 0.1, oracle)
-        np.testing.assert_array_equal(out, start)
+        w = np.array([1.0, 2.0, 3.0])
+        grad_sum = local_steps(w, 0, 0.1, oracle)
+        np.testing.assert_array_equal(w, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(grad_sum, np.zeros(3))
 
     def test_deterministic_quadratic_contraction(self):
         # two noiseless steps on 0.5 * w^2 shrink the iterate by (1 - lr)^2
         oracle = make_quadratic_oracle(dim=1)
-        out = run_local_steps(np.array([1.0]), 2, 0.1, oracle)
-        np.testing.assert_allclose(out, [0.81], rtol=1e-14)
+        w = np.array([1.0])
+        grad_sum = local_steps(w, 2, 0.1, oracle)
+        np.testing.assert_allclose(w, [0.81], rtol=1e-14)
+        np.testing.assert_allclose(grad_sum, [1.9], rtol=1e-14)
 
     def test_trajectory_composition(self, tiny_oracle):
-        start = np.zeros(8)
-        full = run_local_steps(start, 3, 0.05, tiny_oracle, worker=1, round_index=2)
-        two = run_local_steps(start, 2, 0.05, tiny_oracle, worker=1, round_index=2)
-        three = run_local_steps(two, 1, 0.05, tiny_oracle, worker=1, round_index=2, first_step=2)
-        np.testing.assert_array_equal(full, three)
+        full = np.zeros(8)
+        local_steps(full, 3, 0.05, tiny_oracle, worker=1, round_index=2)
+        split = np.zeros(8)
+        local_steps(split, 2, 0.05, tiny_oracle, worker=1, round_index=2)
+        local_steps(split, 1, 0.05, tiny_oracle, worker=1, round_index=2, first_step=2)
+        np.testing.assert_array_equal(full, split)
+
+    def test_advances_one_row_of_a_stack(self, tiny_oracle):
+        alone = np.ones(8)
+        local_steps(alone, 3, 0.05, tiny_oracle, worker=1)
+        stack = np.ones((2, 8))
+        local_steps(stack[1], 3, 0.05, tiny_oracle, worker=1)
+        np.testing.assert_array_equal(stack[1], alone)
+        np.testing.assert_array_equal(stack[0], np.ones(8))
 
     def test_rejects_bad_arguments(self, tiny_oracle):
         with pytest.raises(ConfigurationError):
-            run_local_steps(np.zeros(8), -1, 0.1, tiny_oracle)
+            local_steps(np.zeros(8), -1, 0.1, tiny_oracle)
         with pytest.raises(ConfigurationError):
-            run_local_steps(np.zeros(8), 1, 0.0, tiny_oracle)
+            local_steps(np.zeros(8), 1, 0.0, tiny_oracle)
 
     def test_divergence_guard(self):
         # |1 - lr * a| = 999 per step: blows past the guard within two rounds
         oracle = make_quadratic_oracle(dim=1, curvature=1e3)
         with pytest.raises(DivergenceError):
-            run_local_steps(np.array([1.0]), 200, 1.0, oracle, round_index=5)
+            local_steps(np.array([1.0]), 200, 1.0, oracle, round_index=5)
 
 
 class TestMergeRules:
@@ -123,12 +131,55 @@ class TestMergeRules:
         np.testing.assert_allclose(dc[on] - ow[on], latest[on] - sent[on], rtol=1e-14)
 
 
+class TestMergeStack:
+    def test_stack_merge_equals_row_by_row(self):
+        gen = stream(5, "stack-demo").generator()
+        latest = gen.standard_normal((3, 7))
+        sent = gen.standard_normal((3, 7))
+        sent_avg = average(sent)
+        mask = Mask.from_indices([0, 3, 6], 7)
+        message = project_mask(sent_avg, mask)
+        dc = merge_delay_corrected(latest, sent, sent_avg, mask)
+        ow = merge_overwrite(latest, message, mask)
+        for i in range(3):
+            np.testing.assert_array_equal(dc[i], merge_delay_corrected(latest[i], sent[i], sent_avg, mask))
+            np.testing.assert_array_equal(ow[i], merge_overwrite(latest[i], message, mask))
+
+    def test_stack_merge_rejects_mismatched_width(self):
+        mask = Mask.from_indices([0], 2)
+        with pytest.raises(ConfigurationError):
+            merge_delay_corrected(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(3), mask)
+        with pytest.raises(ConfigurationError):
+            merge_overwrite(np.zeros((2, 2)), np.zeros(3), mask)
+
+
 class TestRunRound:
+    def test_start_models_are_not_modified(self):
+        oracle = make_quadratic_oracle(dim=5, noise=0.3, seed=2)
+        cases = [
+            (Method.SYNC_SGD, build_plan((1, 1), 1, 0), 5, np.ones((2, 5))),
+            (Method.FEDAVG_FULL, build_plan((1, 2), 1, 2), 5, np.arange(10.0).reshape(2, 5)),
+            (Method.LOCAL_SPARSE, build_plan((1, 2), 1, 2), 2, np.arange(10.0).reshape(2, 5)),
+            (Method.OVERLAP_OVERWRITE, build_plan((1, 2), 1, 2), 2, np.arange(10.0).reshape(2, 5)),
+            (Method.OVERLAP_DELAY_CORRECTED, build_plan((1, 2), 1, 2), 2, np.arange(10.0).reshape(2, 5)),
+        ]
+        for method, plan, mask_size, start in cases:
+            before = start.copy()
+            out = run_round(start, method, plan, mask_size, 0.05, oracle, 2, 0)
+            np.testing.assert_array_equal(start, before)
+            assert out.next_models.shape == out.sent.shape == out.latest.shape == (2, 5)
+
+    def test_rejects_start_shape_mismatch(self):
+        oracle = make_quadratic_oracle(dim=4)
+        plan = build_plan((1, 2), 1, 0)
+        with pytest.raises(ConfigurationError, match="2 workers"):
+            run_round(np.ones((3, 4)), Method.LOCAL_SPARSE, plan, 2, 0.1, oracle, 0, 0)
+
     def test_mean_of_merged_equals_mean_of_latest(self):
         oracle = make_quadratic_oracle(dim=12, noise=0.3, seed=4)
         plan = build_plan((1, 2, 4), 1, 4)
-        states = states_from([np.ones(12)] * 3)
-        out = run_round(states, Method.OVERLAP_DELAY_CORRECTED, plan, 5, 0.05, oracle, 4, 0)
+        start = np.stack([np.ones(12)] * 3)
+        out = run_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, 5, 0.05, oracle, 4, 0)
         merged_mean = average(list(out.next_models))
         latest_mean = average(list(out.latest))
         resid = np.linalg.norm(merged_mean - latest_mean)
@@ -139,8 +190,8 @@ class TestRunRound:
         plan = build_plan((1, 3), 1, 3)
         models = [np.full(6, 2.0)] * 2
         for r in range(5):
-            states = states_from(models)
-            out = run_round(states, Method.OVERLAP_DELAY_CORRECTED, plan, 2, 0.04, oracle, 8, r)
+            start = np.stack(models)
+            out = run_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, 2, 0.04, oracle, 8, r)
             mean_before = average(models)
             mean_after = average(list(out.next_models))
             predicted = mean_before - 0.04 * out.avg_grad_sum
@@ -148,8 +199,7 @@ class TestRunRound:
             models = [m.copy() for m in out.next_models]
 
     def test_identical_init_has_zero_disagreement(self):
-        states = states_from([np.ones(4)] * 3)
-        assert disagreement([st.start for st in states]) == 0.0
+        assert disagreement(np.stack([np.ones(4)] * 3)) == 0.0
 
     def test_step_accounting(self):
         oracle = make_quadratic_oracle(dim=4, noise=0.1, seed=1)
@@ -164,8 +214,8 @@ class TestRunRound:
             models = [np.ones(4)] * 2
             total = np.zeros(2, dtype=int)
             for r in range(3):
-                states = states_from(models)
-                out = run_round(states, method, plan, mask_size, 0.05, oracle, 2, r)
+                start = np.stack(models)
+                out = run_round(start, method, plan, mask_size, 0.05, oracle, 2, r)
                 total += np.array(out.steps)
                 models = [m.copy() for m in out.next_models]
             np.testing.assert_array_equal(total, 3 * np.array(expected))
@@ -173,9 +223,9 @@ class TestRunRound:
     def test_blocking_methods_have_no_overlap_drift(self):
         oracle = make_quadratic_oracle(dim=4, noise=0.2, seed=6)
         plan = build_plan((1, 2), 1, 2)
-        states = states_from([np.ones(4)] * 2)
-        run_round(states, Method.LOCAL_SPARSE, plan, 2, 0.05, oracle, 6, 0)
-        diag = drift_diagnostics(states)
+        start = np.stack([np.ones(4)] * 2)
+        out = run_round(start, Method.LOCAL_SPARSE, plan, 2, 0.05, oracle, 6, 0)
+        diag = drift_diagnostics(start, out)
         assert diag.overlap_drift_sq == 0.0
         assert diag.pre_drift_sq > 0.0
 
@@ -183,8 +233,8 @@ class TestRunRound:
         oracle = make_quadratic_oracle(dim=4, noise=0.0, seed=0)
         plan = build_plan((1, 2), 3, 4)
         for method in (Method.LOCAL_SPARSE, Method.OVERLAP_OVERWRITE):
-            states = states_from([np.ones(4)] * 2)
-            out = run_round(states, method, plan, 2, 0.05, oracle, 0, 0)
+            start = np.stack([np.ones(4)] * 2)
+            out = run_round(start, method, plan, 2, 0.05, oracle, 0, 0)
             assert out.duration == plan.round_seconds == 10
 
     def test_baseline_coincidence_no_delay_full_mask(self):
@@ -203,8 +253,8 @@ class TestRunRound:
             models = [np.zeros(6)] * 3
             snaps = []
             for r in range(4):
-                states = states_from(models)
-                out = run_round(states, method, plan, 6, 0.1, oracle, 17, r)
+                start = np.stack(models)
+                out = run_round(start, method, plan, 6, 0.1, oracle, 17, r)
                 models = [m.copy() for m in out.next_models]
                 snaps.append(np.stack(models))
             trajectories[method] = np.stack(snaps)
@@ -219,9 +269,9 @@ class TestRunRound:
         sync_models = [np.zeros(5)] * 2
         dc_models = [np.zeros(5)] * 2
         for r in range(10):
-            out_sync = run_round(states_from(sync_models), Method.SYNC_SGD, plan, 5, 0.1, oracle, 21, r)
+            out_sync = run_round(np.stack(sync_models), Method.SYNC_SGD, plan, 5, 0.1, oracle, 21, r)
             out_dc = run_round(
-                states_from(dc_models), Method.OVERLAP_DELAY_CORRECTED, plan, 5, 0.1, oracle, 21, r
+                np.stack(dc_models), Method.OVERLAP_DELAY_CORRECTED, plan, 5, 0.1, oracle, 21, r
             )
             sync_models = [m.copy() for m in out_sync.next_models]
             dc_models = [m.copy() for m in out_dc.next_models]
@@ -237,7 +287,7 @@ class TestRunRound:
         plan = build_plan((2,), 1, 2)
         outs = {}
         for method in (Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED):
-            outs[method] = run_round(states_from([np.ones(6)]), method, plan, 2, 0.1, oracle, 14, 0)
+            outs[method] = run_round(np.stack([np.ones(6)]), method, plan, 2, 0.1, oracle, 14, 0)
         ow, dc = outs[Method.OVERLAP_OVERWRITE], outs[Method.OVERLAP_DELAY_CORRECTED]
         assert ow.mask == dc.mask
         np.testing.assert_array_equal(ow.latest[0], dc.latest[0])
@@ -252,18 +302,18 @@ class TestRunRound:
     def test_mask_shared_across_workers_and_methods(self):
         oracle = make_quadratic_oracle(dim=10, noise=0.1, seed=3)
         plan = build_plan((1, 1), 1, 1)
-        a = run_round(states_from([np.ones(10)] * 2), Method.OVERLAP_OVERWRITE, plan, 3, 0.05, oracle, 9, 4)
+        a = run_round(np.stack([np.ones(10)] * 2), Method.OVERLAP_OVERWRITE, plan, 3, 0.05, oracle, 9, 4)
         b = run_round(
-            states_from([np.ones(10)] * 2), Method.OVERLAP_DELAY_CORRECTED, plan, 3, 0.05, oracle, 9, 4
+            np.stack([np.ones(10)] * 2), Method.OVERLAP_DELAY_CORRECTED, plan, 3, 0.05, oracle, 9, 4
         )
         assert a.mask == b.mask
 
     def test_sync_requires_identical_states(self):
         oracle = make_quadratic_oracle(dim=3, noise=0.0, seed=0)
         plan = build_plan((1, 1), 1, 0)
-        states = states_from([np.zeros(3), np.ones(3)])
+        start = np.stack([np.zeros(3), np.ones(3)])
         with pytest.raises(ConfigurationError, match="identical"):
-            run_round(states, Method.SYNC_SGD, plan, 3, 0.1, oracle, 0, 0)
+            run_round(start, Method.SYNC_SGD, plan, 3, 0.1, oracle, 0, 0)
 
     def test_method_plan_incompatibilities(self):
         plan_uneq = build_plan((1, 2), 1, 0)
@@ -274,6 +324,17 @@ class TestRunRound:
             validate_method_plan(Method.SYNC_SGD, plan_eq, 2, 4)
         with pytest.raises(ConfigurationError, match="fedavg_full requires"):
             validate_method_plan(Method.FEDAVG_FULL, plan_uneq, 2, 4)
+
+    def test_method_plan_problems_lists_every_rule(self):
+        plan = build_plan((1, 2), 2, 2)
+        problems = method_plan_problems(Method.SYNC_SGD, plan, 3, 4)
+        assert len(problems) == 1
+        for want in ("equal step_times", "compute_periods == 1", "comm_seconds == 0", "k == d"):
+            assert want in problems[0]
+        assert method_plan_problems(Method.FEDAVG_FULL, plan, 4, 4) == []
+        assert "k == d" in method_plan_problems(Method.FEDAVG_FULL, plan, 3, 4)[0]
+        assert method_plan_problems(Method.LOCAL_SPARSE, plan, 5, 4) == ["mask size 5 outside [1, 4]"]
+        assert method_plan_problems(Method.OVERLAP_DELAY_CORRECTED, plan, 1, 4) == []
 
     def test_round_matches_straight_line_reference(self):
         # re-derive one full round with raw loops (no engine helpers) and
@@ -317,7 +378,7 @@ class TestRunRound:
 
         for method, want in expected.items():
             out = run_round(
-                states_from(x0), method, plan, k, eta, oracle, seed, round_index=4
+                np.stack(x0), method, plan, k, eta, oracle, seed, round_index=4
             )
             assert out.mask == mask
             for i in range(n):
@@ -331,12 +392,12 @@ class TestRunRound:
         plan = build_plan((1, 2), 1, 2)
         gen = stream(12, "init").generator()
         models = [gen.standard_normal(8) for _ in range(2)]
-        states = states_from(models)
-        out = run_round(states, Method.OVERLAP_DELAY_CORRECTED, plan, 3, 0.1, oracle, 12, 0)
+        start = np.stack(models)
+        out = run_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, 3, 0.1, oracle, 12, 0)
         sent = list(out.sent)
         latest = list(out.latest)
         sent_avg = average(sent)
-        diag = drift_diagnostics(states)
+        diag = drift_diagnostics(start, out)
         k, d = 3, 8
         target = (1 - k / d) * diag.latest_dispersion_sq + (k / d) * diag.overlap_drift_sq
         draws, total = 4000, 0.0

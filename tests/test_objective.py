@@ -6,18 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_logistic_oracle
-from overlap_sgd.core import stream
 from overlap_sgd.data import Dataset, synthetic_blobs
 from overlap_sgd.errors import ConfigurationError
 from overlap_sgd.objective import (
     LogisticOracle,
+    QuadraticOracle,
     RegularizerParams,
     dataset_accuracy,
     dataset_loss,
     full_gradient,
     logistic_loss,
-    quadratic_oracle,
-    stochastic_gradient,
 )
 
 
@@ -106,7 +104,7 @@ class TestStochasticGradient:
         oracle = make_logistic_oracle(data, n_workers=1, batch_size=4, seed=0)
         w = np.array([0.3, 0.1])
         np.testing.assert_allclose(
-            stochastic_gradient(oracle, w, 0, 0, 0), full_gradient(w, data), rtol=1e-12
+            oracle.gradient(w, 0, 0, 0), full_gradient(w, data), rtol=1e-12
         )
 
     def test_determinism(self, tiny_blobs):
@@ -143,25 +141,30 @@ class TestStochasticGradient:
 class TestQuadraticOracle:
     def test_identity_quadratic_without_noise(self):
         w = np.array([2.0, 3.0])
-        np.testing.assert_array_equal(quadratic_oracle(w, np.ones(2), 0.0, stream(0, "s")), w)
+        oracle = QuadraticOracle(a_diag=np.ones(2), noise_sigma=0.0, root_seed=0)
+        np.testing.assert_array_equal(oracle.gradient(w, 0, 0, 0), w)
 
     def test_stationary_point(self):
-        out = quadratic_oracle(np.zeros(3), np.ones(3), 0.0, stream(0, "s"))
-        np.testing.assert_array_equal(out, np.zeros(3))
+        oracle = QuadraticOracle(a_diag=np.ones(3), noise_sigma=0.0, root_seed=0)
+        np.testing.assert_array_equal(oracle.gradient(np.zeros(3), 0, 0, 0), np.zeros(3))
 
     def test_noise_second_moment(self):
         d, sigma, draws = 4, 0.7, 100_000
         w = np.array([1.0, -1.0, 2.0, 0.0])
         a = np.ones(d)
+        oracle = QuadraticOracle(a_diag=a, noise_sigma=sigma, root_seed=77)
         total = 0.0
         for s in range(draws):
-            g = quadratic_oracle(w, a, sigma, stream(77, "noise", s))
+            g = oracle.gradient(w, 0, 0, s)
             total += float(np.sum((g - a * w) ** 2))
         assert total / draws == pytest.approx(sigma**2 * d, rel=0.03)
 
     def test_rejects_nonpositive_curvature(self):
         with pytest.raises(ConfigurationError):
-            quadratic_oracle(np.ones(2), np.array([1.0, 0.0]), 0.0, stream(0, "s"))
+            QuadraticOracle(a_diag=np.array([1.0, 0.0]), noise_sigma=0.0, root_seed=0)
+        oracle = QuadraticOracle(a_diag=np.ones(2), noise_sigma=0.0, root_seed=0)
+        with pytest.raises(ConfigurationError):
+            oracle.gradient(np.ones(3), 0, 0, 0)
 
 
 def test_accuracy_tie_rule_predicts_positive():

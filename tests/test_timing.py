@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from overlap_sgd.errors import ConfigurationError
-from overlap_sgd.timing import aggregates, build_plan
+from overlap_sgd.theory import time_complexity
+from overlap_sgd.timing import TimingPlan, aggregates, build_plan
 
 small_taus = st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=5)
 
@@ -113,3 +114,22 @@ def test_monotonicity(taus, m, zeta_mult):
 def test_harmonic_mean_is_exact_rational():
     agg = aggregates(build_plan((2, 3), 1, 6))
     assert agg.harmonic_step_time == Fraction(12, 5)
+
+
+def test_corrupt_plan_raises_configuration_error():
+    # pre_steps of a (1, 2) fleet over a 2-second window are (2, 1), not (2, 2);
+    # the explicit checks must hold under ``python -O`` too
+    good = build_plan((1, 2), 1, 0)
+    corrupt = TimingPlan(
+        step_times=good.step_times,
+        compute_periods=good.compute_periods,
+        comm_seconds=good.comm_seconds,
+        base_period=good.base_period,
+        pre_steps=(2, 2),
+        overlap_steps=(0, 0),
+        total_steps=(2, 2),
+    )
+    with pytest.raises(ConfigurationError, match="corrupt timing plan"):
+        aggregates(corrupt)
+    with pytest.raises(ConfigurationError, match="corrupt timing plan"):
+        time_complexity(3, corrupt)
