@@ -21,7 +21,7 @@ import yaml
 
 from .config import load_config_file
 from .data import serialize_libsvm, synthetic_blobs
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ParseError
 from .metrics import atomic_write_bytes
 from .runner import run_suite, theory_report
 
@@ -44,15 +44,24 @@ def _load_or_complain(path) -> tuple:
     return config, False
 
 
+def _with_dataset(action, config):
+    """``action(config)``, or None once a dataset error is reported on stderr."""
+    try:
+        return action(config)
+    except ConfigurationError as exc:
+        # rules that need the loaded data, e.g. a libsvm file without 'dimension'
+        print(f"invalid config: {exc}", file=sys.stderr)
+    except (FileNotFoundError, ParseError) as exc:
+        print(f"error: could not load dataset {config.dataset.path}: {exc}", file=sys.stderr)
+    return None
+
+
 def cmd_run(args) -> int:
     config, failed = _load_or_complain(args.config)
     if failed:
         return 1
-    try:
-        result = run_suite(config)
-    except ConfigurationError as exc:
-        # rules that need the loaded data, e.g. a libsvm file without 'dimension'
-        print(f"invalid config: {exc}", file=sys.stderr)
+    result = _with_dataset(run_suite, config)
+    if result is None:
         return 1
     for run in result.runs:
         print(f"{run.method} seed={run.seed}: {run.status} -> {run.csv_path}")
@@ -72,7 +81,9 @@ def cmd_theory(args) -> int:
     config, failed = _load_or_complain(args.config)
     if failed:
         return 1
-    report = theory_report(config)
+    report = _with_dataset(theory_report, config)
+    if report is None:
+        return 1
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

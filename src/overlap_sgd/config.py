@@ -227,6 +227,9 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
         if (path is None) == (synth_raw is None):
             bad("dataset", "provide exactly one of 'path' or 'synthetic'")
         elif path is not None:
+            # opened as given, relative to the working directory, as run and theory do
+            if not Path(str(path)).is_file():
+                bad("dataset.path", f"no such file: {path}")
             dim_override = dataset_raw.get("dimension")
             if dim_override is not None and (not isinstance(dim_override, int) or dim_override < 1):
                 bad("dataset.dimension", "must be a positive integer")

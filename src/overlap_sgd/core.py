@@ -44,49 +44,69 @@ def axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mask:
     """A set of ``k`` distinct coordinate indices out of ``d``.
 
-    ``indices`` is strictly increasing; projecting onto a mask keeps the
-    listed coordinates and zeroes the rest.
+    ``indices`` is a strictly increasing, read-only ``int64`` array (any
+    integer sequence is accepted and copied); projecting onto a mask keeps
+    the listed coordinates and zeroes the rest.  Masks compare by value.
     """
 
-    indices: tuple[int, ...]
+    indices: np.ndarray
     k: int
     d: int
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        object.__setattr__(self, "indices", idx)
         if not 1 <= self.k <= self.d:
             raise ConfigurationError(f"mask size k={self.k} outside [1, {self.d}]")
-        if len(idx) != self.k:
-            raise ConfigurationError(f"mask has {len(idx)} indices, expected k={self.k}")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        idx = np.array(self.indices, dtype=np.int64)
+        if idx.shape != (self.k,):
+            raise ConfigurationError(f"mask indices have shape {idx.shape}, expected ({self.k},)")
+        if (idx[1:] <= idx[:-1]).any():
             raise ConfigurationError("mask indices must be strictly increasing")
         if idx[0] < 0 or idx[-1] >= self.d:
             raise ConfigurationError(f"mask indices out of range [0, {self.d})")
+        idx.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
+
+    def __eq__(self, other):
+        if not isinstance(other, Mask):
+            return NotImplemented
+        return self.d == other.d and np.array_equal(self.indices, other.indices)
+
+    def __hash__(self):
+        return hash((self.d, self.indices.tobytes()))
 
     @classmethod
     def from_indices(cls, indices, d: int) -> "Mask":
-        idx = tuple(sorted(int(i) for i in indices))
+        idx = np.sort(np.asarray(indices, dtype=np.int64))
         return cls(indices=idx, k=len(idx), d=d)
+
+    @classmethod
+    def _trusted(cls, idx: np.ndarray, d: int) -> "Mask":
+        """Wrap a fresh, already valid ``int64`` index array without re-checking it."""
+        idx.setflags(write=False)
+        mask = object.__new__(cls)
+        object.__setattr__(mask, "indices", idx)
+        object.__setattr__(mask, "k", idx.size)
+        object.__setattr__(mask, "d", d)
+        return mask
 
     def complement(self) -> "Mask":
         if self.k == self.d:
             raise ConfigurationError("complement of a full mask is empty")
-        chosen = set(self.indices)
-        return Mask.from_indices([i for i in range(self.d) if i not in chosen], self.d)
+        rest = np.flatnonzero(~self.bool_array())
+        return Mask(indices=rest, k=rest.size, d=self.d)
 
     def bool_array(self) -> np.ndarray:
         out = np.zeros(self.d, dtype=bool)
-        out[list(self.indices)] = True
+        out[self.indices] = True
         return out
 
 
 def full_mask(d: int) -> Mask:
-    return Mask(indices=tuple(range(d)), k=d, d=d)
+    return Mask(indices=np.arange(d), k=d, d=d)
 
 
 def project_mask(x: np.ndarray, s: Mask) -> np.ndarray:
@@ -94,8 +114,7 @@ def project_mask(x: np.ndarray, s: Mask) -> np.ndarray:
     if x.size != s.d:
         raise ConfigurationError(f"mask dimension {s.d} does not match vector length {x.size}")
     out = np.zeros_like(x)
-    idx = list(s.indices)
-    out[idx] = x[idx]
+    out[s.indices] = x[s.indices]
     return out
 
 
@@ -150,22 +169,42 @@ def _as_generator(rng) -> np.random.Generator:
     raise ConfigurationError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
+# Below this many swaps, k scalar draws cost less than one broadcast draw.
+_VECTOR_DRAW_MIN = 5
+
+
 def sample_rand_k(d: int, k: int, rng) -> Mask:
     """Uniformly random size-``k`` subset of ``[0, d)``.
 
-    Partial Fisher-Yates over ``[0, d)``: exactly uniform over all C(d, k)
-    subsets, O(d) worst case.
+    Partial Fisher-Yates over ``[0, d)``, exactly uniform over all C(d, k)
+    subsets.  Swap ``i`` exchanges positions ``i`` and ``i + gen.integers(0,
+    d - i)``; the k offsets come from one vectorised draw, which consumes the
+    stream exactly like k scalar draws (small k takes the scalar draws,
+    which are cheaper there).  The swaps are then replayed over native ints,
+    holding positions ``< k`` in a list and displaced positions ``>= k`` in a
+    dict, so the cost is O(k) whatever ``d`` is.
     """
     if not isinstance(d, (int, np.integer)) or not isinstance(k, (int, np.integer)):
         raise ConfigurationError("d and k must be integers")
     if not 1 <= k <= d:
         raise ConfigurationError(f"mask size k={k} outside [1, {d}]")
     gen = _as_generator(rng)
-    pool = np.arange(d)
-    for i in range(k):
-        j = i + int(gen.integers(0, d - i))
-        pool[i], pool[j] = pool[j], pool[i]
-    return Mask.from_indices(pool[:k], d)
+    if k < _VECTOR_DRAW_MIN:
+        offsets = [int(gen.integers(0, d - i)) for i in range(k)]
+    else:
+        offsets = gen.integers(0, d - np.arange(k)).tolist()
+    head = list(range(k))
+    tail = {}
+    for i, offset in enumerate(offsets):
+        j = i + offset
+        if j < k:
+            head[i], head[j] = head[j], head[i]
+        else:
+            head[i], tail[j] = tail.get(j, j), head[i]
+    chosen = np.array(head, dtype=np.int64)
+    chosen.sort()
+    # distinct positions of a permutation of [0, d): valid by construction
+    return Mask._trusted(chosen, d)
 
 
 def average(vs) -> np.ndarray:

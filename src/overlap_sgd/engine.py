@@ -127,7 +127,7 @@ def merge_delay_corrected(
     if latest.shape != sent.shape or latest.shape[-1:] != sent_avg.shape:
         raise ConfigurationError("merge inputs must share one dimension")
     out = latest.copy()
-    idx = list(s.indices)
+    idx = s.indices
     out[..., idx] = sent_avg[idx] + (latest[..., idx] - sent[..., idx])
     return out
 
@@ -137,8 +137,7 @@ def merge_overwrite(latest: np.ndarray, message: np.ndarray, s: Mask) -> np.ndar
     if latest.shape[-1:] != message.shape:
         raise ConfigurationError("merge inputs must share one dimension")
     out = latest.copy()
-    idx = list(s.indices)
-    out[..., idx] = message[idx]
+    out[..., s.indices] = message[s.indices]
     return out
 
 

@@ -71,9 +71,13 @@ class DriftDiagnostics:
     latest_dispersion_sq: float
 
 
-def disagreement(models) -> float:
-    """Sum of squared deviations of worker models (rows) from their mean."""
-    mean = average(models)
+def disagreement(models, mean: np.ndarray | None = None) -> float:
+    """Sum of squared deviations of worker models (rows) from their mean.
+
+    ``mean`` may pass in ``average(models)`` when the caller already has it.
+    """
+    if mean is None:
+        mean = average(models)
     return float(sum(np.sum((m - mean) ** 2) for m in models))
 
 
@@ -132,7 +136,7 @@ class RunRecorder:
             train_accuracy=dataset_accuracy(mean_model, self.train),
             val_accuracy=val_acc,
             grad_norm=float(np.linalg.norm(grad)),
-            disagreement_x=disagreement(models),
+            disagreement_x=disagreement(models, mean_model),
             processed_examples=self.processed_examples,
             comm_coordinates=self.comm_coordinates,
             comm_bits=self.comm_coordinates * self.value_bit_width,

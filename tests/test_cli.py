@@ -253,6 +253,65 @@ class TestRunCommand:
         capsys.readouterr()
 
 
+class TestDatasetFileErrors:
+    def test_validate_reports_missing_dataset_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dataset={"path": str(tmp_path / "missing.libsvm")})
+        config, issues = validate_config(yaml.safe_load(cfg.read_text(encoding="utf-8")))
+        assert config is None
+        assert [i.field for i in issues] == ["dataset.path"]
+        assert main(["validate", str(cfg)]) == 1
+        assert "invalid config: dataset.path: no such file" in capsys.readouterr().err
+
+    def test_relative_dataset_path_is_resolved_from_the_working_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "blobs.libsvm").write_text(
+            serialize_libsvm(synthetic_blobs(6, 40, 1.5, 0)), encoding="utf-8"
+        )
+        raw = base_config_dict(dataset={"path": "blobs.libsvm"}, methods=["local_sparse"])
+        monkeypatch.chdir(tmp_path)
+        assert validate_config(raw)[1] == []
+        monkeypatch.chdir(tmp_path.parent)
+        assert [i.field for i in validate_config(raw)[1]] == ["dataset.path"]
+
+    @pytest.mark.parametrize("command", ["run", "theory"])
+    def test_missing_dataset_file_is_one_error_line(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, dataset={"path": str(tmp_path / "missing.libsvm")})
+        assert main([command, str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "dataset.path: no such file" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "theory"])
+    def test_malformed_dataset_file_is_one_error_line(self, tmp_path, capsys, command):
+        data_path = tmp_path / "bad.libsvm"
+        data_path.write_text("+1 1:0.5\nnot-a-label 2:1.0\n", encoding="utf-8")
+        cfg = write_config(tmp_path, dataset={"path": str(data_path)}, methods=["local_sparse"])
+        assert main([command, str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: could not load dataset {data_path}: line 2: bad label 'not-a-label'"
+        ]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "theory"])
+    def test_dataset_file_vanishing_after_validation_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        import overlap_sgd.runner as runner_mod
+
+        data_path = tmp_path / "blobs.libsvm"
+        data_path.write_text(serialize_libsvm(synthetic_blobs(6, 40, 1.5, 0)), encoding="utf-8")
+        cfg = write_config(tmp_path, dataset={"path": str(data_path)}, methods=["local_sparse"])
+
+        def vanished(path, dimension=None):
+            raise FileNotFoundError(2, "No such file or directory", str(path))
+
+        monkeypatch.setattr(runner_mod, "load_libsvm", vanished)
+        assert main([command, str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: could not load dataset {data_path}:")
+
+
 class TestOtherCommands:
     def test_validate_command(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from overlap_sgd.core import (
@@ -71,6 +71,8 @@ class TestMask:
     def test_complement_reconstructs(self):
         x = vec(1.0, 1.0)
         s = Mask.from_indices([0], 2)
+        assert s.complement() == Mask.from_indices([1], 2)
+        np.testing.assert_array_equal(s.bool_array(), [True, False])
         np.testing.assert_array_equal(project_mask(x, s.complement()), vec(0.0, 1.0))
         np.testing.assert_array_equal(project_mask(x, s) + project_mask(x, s.complement()), x)
 
@@ -81,6 +83,40 @@ class TestMask:
             Mask(indices=(3,), k=1, d=3)
         with pytest.raises(ConfigurationError):
             full_mask(3).complement()
+
+    @pytest.mark.parametrize(
+        "indices, k",
+        [
+            ([2, 0], 2),      # unsorted
+            ([1, 1], 2),      # duplicate
+            ([3], 1),         # past the end
+            ([-1, 2], 2),     # negative
+            ([0, 1], 3),      # fewer indices than k
+            ([0, 1, 2], 2),   # more indices than k
+            ([[0, 1]], 2),    # not one-dimensional
+        ],
+    )
+    def test_invalid_ndarray_indices(self, indices, k):
+        with pytest.raises(ConfigurationError):
+            Mask(indices=np.array(indices, dtype=np.int64), k=k, d=3)
+
+    def test_indices_are_a_read_only_int64_copy(self):
+        given_idx = np.array([0, 2], dtype=np.int32)
+        m = Mask(indices=given_idx, k=2, d=3)
+        assert m.indices.dtype == np.int64
+        assert not m.indices.flags.writeable
+        with pytest.raises(ValueError):
+            m.indices[0] = 1
+        assert given_idx.flags.writeable
+        assert not sample_rand_k(10, 4, stream(0, "ro")).indices.flags.writeable
+
+    def test_equality_and_hash_by_value(self):
+        a = Mask.from_indices([2, 0], 4)
+        b = Mask(indices=(0, 2), k=2, d=4)
+        assert a == b and hash(a) == hash(b)
+        assert a != Mask.from_indices([0, 3], 4)
+        assert a != Mask.from_indices([0, 2], 5)
+        assert full_mask(3) == Mask.from_indices(range(3), 3)
 
     @given(st.data())
     def test_idempotence_and_decomposition(self, data):
@@ -96,11 +132,44 @@ class TestMask:
         np.testing.assert_array_equal(once + project_mask(x, s.complement()), x)
 
 
+def reference_rand_k(d, k, gen):
+    """The partial Fisher-Yates loop with one scalar draw per swap."""
+    pool = np.arange(d)
+    for i in range(k):
+        j = i + int(gen.integers(0, d - i))
+        pool[i], pool[j] = pool[j], pool[i]
+    return sorted(int(v) for v in pool[:k])
+
+
+def assert_matches_reference(d, k, seed):
+    gen, ref_gen = (stream(seed, "reference", d, k).generator() for _ in range(2))
+    assert sample_rand_k(d, k, gen).indices.tolist() == reference_rand_k(d, k, ref_gen)
+    # the stream is left exactly where the scalar loop leaves it
+    assert gen.integers(0, 1 << 62) == ref_gen.integers(0, 1 << 62)
+
+
+@st.composite
+def mask_sizes(draw):
+    d = draw(st.integers(min_value=1, max_value=300))
+    k = draw(st.integers(min_value=1, max_value=d))
+    return d, k
+
+
 class TestSampleRandK:
+    @given(size=mask_sizes(), seed=st.integers(min_value=0, max_value=2**32))
+    @example(size=(1, 1), seed=0)
+    @example(size=(300, 300), seed=1)
+    @example(size=(7, 7), seed=2)
+    def test_matches_scalar_fisher_yates(self, size, seed):
+        assert_matches_reference(*size, seed)
+
+    def test_matches_scalar_fisher_yates_large(self):
+        assert_matches_reference(100_000, 30_000, 5)
+
     def test_only_subset_when_k_equals_d(self):
         for trial in range(5):
             m = sample_rand_k(3, 3, stream(trial, "mask", trial))
-            assert m.indices == (0, 1, 2)
+            np.testing.assert_array_equal(m.indices, [0, 1, 2])
 
     def test_determinism_for_matching_stream(self):
         a = sample_rand_k(2, 1, stream(42, "mask", 7))
@@ -130,7 +199,7 @@ class TestSampleRandK:
         counts = collections.Counter()
         draws = 30_000
         for _ in range(draws):
-            counts[sample_rand_k(5, 2, gen).indices] += 1
+            counts[tuple(sample_rand_k(5, 2, gen).indices)] += 1
         assert len(counts) == 10
         expected = draws / 10
         assert max(abs(c - expected) / expected for c in counts.values()) < 0.06

@@ -6,14 +6,20 @@ under a Dirichlet partition with per-worker evaluation every other round,
 and a starved-worker suite that takes the skip path.  Output directories
 are relative, so the manifests do not depend on where the test runs.
 
-A change that moves any output byte must say why and re-record
-``GOLDEN_DIGEST``.
+The same digest must come out of a ``python -O`` interpreter, where
+``assert`` statements are stripped.  A change that moves any output byte
+must say why and re-record ``GOLDEN_DIGEST``.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import overlap_sgd
 from overlap_sgd.config import validate_config
 from overlap_sgd.runner import run_suite
 
@@ -93,13 +99,40 @@ def output_digest(root) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.filterwarnings("ignore:worker .* received zero examples")
-def test_golden_suite_outputs(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def run_golden_suites() -> None:
+    """Run every suite into ``out/<name>`` under the working directory."""
     for raw in SUITES:
         config, issues = validate_config(
             {**_COMMON, **raw, "output_dir": f"out/{raw['name']}"}
         )
-        assert not issues, issues
+        if issues:  # not an assert: this also runs under python -O
+            raise AssertionError(issues)
         run_suite(config)
+
+
+@pytest.mark.filterwarnings("ignore:worker .* received zero examples")
+def test_golden_suite_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_golden_suites()
     assert output_digest(tmp_path / "out") == GOLDEN_DIGEST
+
+
+def test_golden_suite_outputs_under_python_O(tmp_path):
+    # asserts are stripped under -O; no output byte may depend on them
+    script = (
+        "import pathlib, sys, warnings\n"
+        "import test_golden\n"
+        "warnings.simplefilter('ignore')\n"
+        "test_golden.run_golden_suites()\n"
+        "print(sys.flags.optimize, test_golden.output_digest(pathlib.Path('out')))\n"
+    )
+    paths = [str(Path(overlap_sgd.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", GOLDEN_DIGEST]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_logistic_oracle
+from overlap_sgd.core import average
 from overlap_sgd.data import synthetic_blobs
 from overlap_sgd.engine import Method
 from overlap_sgd.metrics import (
@@ -45,6 +46,20 @@ def small_run(method=Method.OVERLAP_DELAY_CORRECTED, rounds=3, mask_size=3, seed
 def test_disagreement_examples():
     assert disagreement([np.array([0.0]), np.array([2.0])]) == 2.0
     assert disagreement([np.array([1.0, 2.0])] * 3) == 0.0
+
+
+def test_recorder_averages_the_models_once_per_record(monkeypatch):
+    import overlap_sgd.metrics as metrics_mod
+
+    calls = []
+
+    def counting_average(vs):
+        calls.append(1)
+        return average(vs)
+
+    monkeypatch.setattr(metrics_mod, "average", counting_average)
+    records, _ = small_run(rounds=3)
+    assert len(calls) == len(records) == 4
 
 
 def test_initial_record_has_zero_everything():
