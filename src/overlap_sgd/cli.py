@@ -21,7 +21,7 @@ import yaml
 
 from .config import load_config_file
 from .data import serialize_libsvm, synthetic_blobs
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, DatasetError
 from .metrics import atomic_write_bytes
 from .runner import run_suite, theory_report
 
@@ -51,8 +51,8 @@ def _with_dataset(action, config):
     except ConfigurationError as exc:
         # rules that need the loaded data, e.g. a libsvm file without 'dimension'
         print(f"invalid config: {exc}", file=sys.stderr)
-    except (FileNotFoundError, ParseError) as exc:
-        print(f"error: could not load dataset {config.dataset.path}: {exc}", file=sys.stderr)
+    except DatasetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
     return None
 
 

@@ -83,16 +83,6 @@ class Mask:
         idx = np.sort(np.asarray(indices, dtype=np.int64))
         return cls(indices=idx, k=len(idx), d=d)
 
-    @classmethod
-    def _trusted(cls, idx: np.ndarray, d: int) -> "Mask":
-        """Wrap a fresh, already valid ``int64`` index array without re-checking it."""
-        idx.setflags(write=False)
-        mask = object.__new__(cls)
-        object.__setattr__(mask, "indices", idx)
-        object.__setattr__(mask, "k", idx.size)
-        object.__setattr__(mask, "d", d)
-        return mask
-
     def complement(self) -> "Mask":
         if self.k == self.d:
             raise ConfigurationError("complement of a full mask is empty")
@@ -169,30 +159,21 @@ def _as_generator(rng) -> np.random.Generator:
     raise ConfigurationError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
-# Below this many swaps, k scalar draws cost less than one broadcast draw.
-_VECTOR_DRAW_MIN = 5
-
-
 def sample_rand_k(d: int, k: int, rng) -> Mask:
     """Uniformly random size-``k`` subset of ``[0, d)``.
 
     Partial Fisher-Yates over ``[0, d)``, exactly uniform over all C(d, k)
     subsets.  Swap ``i`` exchanges positions ``i`` and ``i + gen.integers(0,
     d - i)``; the k offsets come from one vectorised draw, which consumes the
-    stream exactly like k scalar draws (small k takes the scalar draws,
-    which are cheaper there).  The swaps are then replayed over native ints,
-    holding positions ``< k`` in a list and displaced positions ``>= k`` in a
-    dict, so the cost is O(k) whatever ``d`` is.
+    stream exactly like k scalar draws.  The swaps are then replayed over
+    native ints, holding positions ``< k`` in a list and displaced positions
+    ``>= k`` in a dict, so the cost is O(k) whatever ``d`` is.
     """
     if not isinstance(d, (int, np.integer)) or not isinstance(k, (int, np.integer)):
         raise ConfigurationError("d and k must be integers")
     if not 1 <= k <= d:
         raise ConfigurationError(f"mask size k={k} outside [1, {d}]")
-    gen = _as_generator(rng)
-    if k < _VECTOR_DRAW_MIN:
-        offsets = [int(gen.integers(0, d - i)) for i in range(k)]
-    else:
-        offsets = gen.integers(0, d - np.arange(k)).tolist()
+    offsets = _as_generator(rng).integers(0, d - np.arange(k)).tolist()
     head = list(range(k))
     tail = {}
     for i, offset in enumerate(offsets):
@@ -201,10 +182,7 @@ def sample_rand_k(d: int, k: int, rng) -> Mask:
             head[i], head[j] = head[j], head[i]
         else:
             head[i], tail[j] = tail.get(j, j), head[i]
-    chosen = np.array(head, dtype=np.int64)
-    chosen.sort()
-    # distinct positions of a permutation of [0, d): valid by construction
-    return Mask._trusted(chosen, d)
+    return Mask(indices=np.sort(np.array(head, dtype=np.int64)), k=k, d=d)
 
 
 def average(vs) -> np.ndarray:

@@ -15,6 +15,10 @@ class ParseError(ValueError):
         self.line = line
 
 
+class DatasetError(ValueError):
+    """A dataset file could not be loaded: missing, unreadable as a path, or malformed."""
+
+
 class DivergenceError(RuntimeError):
     """A simulated trajectory produced non-finite or astronomically large values."""
 

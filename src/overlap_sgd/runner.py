@@ -25,7 +25,7 @@ from .data import (
     synthetic_blobs,
 )
 from .engine import Method, run_round, validate_method_plan
-from .errors import DivergenceError
+from .errors import DatasetError, DivergenceError, ParseError
 from .metrics import MetricsRecord, RunRecorder, atomic_write_bytes, write_metrics
 from .objective import LogisticOracle, RegularizerParams
 from .theory import (
@@ -72,7 +72,10 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
     if spec.synthetic is not None:
         s = spec.synthetic
         return synthetic_blobs(s.dim, s.n_examples, s.separation, s.seed)
-    return load_libsvm(spec.path, dimension=spec.dimension)
+    try:
+        return load_libsvm(spec.path, dimension=spec.dimension)
+    except (FileNotFoundError, ParseError) as exc:
+        raise DatasetError(f"could not load dataset {spec.path}: {exc}") from exc
 
 
 def _sha256_arrays(*arrays: np.ndarray) -> str:

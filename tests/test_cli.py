@@ -311,6 +311,18 @@ class TestDatasetFileErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: could not load dataset {data_path}:")
 
+    def test_failed_output_write_is_not_blamed_on_the_dataset(self, tmp_path, capsys, monkeypatch):
+        import overlap_sgd.runner as runner_mod
+
+        def output_dir_gone(*args, **kwargs):
+            raise FileNotFoundError(2, "No such file or directory", str(tmp_path / "out"))
+
+        monkeypatch.setattr(runner_mod, "write_metrics", output_dir_gone)
+        cfg = write_config(tmp_path, methods=["local_sparse"])
+        with pytest.raises(FileNotFoundError):
+            main(["run", str(cfg)])
+        assert "could not load dataset" not in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_validate_command(self, tmp_path, capsys):
