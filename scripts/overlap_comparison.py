@@ -6,9 +6,8 @@ import collections
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from overlap_sgd.config import validate_config
+from overlap_sgd.config import load_config_file
 from overlap_sgd.runner import run_suite
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "overlap_comparison.yaml"
@@ -19,8 +18,7 @@ def main():
     parser.add_argument("--config", default=str(DEFAULT_CONFIG))
     args = parser.parse_args()
 
-    raw = yaml.safe_load(Path(args.config).read_text(encoding="utf-8"))
-    config, issues = validate_config(raw)
+    config, issues = load_config_file(args.config)
     if issues:
         raise SystemExit("\n".join(str(i) for i in issues))
 

@@ -11,9 +11,8 @@ import collections
 from pathlib import Path
 
 import numpy as np
-import yaml
 
-from overlap_sgd.config import validate_config
+from overlap_sgd.config import load_config_file
 from overlap_sgd.runner import run_suite
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "stress_noniid.yaml"
@@ -24,8 +23,7 @@ def main():
     parser.add_argument("--config", default=str(DEFAULT_CONFIG))
     args = parser.parse_args()
 
-    raw = yaml.safe_load(Path(args.config).read_text(encoding="utf-8"))
-    config, issues = validate_config(raw)
+    config, issues = load_config_file(args.config)
     if issues:
         raise SystemExit("\n".join(str(i) for i in issues))
 
@@ -40,7 +38,7 @@ def main():
     if skipped:
         print(f"note: seeds {sorted(skipped)} skipped (a worker received no examples)")
     print(f"\nfinal train accuracy over {len(config.seeds) - len(skipped)} seeds "
-          f"(dirichlet alpha {config.dirichlet_alpha}, window {config.comm_seconds}s):")
+          f"(dirichlet alpha {config.partition.alpha}, window {config.comm_seconds}s):")
     for method in config.methods:
         print(f"  {method:26s} mean {np.mean(acc[method]):.4f}")
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import yaml
 
-from .config import load_config_file
+from .config import load_config_file, read_synthetic_spec
 from .data import serialize_libsvm, synthetic_blobs
 from .errors import ConfigurationError, DatasetError
 from .metrics import atomic_write_bytes
@@ -97,16 +97,18 @@ def cmd_gen_data(args) -> int:
     except yaml.YAMLError as exc:
         print(f"error: could not parse {args.spec}: {exc}", file=sys.stderr)
         return 1
-    if not isinstance(raw, dict) or "out" not in raw:
+    out = raw.get("out") if isinstance(raw, dict) else None
+    if not isinstance(out, str) or not out:
         print("error: gen-data spec needs at least an 'out' path", file=sys.stderr)
         return 1
-    dataset = synthetic_blobs(
-        dim=int(raw.get("dim", 100)),
-        n_examples=int(raw.get("n_examples", 8000)),
-        separation=float(raw.get("separation", 2.0)),
-        seed=int(raw.get("seed", 7)),
-    )
-    out = Path(raw["out"])
+    # the same reader as a config's dataset.synthetic, plus the 'out' key
+    spec, issues = read_synthetic_spec({k: v for k, v in raw.items() if k != "out"})
+    for issue in issues:
+        print(f"invalid spec: {issue}", file=sys.stderr)
+    if issues:
+        return 1
+    dataset = synthetic_blobs(spec.dim, spec.n_examples, spec.separation, spec.seed)
+    out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_bytes(out, serialize_libsvm(dataset).encode("utf-8"))
     print(f"wrote {dataset.n_examples} examples (dim {dataset.dim}) to {out}")

@@ -27,7 +27,7 @@ from .data import (
 from .engine import Method, run_round, validate_method_plan
 from .errors import DatasetError, DivergenceError, ParseError
 from .metrics import MetricsRecord, RunRecorder, atomic_write_bytes, write_metrics
-from .objective import LogisticOracle, RegularizerParams
+from .objective import LogisticOracle
 from .theory import (
     BoundParams,
     ProblemConstants,
@@ -105,17 +105,18 @@ def prepare_seed_artifacts(dataset: Dataset, config: ExperimentConfig, seed: int
         stats = compute_normalization(train)
         train = apply_normalization(train, stats)
         val = apply_normalization(val, stats) if val.n_examples else val
-    if config.partition_mode == "shared":
+    spec = config.partition
+    if spec.mode == "shared":
         partition = partition_shared(train.n_examples, config.n_workers)
-    elif config.partition_mode == "shard":
+    elif spec.mode == "shard":
         partition = partition_shard(train.n_examples, config.n_workers, seed)
     else:
         partition = partition_dirichlet(
             train,
             config.n_workers,
-            config.dirichlet_alpha,
+            spec.alpha,
             seed,
-            min_examples=config.dirichlet_min_examples,
+            min_examples=spec.min_examples,
         )
     x0 = np.zeros(train.dim)
     hashes = {
@@ -171,7 +172,6 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     mask_size = rand_k_size(config.sparsity, dataset.dim)
     for m in config.methods:
         validate_method_plan(Method(m), plan, mask_size, dataset.dim)
-    reg = RegularizerParams(strength=config.regularizer_strength, scale=config.regularizer_scale)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -189,14 +189,14 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
                 oracle = LogisticOracle(
                     dataset=artifacts.train,
                     batch_size=config.batch_size,
-                    regularizer=reg,
+                    regularizer=config.regularizer,
                     worker_pools=artifacts.partition.assignments,
                     root_seed=seed,
                 )
                 recorder = RunRecorder(
                     train=artifacts.train,
                     val=artifacts.val,
-                    regularizer=reg,
+                    regularizer=config.regularizer,
                     batch_size=config.batch_size,
                     n_workers=config.n_workers,
                     mask_size=mask_size,
@@ -279,7 +279,7 @@ def theory_report(config: ExperimentConfig) -> dict:
 
     seed = config.seeds[0]
     artifacts = prepare_seed_artifacts(dataset, config, seed)
-    reg = RegularizerParams(strength=config.regularizer_strength, scale=config.regularizer_scale)
+    reg = config.regularizer
     oracle = LogisticOracle(
         dataset=artifacts.train,
         batch_size=config.batch_size,
@@ -299,7 +299,7 @@ def theory_report(config: ExperimentConfig) -> dict:
         initial_gap=gap,
     )
 
-    if config.theory.alpha is not None and config.theory.beta is not None:
+    if config.theory.alpha is not None:  # validate_config requires both or neither
         bp = BoundParams(alpha=config.theory.alpha, beta=config.theory.beta, k=mask_size, d=dataset.dim)
     else:
         bp = tune_bound_params(mask_size, dataset.dim, agg)

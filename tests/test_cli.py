@@ -61,16 +61,64 @@ class TestValidateConfig:
         assert any(i.field == "lerning_rate" for i in issues)
 
     def test_min_examples_only_for_dirichlet(self):
-        raw = base_config_dict(partition={"mode": "shard", "min_examples": 5})
-        config, issues = validate_config(raw)
-        assert config is None
-        assert any(i.field == "partition.min_examples" for i in issues)
+        for key, value in (("min_examples", 5), ("alpha", 0.1)):
+            raw = base_config_dict(partition={"mode": "shard", key: value})
+            config, issues = validate_config(raw)
+            assert config is None
+            assert [str(i) for i in issues] == [f"partition.{key}: only meaningful for dirichlet mode"]
         raw = base_config_dict(partition={"mode": "dirichlet", "alpha": 0.1, "min_examples": 5})
         config, issues = validate_config(raw)
         assert not issues
-        assert config.dirichlet_min_examples == 5
+        assert config.partition.min_examples == 5
         again, issues2 = validate_config(config.to_dict())
         assert not issues2 and again == config
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"batch_size": True}, "batch_size"),
+            ({"rounds": False}, "rounds"),
+            ({"value_bit_width": True}, "value_bit_width"),
+            ({"eval_every": True}, "eval_every"),
+            ({"stepsize": True}, "stepsize"),
+            ({"sparsity": True}, "sparsity"),
+            ({"stepsize": float("nan")}, "stepsize"),
+            ({"val_fraction": float("inf")}, "val_fraction"),
+            ({"stepsize": 10**400}, "stepsize"),
+            ({"dataset": {"synthetic": {"dim": "100"}}}, "dataset.synthetic.dim"),
+            ({"dataset": {"synthetic": {"n_examples": 8000.9}}}, "dataset.synthetic.n_examples"),
+            ({"dataset": {"synthetic": {"separtion": 3}}}, "dataset.synthetic.separtion"),
+            ({"methods": [["local_sparse"]]}, "methods"),
+        ],
+    )
+    def test_rejects_wrong_types_and_non_finite_numbers(self, overrides, field):
+        config, issues = validate_config(base_config_dict(**overrides))
+        assert config is None
+        assert [i.field for i in issues] == [field]
+
+    @pytest.mark.parametrize(
+        "theory, message",
+        [
+            ({"epsilon": float("nan")}, "theory.epsilon: must be a positive number"),
+            ({"c_round": float("inf")}, "theory.c_round: must be a positive number"),
+            ({"estimate_draws": 1}, "theory.estimate_draws: must be an integer >= 2"),
+            ({"alpha": 0.2}, "theory: pin both alpha and beta, or neither"),
+            ({"beta": 0.2, "alpha": None}, "theory: pin both alpha and beta, or neither"),
+            # d=12, k=6: contraction 0.5 * 3 * 3 >= 1
+            ({"alpha": 2.0, "beta": 2.0}, "theory: contraction 4.5 >= 1; decrease alpha/beta or residual"),
+        ],
+    )
+    def test_theory_block_rules(self, theory, message):
+        config, issues = validate_config(base_config_dict(theory=theory))
+        assert config is None
+        assert [str(i) for i in issues] == [message]
+
+    def test_invalid_step_times_is_one_issue(self):
+        config, issues = validate_config(base_config_dict(step_times=[0, 1]))
+        assert config is None
+        assert [i.field for i in issues] == ["step_times"]
+        config, issues = validate_config(base_config_dict(step_times=[1, 2], n_workers=3))
+        assert [str(i) for i in issues] == ["n_workers: is 3 but step_times lists 2 workers"]
 
     def test_fedavg_accepts_sparsity_that_rounds_to_a_full_mask(self, tmp_path):
         # k = rand_k_size(0.999, 100) == 100 == d: the engine's k == d rule holds
@@ -106,6 +154,7 @@ class TestValidateConfig:
         raw = base_config_dict()
         config, issues = validate_config(raw)
         assert not issues
+        assert config.n_workers == config.to_dict()["n_workers"] == 2
         again, issues2 = validate_config(config.to_dict())
         assert not issues2
         assert again == config
@@ -334,6 +383,14 @@ class TestOtherCommands:
         bad.write_text(yaml.safe_dump(base_config_dict(comm_seconds=3)), encoding="utf-8")
         assert main(["validate", str(bad)]) == 1
 
+    def test_theory_rejects_a_non_finite_epsilon_in_one_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text(encoding="utf-8") + "theory: {epsilon: .nan}\n", encoding="utf-8")
+        assert main(["theory", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["invalid config: theory.epsilon: must be a positive number"]
+        assert captured.out == ""
+
     def test_theory_command_emits_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path, stepsize=0.001)
         assert main(["theory", str(cfg)]) == 0
@@ -353,6 +410,22 @@ class TestOtherCommands:
         assert data.n_examples == 30
         assert data.dim == 6
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("dim: abc", "invalid spec: dim: must be a positive integer"),
+            ("dim: 0", "invalid spec: dim: must be a positive integer"),
+            ("separtion: 3", "invalid spec: separtion: unknown configuration key"),
+        ],
+    )
+    def test_gen_data_reports_a_bad_spec_in_one_line(self, tmp_path, capsys, line, message):
+        spec = tmp_path / "blobs.yaml"
+        out_file = tmp_path / "blobs.libsvm"
+        spec.write_text(f"{line}\nout: {out_file}\n", encoding="utf-8")
+        assert main(["gen-data", str(spec)]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out_file.exists()
 
     def test_gen_data_requires_out(self, tmp_path, capsys):
         spec = tmp_path / "nospec.yaml"
