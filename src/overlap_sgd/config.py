@@ -286,6 +286,8 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
     for m in methods:
         if m not in _METHOD_NAMES:
             read.bad("methods", f"unknown method {m!r}", f"choose from {sorted(_METHOD_NAMES)}")
+    if any(methods.count(m) > 1 for m in methods):
+        read.bad("methods", "must not contain duplicates")
 
     seeds = _as_int_list(read.get("seeds"))
     if seeds is None:

@@ -125,9 +125,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self._philox_key()))
 
-    def child(self, *suffix) -> "RngStream":
-        return RngStream(self.root_seed, self.key + tuple(suffix))
-
     def _philox_key(self) -> np.ndarray:
         h = hashlib.sha256()
         h.update(struct.pack("<Q", self.root_seed & 0xFFFFFFFFFFFFFFFF))

@@ -177,17 +177,17 @@ def round_complexity(
         raise ConfigurationError("epsilon must be positive")
     if n < 1:
         raise ConfigurationError("need n >= 1")
-    L = consts.smoothness
-    gap = consts.initial_gap
+    gap_l = consts.initial_gap * consts.smoothness
     mean_total = float(agg.mean_total)
-    x_disp = accumulated_dispersion(agg, bp)
-    term_noise = gap * L * consts.noise_var / (n * epsilon * mean_total)
-    term_disp = (
-        gap * L * consts.grad_bound * math.sqrt(x_disp)
-        / (epsilon**1.5 * mean_total * math.sqrt(n * mean_total))
-    )
-    term_opt = gap * L * agg.max_total / (epsilon * mean_total)
-    return int(math.ceil(c_round * (term_noise + term_disp + term_opt)))
+    term_noise = gap_l * consts.noise_var / (n * epsilon * mean_total)
+    spread = gap_l * consts.grad_bound * math.sqrt(accumulated_dispersion(agg, bp))
+    scale = epsilon**1.5 * mean_total * math.sqrt(n * mean_total)  # 0.0 once epsilon**1.5 underflows
+    term_disp = spread / scale if scale else (math.inf if spread else 0.0)
+    term_opt = gap_l * agg.max_total / (epsilon * mean_total)
+    rounds = c_round * (term_noise + term_disp + term_opt)
+    if not math.isfinite(rounds):
+        raise ConfigurationError(f"round complexity is not a finite number at epsilon={epsilon}, c_round={c_round}")
+    return int(math.ceil(rounds))
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,11 @@ class TestValidateConfig:
         assert config is None
         assert [str(i) for i in issues] == [message]
 
+    def test_rejects_duplicate_methods(self):
+        config, issues = validate_config(base_config_dict(methods=["local_sparse", "local_sparse"]))
+        assert config is None
+        assert [str(i) for i in issues] == ["methods: must not contain duplicates"]
+
     def test_invalid_step_times_is_one_issue(self):
         config, issues = validate_config(base_config_dict(step_times=[0, 1]))
         assert config is None
@@ -389,6 +394,28 @@ class TestOtherCommands:
         assert main(["theory", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == ["invalid config: theory.epsilon: must be a positive number"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "theory, message",
+        [
+            # epsilon**1.5 underflows to 0.0
+            ("{epsilon: 1.0e-300}", "epsilon=1e-300, c_round=12.0"),
+            # the round count overflows to inf
+            ("{c_round: 1.0e+308}", "epsilon=0.01, c_round=1e+308"),
+        ],
+        ids=["underflow", "overflow"],
+    )
+    def test_theory_rejects_an_unbounded_round_count_in_one_line(self, tmp_path, capsys, theory, message):
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text(encoding="utf-8") + f"theory: {theory}\n", encoding="utf-8")
+        assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["theory", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"invalid config: round complexity is not a finite number at {message}"
+        ]
         assert captured.out == ""
 
     def test_theory_command_emits_json(self, tmp_path, capsys):

@@ -229,9 +229,6 @@ class TestRngStream:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_child_extends_key(self):
-        assert stream(5, "mask").child(3).key == ("mask", 3)
-
     def test_rejects_bad_key_parts(self):
         with pytest.raises(ConfigurationError):
             RngStream(0, (1.5,)).generator()

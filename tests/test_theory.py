@@ -144,6 +144,22 @@ class TestComplexities:
         r2 = round_complexity(consts, agg, bp, 0.1, n=2)
         assert r1 / r2 == pytest.approx(2.0, rel=1e-5)
 
+    @pytest.mark.parametrize("epsilon, c_round", [(1e-300, 12.0), (0.01, 1e308)])
+    def test_unbounded_round_count_is_a_config_error(self, epsilon, c_round):
+        agg = aggregates(build_plan((1, 2, 3, 6), 3, 6))
+        bp = BoundParams(alpha=0.1, beta=0.1, k=3, d=10)
+        with pytest.raises(ConfigurationError, match="not a finite number"):
+            round_complexity(CONSTS, agg, bp, epsilon, n=2, c_round=c_round)
+
+    def test_zero_dispersion_term_survives_an_underflowing_epsilon(self):
+        # full mask, one worker, no overlap: the dispersion term is 0 even where
+        # epsilon**1.5 underflows to 0.0, and the round count stays finite
+        agg = aggregates(build_plan((1,), 1, 0))
+        bp = BoundParams(alpha=1.0, beta=1.0, k=5, d=5)
+        consts = ProblemConstants(smoothness=2.0, noise_var=0.0, grad_bound=1.0, initial_gap=3.0)
+        got = round_complexity(consts, agg, bp, 1e-300, n=1, c_round=12.0)
+        assert got == pytest.approx(12.0 * 6.0 / 1e-300, rel=1e-12)
+
     def test_time_complexity_reference(self):
         tc = time_complexity(20, build_plan((1, 2, 3, 6), 3, 6))
         assert tc.seconds == 480
