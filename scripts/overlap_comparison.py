@@ -12,10 +12,6 @@ writing under <output_dir>/<FIELD>=<value> with a manifest that
   compute_periods  the local compute window, in base periods
   sparsity         the communicated fraction; the bit axis shifts while the
                    loss changes only mildly
-
-configs/stress_noniid.yaml is the non-i.i.d. diagnostic: over strongly
-heterogeneous shards the extra overlap steps pull workers toward their local
-optima, and blocking sparse averaging can end up ahead.
 """
 
 import argparse
@@ -24,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from overlap_sgd.config import load_config_file, validate_config
+from overlap_sgd.cli import _load_or_complain, _with_dataset
+from overlap_sgd.config import validate_config
 from overlap_sgd.runner import run_suite
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "overlap_comparison.yaml"
@@ -75,11 +72,14 @@ def main():
     parser.add_argument("--sweep", choices=sorted(GRIDS))
     args = parser.parse_args()
 
-    config, issues = load_config_file(args.config)
-    if issues:
-        sys.exit("\n".join(f"invalid config: {issue}" for issue in issues))
+    config, failed = _load_or_complain(args.config)
+    if failed:
+        sys.exit(1)
     for label, point in grid(config, args.sweep):
-        print_table(label, point, run_suite(point).runs)
+        result = _with_dataset(run_suite, point)  # one error line, not a traceback
+        if result is None:
+            sys.exit(1)
+        print_table(label, point, result.runs)
 
 
 if __name__ == "__main__":

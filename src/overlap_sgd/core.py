@@ -21,10 +21,8 @@ __all__ = [
     "Mask",
     "RngStream",
     "check_finite",
-    "axpy",
     "project_mask",
     "sample_rand_k",
-    "full_mask",
     "average",
 ]
 
@@ -34,19 +32,9 @@ def check_finite(arr: np.ndarray, context: str = "vector") -> None:
         raise DivergenceError(f"non-finite values in {context}")
 
 
-def axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Return ``y + a * x`` elementwise; inputs are not modified."""
-    if x.shape != y.shape:
-        raise ConfigurationError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = y + a * x
-    check_finite(out, "axpy result")
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class Mask:
-    """A set of ``k`` distinct coordinate indices out of ``d``.
+    """A set of distinct coordinate indices out of ``d``.
 
     ``indices`` is a strictly increasing, read-only ``int64`` array (any
     integer sequence is accepted and copied); projecting onto a mask keeps
@@ -54,15 +42,12 @@ class Mask:
     """
 
     indices: np.ndarray
-    k: int
     d: int
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.d:
-            raise ConfigurationError(f"mask size k={self.k} outside [1, {self.d}]")
         idx = np.array(self.indices, dtype=np.int64)
-        if idx.shape != (self.k,):
-            raise ConfigurationError(f"mask indices have shape {idx.shape}, expected ({self.k},)")
+        if idx.ndim != 1 or not 1 <= idx.size <= self.d:
+            raise ConfigurationError(f"mask indices have shape {idx.shape}, expected (k,) with 1 <= k <= {self.d}")
         if (idx[1:] <= idx[:-1]).any():
             raise ConfigurationError("mask indices must be strictly increasing")
         if idx[0] < 0 or idx[-1] >= self.d:
@@ -77,26 +62,6 @@ class Mask:
 
     def __hash__(self):
         return hash((self.d, self.indices.tobytes()))
-
-    @classmethod
-    def from_indices(cls, indices, d: int) -> "Mask":
-        idx = np.sort(np.asarray(indices, dtype=np.int64))
-        return cls(indices=idx, k=len(idx), d=d)
-
-    def complement(self) -> "Mask":
-        if self.k == self.d:
-            raise ConfigurationError("complement of a full mask is empty")
-        rest = np.flatnonzero(~self.bool_array())
-        return Mask(indices=rest, k=rest.size, d=self.d)
-
-    def bool_array(self) -> np.ndarray:
-        out = np.zeros(self.d, dtype=bool)
-        out[self.indices] = True
-        return out
-
-
-def full_mask(d: int) -> Mask:
-    return Mask(indices=np.arange(d), k=d, d=d)
 
 
 def project_mask(x: np.ndarray, s: Mask) -> np.ndarray:
@@ -144,19 +109,7 @@ class RngStream:
         return np.array(words, dtype=np.uint64)
 
 
-def stream(root_seed: int, *key) -> RngStream:
-    return RngStream(root_seed, tuple(key))
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise ConfigurationError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
-
-
-def sample_rand_k(d: int, k: int, rng) -> Mask:
+def sample_rand_k(d: int, k: int, gen: np.random.Generator) -> Mask:
     """Uniformly random size-``k`` subset of ``[0, d)``.
 
     Partial Fisher-Yates over ``[0, d)``, exactly uniform over all C(d, k)
@@ -170,7 +123,7 @@ def sample_rand_k(d: int, k: int, rng) -> Mask:
         raise ConfigurationError("d and k must be integers")
     if not 1 <= k <= d:
         raise ConfigurationError(f"mask size k={k} outside [1, {d}]")
-    offsets = _as_generator(rng).integers(0, d - np.arange(k)).tolist()
+    offsets = gen.integers(0, d - np.arange(k)).tolist()
     head = list(range(k))
     tail = {}
     for i, offset in enumerate(offsets):
@@ -179,7 +132,7 @@ def sample_rand_k(d: int, k: int, rng) -> Mask:
             head[i], head[j] = head[j], head[i]
         else:
             head[i], tail[j] = tail.get(j, j), head[i]
-    return Mask(indices=np.sort(np.array(head, dtype=np.int64)), k=k, d=d)
+    return Mask(indices=np.sort(np.array(head, dtype=np.int64)), d=d)
 
 
 def average(vs) -> np.ndarray:

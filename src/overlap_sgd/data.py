@@ -8,9 +8,9 @@ synthetic two-blob generator so the test suite needs no downloads.
 from __future__ import annotations
 
 import gzip
-import io
 import math
 import warnings
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +21,6 @@ from .errors import ConfigurationError, ParseError
 __all__ = [
     "Dataset",
     "NormalizationStats",
-    "Partition",
     "parse_libsvm",
     "load_libsvm",
     "serialize_libsvm",
@@ -87,7 +86,7 @@ def _map_labels(raw: list[float]) -> np.ndarray:
     return np.asarray([-1.0 if v == lo else 1.0 for v in raw], dtype=np.float64)
 
 
-def parse_libsvm(source, dimension: int | None = None) -> Dataset:
+def parse_libsvm(text: str, dimension: int | None = None) -> Dataset:
     """Parse LIBSVM text: one ``label idx:val idx:val ...`` line per example.
 
     Feature indices are 1-based and strictly increasing within a line;
@@ -95,16 +94,6 @@ def parse_libsvm(source, dimension: int | None = None) -> Dataset:
     (smaller value to -1); raw labels already in {-1, +1} are kept as-is.
     ``dimension`` overrides the inferred width (max index seen).
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    elif isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
-        raise ConfigurationError(f"unsupported libsvm source {type(source)!r}")
-
     raw_labels: list[float] = []
     rows: list[list[tuple[int, float]]] = []
     max_index = 0
@@ -152,11 +141,19 @@ def parse_libsvm(source, dimension: int | None = None) -> Dataset:
 
 
 def load_libsvm(path, dimension: int | None = None) -> Dataset:
-    """Read a LIBSVM text file from disk; ``.gz`` paths are decompressed."""
+    """Read a UTF-8 LIBSVM text file from disk; ``.gz`` paths are decompressed.
+
+    Bytes that are not UTF-8, and a ``.gz`` file that is not intact gzip,
+    raise :class:`ParseError` like malformed text does.
+    """
     path = str(path)
     opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rb") as fh:
-        return parse_libsvm(fh.read(), dimension=dimension)
+    try:
+        with opener(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+    except (UnicodeDecodeError, gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise ParseError(f"unreadable file: {exc}") from exc
+    return parse_libsvm(text, dimension=dimension)
 
 
 def serialize_libsvm(dataset: Dataset) -> str:
@@ -203,35 +200,16 @@ def apply_normalization(dataset: Dataset, stats: NormalizationStats) -> Dataset:
     return Dataset(feats, dataset.labels)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Per-worker example index lists over a training set."""
-
-    assignments: tuple[np.ndarray, ...]
-    mode: str
-    alpha: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "assignments", tuple(np.asarray(a, dtype=np.int64) for a in self.assignments)
-        )
-
-    @property
-    def n_workers(self) -> int:
-        return len(self.assignments)
-
-
-def partition_shared(n_examples: int, n_workers: int) -> Partition:
+def partition_shared(n_examples: int, n_workers: int) -> tuple[np.ndarray, ...]:
     """Every worker samples from the full training set."""
     full = np.arange(n_examples, dtype=np.int64)
-    return Partition(assignments=tuple(full.copy() for _ in range(n_workers)), mode="shared")
+    return tuple(full.copy() for _ in range(n_workers))
 
 
-def partition_shard(n_examples: int, n_workers: int, seed: int) -> Partition:
+def partition_shard(n_examples: int, n_workers: int, seed: int) -> tuple[np.ndarray, ...]:
     """Disjoint near-equal random shards covering the training set."""
     perm = RngStream(seed, ("partition", "shard")).generator().permutation(n_examples)
-    chunks = np.array_split(perm, n_workers)
-    return Partition(assignments=tuple(np.sort(c) for c in chunks), mode="shard")
+    return tuple(np.sort(c) for c in np.array_split(perm, n_workers))
 
 
 def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
@@ -248,7 +226,7 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
 
 def partition_dirichlet(
     train: Dataset, n_workers: int, alpha: float, seed: int, min_examples: int = 0
-) -> Partition:
+) -> tuple[np.ndarray, ...]:
     """Label-Dirichlet partition: per class, split examples across workers
     by proportions drawn from Dirichlet(alpha, ..., alpha), rounded by
     largest remainder.  Disjoint cover of the training set.
@@ -290,7 +268,7 @@ def partition_dirichlet(
     for w, a in enumerate(assignments):
         if a.size == 0:
             warnings.warn(f"worker {w} received zero examples under dirichlet alpha={alpha}")
-    return Partition(assignments=assignments, mode="dirichlet", alpha=float(alpha))
+    return assignments
 
 
 def synthetic_blobs(dim: int, n_examples: int, separation: float = 2.0, seed: int = 0) -> Dataset:

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Mask, RngStream, average, axpy, project_mask, sample_rand_k
+from .core import Mask, RngStream, average, project_mask, sample_rand_k
 from .errors import ConfigurationError, DivergenceError
 from .timing import TimingPlan
 
@@ -194,7 +194,7 @@ def run_round(
         )
     n, dim = start.shape
     validate_method_plan(method, plan, mask_size, dim)
-    mask = sample_rand_k(dim, mask_size, RngStream(root_seed, ("mask", round_index)))
+    mask = sample_rand_k(dim, mask_size, RngStream(root_seed, ("mask", round_index)).generator())
 
     if method is Method.SYNC_SGD:
         # one gradient per worker at the common point, averaged, one global step
@@ -202,7 +202,7 @@ def run_round(
         if np.any(start != common):
             raise ConfigurationError("sync_sgd requires identical worker models")
         avg_grad_sum = average([oracle.gradient(common, i, round_index, 0) for i in range(n)])
-        merged = axpy(-stepsize, avg_grad_sum, common)
+        merged = common - stepsize * avg_grad_sum
         _guard(merged, round_index, worker=-1)
         sent = latest = next_models = np.tile(merged, (n, 1))
         steps = (1,) * n

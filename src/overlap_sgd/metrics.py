@@ -21,15 +21,11 @@ from .objective import RegularizerParams, dataset_accuracy, dataset_loss, full_g
 
 __all__ = [
     "MetricsRecord",
-    "DriftDiagnostics",
     "RunRecorder",
     "disagreement",
-    "drift_diagnostics",
     "render_csv",
     "render_jsonl",
     "write_metrics",
-    "read_metrics_csv",
-    "read_metrics_jsonl",
     "atomic_write_bytes",
 ]
 
@@ -53,24 +49,6 @@ CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 _INT_COLUMNS = {"round", "logical_time", "processed_examples", "comm_coordinates", "comm_bits"}
 
 
-@dataclass(frozen=True)
-class DriftDiagnostics:
-    """Per-round squared dispersions of the worker trajectories.
-
-    pre_drift_sq         dispersion of the pre-communication movements
-                         (sent - start) across workers
-    overlap_drift_sq     dispersion of the overlap movements (latest - sent);
-                         identically 0 for blocking methods
-    sent_dispersion_sq   dispersion of the sent models
-    latest_dispersion_sq dispersion of the latest models
-    """
-
-    pre_drift_sq: float
-    overlap_drift_sq: float
-    sent_dispersion_sq: float
-    latest_dispersion_sq: float
-
-
 def disagreement(models, mean: np.ndarray | None = None) -> float:
     """Sum of squared deviations of worker models (rows) from their mean.
 
@@ -79,16 +57,6 @@ def disagreement(models, mean: np.ndarray | None = None) -> float:
     if mean is None:
         mean = average(models)
     return float(sum(np.sum((m - mean) ** 2) for m in models))
-
-
-def drift_diagnostics(start: np.ndarray, outcome: RoundOutcome) -> DriftDiagnostics:
-    """Dispersions of the round ``outcome`` that began at the models ``start``."""
-    return DriftDiagnostics(
-        pre_drift_sq=disagreement(outcome.sent - start),
-        overlap_drift_sq=disagreement(outcome.latest - outcome.sent),
-        sent_dispersion_sq=disagreement(outcome.sent),
-        latest_dispersion_sq=disagreement(outcome.latest),
-    )
 
 
 class RunRecorder:
@@ -103,8 +71,8 @@ class RunRecorder:
         batch_size: int,
         n_workers: int,
         mask_size: int,
-        value_bit_width: int = 32,
-        collect_per_worker: bool = False,
+        value_bit_width: int,
+        collect_per_worker: bool,
     ):
         self.train = train
         self.val = val
@@ -207,27 +175,3 @@ def write_metrics(records: list[MetricsRecord], csv_path, jsonl_path) -> None:
     atomic_write_bytes(csv_path, render_csv(records).encode("utf-8"))
     atomic_write_bytes(jsonl_path, render_jsonl(records).encode("utf-8"))
 
-
-def read_metrics_csv(path) -> list[MetricsRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    header = tuple(lines[0].split(","))
-    if header != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header in {path}: {header}")
-    out = []
-    for ln in lines[1:]:
-        vals = ln.split(",")
-        kwargs = {}
-        for name, raw in zip(CSV_COLUMNS, vals):
-            kwargs[name] = int(raw) if name in _INT_COLUMNS else float(raw)
-        out.append(MetricsRecord(**kwargs))
-    return out
-
-
-def read_metrics_jsonl(path) -> list[MetricsRecord]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            if ln.strip():
-                out.append(MetricsRecord(**json.loads(ln)))
-    return out

@@ -20,7 +20,6 @@ __all__ = [
     "RegularizerParams",
     "LogisticOracle",
     "QuadraticOracle",
-    "logistic_loss",
     "dataset_loss",
     "dataset_accuracy",
     "full_gradient",
@@ -79,15 +78,6 @@ class RegularizerParams:
         if not self.enabled:
             return 0.0
         return 2.0 * self.strength / self.scale**2
-
-
-def logistic_loss(w: np.ndarray, example: tuple[np.ndarray, float]) -> float:
-    """log(1 + exp(-y <x, w>)) via the stable softplus form."""
-    x, y = example
-    if x.shape != w.shape:
-        raise ConfigurationError(f"dimension mismatch: {x.shape} vs {w.shape}")
-    margin = y * float(x @ w)
-    return float(_softplus(-margin))
 
 
 def dataset_loss(w: np.ndarray, dataset: Dataset) -> float:

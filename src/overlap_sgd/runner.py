@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,6 @@ import numpy as np
 from .config import ExperimentConfig, rand_k_size
 from .data import (
     Dataset,
-    Partition,
     apply_normalization,
     compute_normalization,
     load_libsvm,
@@ -37,7 +36,6 @@ from .theory import (
     max_stepsize,
     rate_bound,
     round_complexity,
-    time_complexity,
     tune_bound_params,
 )
 from .timing import TimingPlan, aggregates, build_plan
@@ -94,7 +92,7 @@ class SeedArtifacts:
 
     train: Dataset
     val: Dataset
-    partition: Partition
+    pools: tuple[np.ndarray, ...]  # per-worker example indices into train
     x0: np.ndarray
     hashes: dict
 
@@ -107,11 +105,11 @@ def prepare_seed_artifacts(dataset: Dataset, config: ExperimentConfig, seed: int
         val = apply_normalization(val, stats) if val.n_examples else val
     spec = config.partition
     if spec.mode == "shared":
-        partition = partition_shared(train.n_examples, config.n_workers)
+        pools = partition_shared(train.n_examples, config.n_workers)
     elif spec.mode == "shard":
-        partition = partition_shard(train.n_examples, config.n_workers, seed)
+        pools = partition_shard(train.n_examples, config.n_workers, seed)
     else:
-        partition = partition_dirichlet(
+        pools = partition_dirichlet(
             train,
             config.n_workers,
             spec.alpha,
@@ -122,10 +120,10 @@ def prepare_seed_artifacts(dataset: Dataset, config: ExperimentConfig, seed: int
     hashes = {
         "train": _sha256_arrays(train.features, train.labels),
         "val": _sha256_arrays(val.features, val.labels) if val.n_examples else "",
-        "partition": _sha256_arrays(*partition.assignments),
+        "partition": _sha256_arrays(*pools),
         "init": _sha256_arrays(x0),
     }
-    return SeedArtifacts(train=train, val=val, partition=partition, x0=x0, hashes=hashes)
+    return SeedArtifacts(train=train, val=val, pools=pools, x0=x0, hashes=hashes)
 
 
 def run_single(
@@ -138,7 +136,7 @@ def run_single(
     oracle,
     recorder: RunRecorder,
     x0: np.ndarray,
-    eval_every: int = 1,
+    eval_every: int,
 ) -> tuple[list[MetricsRecord], str]:
     """Drive one (method, seed) trajectory; returns (records, status)."""
     method = Method(method)
@@ -180,7 +178,7 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     for seed in config.seeds:
         artifacts = prepare_seed_artifacts(dataset, config, seed)
         artifact_hashes[str(seed)] = artifacts.hashes
-        empty_pools = [w for w, a in enumerate(artifacts.partition.assignments) if a.size == 0]
+        empty_pools = [w for w, a in enumerate(artifacts.pools) if a.size == 0]
         for method in config.methods:
             if empty_pools:
                 # extreme partitions can starve a worker; record it and move on
@@ -190,7 +188,7 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
                     dataset=artifacts.train,
                     batch_size=config.batch_size,
                     regularizer=config.regularizer,
-                    worker_pools=artifacts.partition.assignments,
+                    worker_pools=artifacts.pools,
                     root_seed=seed,
                 )
                 recorder = RunRecorder(
@@ -284,7 +282,7 @@ def theory_report(config: ExperimentConfig) -> dict:
         dataset=artifacts.train,
         batch_size=config.batch_size,
         regularizer=reg,
-        worker_pools=artifacts.partition.assignments,
+        worker_pools=artifacts.pools,
         root_seed=seed,
     )
     smooth = logistic_smoothness(artifacts.train, reg)
@@ -313,14 +311,9 @@ def theory_report(config: ExperimentConfig) -> dict:
             "initial_gap_estimate": consts.initial_gap,
             "note": "smoothness is a closed-form upper bound; the rest are Monte Carlo estimates at x0",
         },
+        # the Fraction aggregates print as floats, the integer ones as ints
         "timing": {
-            "mean_pre": float(agg.mean_pre),
-            "mean_total": float(agg.mean_total),
-            "max_total": agg.max_total,
-            "sum_sq_pre": agg.sum_sq_pre,
-            "sum_sq_overlap": agg.sum_sq_overlap,
-            "drift_sq_sum": agg.drift_sq_sum,
-            "harmonic_step_time": float(agg.harmonic_step_time),
+            **{k: v if isinstance(v, int) else float(v) for k, v in asdict(agg).items()},
             "round_seconds": plan.round_seconds,
         },
         "bound_params": {
@@ -338,15 +331,7 @@ def theory_report(config: ExperimentConfig) -> dict:
     }
     if config.stepsize <= ceiling and config.rounds >= 1:
         rb = rate_bound(consts, agg, bp, config.stepsize, config.n_workers, config.rounds)
-        report["rate_bound"] = {
-            "stepsize": config.stepsize,
-            "rounds": config.rounds,
-            "opt_term": rb.opt_term,
-            "noise_term": rb.noise_term,
-            "drift_term": rb.drift_term,
-            "staleness_term": rb.staleness_term,
-            "total": rb.total,
-        }
+        report["rate_bound"] = {"stepsize": config.stepsize, "rounds": config.rounds, **asdict(rb)}
     else:
         report["rate_bound"] = {
             "stepsize": config.stepsize,
@@ -357,12 +342,11 @@ def theory_report(config: ExperimentConfig) -> dict:
     rounds_needed = round_complexity(
         consts, agg, bp, config.theory.epsilon, config.n_workers, c_round=config.theory.c_round
     )
-    tc = time_complexity(rounds_needed, plan)
     report["complexity"] = {
         "epsilon": config.theory.epsilon,
         "c_round": config.theory.c_round,
         "rounds": rounds_needed,
-        "seconds": tc.seconds,
-        "harmonic_step_time": float(tc.harmonic_step_time),
+        "seconds": rounds_needed * plan.round_seconds,
+        "harmonic_step_time": float(agg.harmonic_step_time),
     }
     return report

@@ -1,7 +1,7 @@
 """Closed-form convergence-rate machinery.
 
 Evaluates the non-convex rate bound term by term, the stepsize ceiling,
-and the round / wall-clock complexities implied by a timing plan, plus
+and the round complexity implied by a timing plan, plus
 empirical estimators for the problem constants on real datasets.
 """
 
@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .objective import RegularizerParams, full_gradient
-from .timing import TimingAggregates, TimingPlan, aggregates
+from .objective import RegularizerParams, dataset_loss, full_gradient
+from .timing import TimingAggregates
 from .data import Dataset
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "max_stepsize",
     "rate_bound",
     "round_complexity",
-    "TimeComplexity",
-    "time_complexity",
     "tune_bound_params",
     "logistic_smoothness",
     "estimate_gradient_stats",
@@ -190,20 +187,6 @@ def round_complexity(
     return int(math.ceil(rounds))
 
 
-@dataclass(frozen=True)
-class TimeComplexity:
-    seconds: int
-    harmonic_step_time: Fraction
-
-
-def time_complexity(rounds: int, plan: TimingPlan) -> TimeComplexity:
-    """rounds * round_seconds; :func:`aggregates` checks the harmonic-mean identity exactly."""
-    if rounds < 0:
-        raise ConfigurationError("rounds must be >= 0")
-    harmonic = aggregates(plan).harmonic_step_time
-    return TimeComplexity(seconds=rounds * plan.round_seconds, harmonic_step_time=harmonic)
-
-
 def tune_bound_params(
     k: int,
     d: int,
@@ -263,6 +246,4 @@ def estimate_gradient_stats(
 
 def initial_gap_upper_bound(dataset: Dataset, reg: RegularizerParams, x0: np.ndarray) -> float:
     """f(x0) - 0: valid because logistic loss and the penalty are non-negative."""
-    from .objective import dataset_loss
-
     return dataset_loss(x0, dataset) + reg.value(x0)

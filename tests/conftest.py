@@ -20,7 +20,7 @@ def make_logistic_oracle(dataset, n_workers, batch_size, seed, strength=0.0, sca
         dataset=dataset,
         batch_size=batch_size,
         regularizer=RegularizerParams(strength=strength, scale=scale),
-        worker_pools=partition_shared(dataset.n_examples, n_workers).assignments,
+        worker_pools=partition_shared(dataset.n_examples, n_workers),
         root_seed=seed,
     )
 

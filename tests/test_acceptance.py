@@ -13,7 +13,7 @@ import yaml
 from conftest import make_logistic_oracle, make_quadratic_oracle
 from overlap_sgd.cli import main
 from overlap_sgd.config import rand_k_size, validate_config
-from overlap_sgd.core import average, project_mask, sample_rand_k, stream
+from overlap_sgd.core import RngStream, average, project_mask, sample_rand_k
 from overlap_sgd.data import synthetic_blobs
 from overlap_sgd.engine import Method, merge_delay_corrected, run_round
 from overlap_sgd.errors import ConfigurationError
@@ -131,17 +131,19 @@ def test_criterion_02_mask_expectation_identity():
 
         # vectorized resampling, pinned bitwise to the production merge
         corrected = sent_avg + (latest - sent)  # the on-mask value, per worker
-        gen = stream(trial + 1, "resample").generator()
+        gen = RngStream(trial + 1, ("resample",)).generator()
         probe = sample_rand_k(d, k, gen)
-        broadcast = np.where(probe.bool_array(), corrected, latest)
+        broadcast = latest.copy()
+        broadcast[:, probe.indices] = corrected[:, probe.indices]
         merged = [merge_delay_corrected(z, y, sent_avg, probe) for z, y in zip(latest, sent)]
         np.testing.assert_array_equal(broadcast, np.stack(merged))
 
         total = 0.0
         draws = 10_000
         for _ in range(draws):
-            mb = sample_rand_k(d, k, gen).bool_array()
-            nxt = np.where(mb, corrected, latest)
+            idx = sample_rand_k(d, k, gen).indices
+            nxt = latest.copy()
+            nxt[:, idx] = corrected[:, idx]
             total += float(((nxt - nxt.mean(axis=0)) ** 2).sum())
         rel = abs(total / draws - target) / target
         worst = max(worst, rel)
@@ -227,7 +229,7 @@ def test_criterion_07_rand_k_statistics():
     started = time.time()
     d, k, draws = 10, 3, 100_000
     x = np.linspace(0.5, 1.5, d)
-    gen = stream(4242, "randk").generator()
+    gen = RngStream(4242, ("randk",)).generator()
     counts = np.zeros(d)
     projected_sum = np.zeros(d)
     for _ in range(draws):

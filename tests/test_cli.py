@@ -1,3 +1,4 @@
+import gzip
 import json
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from conftest import base_config_dict
 from overlap_sgd.cli import main
 from overlap_sgd.config import rand_k_size, validate_config
 from overlap_sgd.data import load_libsvm, serialize_libsvm, synthetic_blobs
-from overlap_sgd.metrics import read_metrics_csv
+from overlap_sgd.metrics import render_csv
 from overlap_sgd.runner import run_suite
 
 
@@ -215,7 +216,7 @@ class TestRunCommand:
         out_dir = tmp_path / "out"
         csvs = list(out_dir.glob("*.csv"))
         assert csvs
-        assert read_metrics_csv(csvs[0]) == []
+        assert csvs[0].read_text(encoding="utf-8") == render_csv([])
         assert (out_dir / "manifest.json").exists()
         capsys.readouterr()
 
@@ -253,7 +254,7 @@ class TestRunCommand:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert all(r["status"].startswith("skipped") for r in manifest["runs"])
         csvs = list((tmp_path / "out").glob("*.csv"))
-        assert csvs and read_metrics_csv(csvs[0]) == []
+        assert csvs and csvs[0].read_text(encoding="utf-8") == render_csv([])
         capsys.readouterr()
 
     def test_fairness_hashes_do_not_depend_on_method_list(self, tmp_path):
@@ -344,6 +345,31 @@ class TestDatasetFileErrors:
         assert captured.err.splitlines() == [
             f"error: could not load dataset {data_path}: line 2: bad label 'not-a-label'"
         ]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "theory"])
+    @pytest.mark.parametrize(
+        "name, payload",
+        [
+            ("latin1.libsvm", b"+1 1:0.5\n-1 2:1.0 3:\xff\n"),
+            ("plain.libsvm.gz", b"+1 1:0.5\n-1 2:1.0\n"),
+            ("truncated.libsvm.gz", gzip.compress(b"+1 1:0.5\n-1 2:1.0\n" * 50, mtime=0)[:40]),
+            # a valid gzip header, then a deflate block of the reserved type 3
+            ("corrupt.libsvm.gz", gzip.compress(b"+1 1:0.5\n", mtime=0)[:10] + b"\xff" * 16),
+        ],
+        ids=["not-utf8", "not-gzip", "truncated-gzip", "corrupt-gzip"],
+    )
+    def test_undecodable_dataset_file_is_one_error_line(self, tmp_path, capsys, command, name, payload):
+        data_path = tmp_path / name
+        data_path.write_bytes(payload)
+        cfg = write_config(tmp_path, dataset={"path": str(data_path)}, methods=["local_sparse"])
+        assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main([command, str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: could not load dataset {data_path}: unreadable file: ")
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 

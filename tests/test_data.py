@@ -125,27 +125,29 @@ class TestNormalization:
 
 class TestPartitions:
     def test_shared_references_everything(self):
-        part = partition_shared(10, 3)
-        for a in part.assignments:
+        pools = partition_shared(10, 3)
+        assert len(pools) == 3
+        for a in pools:
             np.testing.assert_array_equal(a, np.arange(10))
 
     def test_shard_covers_disjointly(self):
-        part = partition_shard(23, 4, seed=2)
-        joined = np.concatenate(part.assignments)
+        pools = partition_shard(23, 4, seed=2)
+        assert [a.dtype for a in pools] == [np.dtype(np.int64)] * 4
+        joined = np.concatenate(pools)
         assert joined.size == 23
         np.testing.assert_array_equal(np.sort(joined), np.arange(23))
 
     @pytest.mark.filterwarnings("ignore:worker .* received zero examples")
     def test_dirichlet_covers_disjointly(self, tiny_blobs):
-        part = partition_dirichlet(tiny_blobs, 4, alpha=0.5, seed=8)
-        joined = np.concatenate(part.assignments)
+        pools = partition_dirichlet(tiny_blobs, 4, alpha=0.5, seed=8)
+        joined = np.concatenate(pools)
         assert joined.size == tiny_blobs.n_examples
         np.testing.assert_array_equal(np.sort(joined), np.arange(tiny_blobs.n_examples))
 
     def test_huge_alpha_is_nearly_uniform(self):
         data = synthetic_blobs(dim=2, n_examples=400, seed=9)
-        part = partition_dirichlet(data, 2, alpha=1e6, seed=1)
-        sizes = [a.size for a in part.assignments]
+        pools = partition_dirichlet(data, 2, alpha=1e6, seed=1)
+        sizes = [a.size for a in pools]
         assert abs(sizes[0] - sizes[1]) <= 4
 
     def test_tiny_alpha_is_strongly_skewed(self):
@@ -155,8 +157,8 @@ class TestPartitions:
         for seed in range(5):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                part = partition_dirichlet(data, 4, alpha=0.03, seed=seed)
-            for a in part.assignments:
+                pools = partition_dirichlet(data, 4, alpha=0.03, seed=seed)
+            for a in pools:
                 if a.size == 0:
                     continue
                 labels = data.labels[a]
@@ -173,9 +175,9 @@ class TestPartitions:
 
     def test_min_examples_resamples_until_satisfied(self):
         data = synthetic_blobs(dim=2, n_examples=2000, seed=10)
-        part = partition_dirichlet(data, 4, alpha=0.03, seed=1, min_examples=10)
-        assert min(a.size for a in part.assignments) >= 10
-        joined = np.sort(np.concatenate(part.assignments))
+        pools = partition_dirichlet(data, 4, alpha=0.03, seed=1, min_examples=10)
+        assert min(a.size for a in pools) >= 10
+        joined = np.sort(np.concatenate(pools))
         np.testing.assert_array_equal(joined, np.arange(2000))
 
     def test_min_examples_unsatisfiable(self):
@@ -190,7 +192,7 @@ class TestPartitions:
     def test_deterministic(self, tiny_blobs):
         a = partition_dirichlet(tiny_blobs, 3, alpha=0.3, seed=6)
         b = partition_dirichlet(tiny_blobs, 3, alpha=0.3, seed=6)
-        for x, y in zip(a.assignments, b.assignments):
+        for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_logistic_oracle, make_quadratic_oracle
-from overlap_sgd.core import Mask, average, full_mask, project_mask, sample_rand_k, stream
+from overlap_sgd.core import Mask, RngStream, average, project_mask, sample_rand_k
 from overlap_sgd.data import synthetic_blobs
 from overlap_sgd.engine import (
     Method,
@@ -14,7 +14,7 @@ from overlap_sgd.engine import (
     validate_method_plan,
 )
 from overlap_sgd.errors import ConfigurationError, DivergenceError
-from overlap_sgd.metrics import disagreement, drift_diagnostics
+from overlap_sgd.metrics import disagreement
 from overlap_sgd.timing import build_plan
 
 
@@ -67,7 +67,7 @@ class TestMergeRules:
     def test_delay_corrected_single_worker_keeps_latest(self):
         sent = np.array([1.0, 2.0])
         latest = np.array([3.0, 4.0])
-        out = merge_delay_corrected(latest, sent, sent_avg=sent, s=Mask.from_indices([0], 2))
+        out = merge_delay_corrected(latest, sent, sent_avg=sent, s=Mask([0], 2))
         np.testing.assert_array_equal(out, latest)
 
     def test_delay_corrected_hand_example(self):
@@ -75,7 +75,7 @@ class TestMergeRules:
             latest=np.array([2.0, 5.0]),
             sent=np.array([1.0, 0.0]),
             sent_avg=np.array([2.0, 0.0]),
-            s=Mask.from_indices([0], 2),
+            s=Mask([0], 2),
         )
         np.testing.assert_array_equal(out, [3.0, 5.0])
 
@@ -85,7 +85,7 @@ class TestMergeRules:
         latest = [np.array([2.0, 5.0]), np.array([4.0, 7.0])]
         sent_avg = average(sent)
         np.testing.assert_array_equal(sent_avg, [2.0, 0.0])
-        mask = Mask.from_indices([0], 2)
+        mask = Mask([0], 2)
         merged = [merge_delay_corrected(z, y, sent_avg, mask) for z, y in zip(latest, sent)]
         np.testing.assert_array_equal(merged[0], [3.0, 5.0])
         np.testing.assert_array_equal(average(merged), average(latest))
@@ -94,38 +94,38 @@ class TestMergeRules:
     def test_delay_corrected_full_mask_no_overlap_is_plain_averaging(self):
         sent = np.array([1.0, 2.0])
         sent_avg = np.array([5.0, 6.0])
-        out = merge_delay_corrected(sent.copy(), sent, sent_avg, full_mask(2))
+        out = merge_delay_corrected(sent.copy(), sent, sent_avg, Mask([0, 1], 2))
         np.testing.assert_array_equal(out, sent_avg)
 
     def test_overwrite_hand_example(self):
         out = merge_overwrite(
             latest=np.array([4.0, 7.0]),
             message=np.array([2.0, 0.0]),
-            s=Mask.from_indices([0], 2),
+            s=Mask([0], 2),
         )
         np.testing.assert_array_equal(out, [2.0, 7.0])
 
     def test_overwrite_single_worker_discards_overlap_progress(self):
         sent = np.array([1.0, 2.0])
         latest = np.array([3.0, 4.0])
-        mask = Mask.from_indices([0], 2)
+        mask = Mask([0], 2)
         message = project_mask(sent, mask)
         out = merge_overwrite(latest, message, mask)
         np.testing.assert_array_equal(out, [1.0, 4.0])
 
     def test_overwrite_off_mask_passthrough(self):
-        out = merge_overwrite(np.array([9.0, 8.0]), np.array([1.0, 0.0]), Mask.from_indices([0], 2))
+        out = merge_overwrite(np.array([9.0, 8.0]), np.array([1.0, 0.0]), Mask([0], 2))
         assert out[1] == 8.0
 
     def test_merge_rules_differ_by_overlap_progress_on_mask(self):
         # single worker: off-mask equal, on-mask differs by exactly latest - sent
-        gen = stream(3, "merge-demo").generator()
+        gen = RngStream(3, ("merge-demo",)).generator()
         sent = gen.standard_normal(6)
         latest = gen.standard_normal(6)
-        mask = Mask.from_indices([1, 4], 6)
+        mask = Mask([1, 4], 6)
         ow = merge_overwrite(latest, project_mask(sent, mask), mask)
         dc = merge_delay_corrected(latest, sent, sent, mask)
-        off = list(mask.complement().indices)
+        off = [0, 2, 3, 5]
         np.testing.assert_array_equal(ow[off], dc[off])
         on = list(mask.indices)
         np.testing.assert_allclose(dc[on] - ow[on], latest[on] - sent[on], rtol=1e-14)
@@ -133,11 +133,11 @@ class TestMergeRules:
 
 class TestMergeStack:
     def test_stack_merge_equals_row_by_row(self):
-        gen = stream(5, "stack-demo").generator()
+        gen = RngStream(5, ("stack-demo",)).generator()
         latest = gen.standard_normal((3, 7))
         sent = gen.standard_normal((3, 7))
         sent_avg = average(sent)
-        mask = Mask.from_indices([0, 3, 6], 7)
+        mask = Mask([0, 3, 6], 7)
         message = project_mask(sent_avg, mask)
         dc = merge_delay_corrected(latest, sent, sent_avg, mask)
         ow = merge_overwrite(latest, message, mask)
@@ -146,7 +146,7 @@ class TestMergeStack:
             np.testing.assert_array_equal(ow[i], merge_overwrite(latest[i], message, mask))
 
     def test_stack_merge_rejects_mismatched_width(self):
-        mask = Mask.from_indices([0], 2)
+        mask = Mask([0], 2)
         with pytest.raises(ConfigurationError):
             merge_delay_corrected(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(3), mask)
         with pytest.raises(ConfigurationError):
@@ -225,9 +225,8 @@ class TestRunRound:
         plan = build_plan((1, 2), 1, 2)
         start = np.stack([np.ones(4)] * 2)
         out = run_round(start, Method.LOCAL_SPARSE, plan, 2, 0.05, oracle, 6, 0)
-        diag = drift_diagnostics(start, out)
-        assert diag.overlap_drift_sq == 0.0
-        assert diag.pre_drift_sq > 0.0
+        assert disagreement(out.latest - out.sent) == 0.0
+        assert disagreement(out.sent - start) > 0.0
 
     def test_round_duration_shared_by_all_methods(self):
         oracle = make_quadratic_oracle(dim=4, noise=0.0, seed=0)
@@ -292,7 +291,7 @@ class TestRunRound:
         assert ow.mask == dc.mask
         np.testing.assert_array_equal(ow.latest[0], dc.latest[0])
         on = list(ow.mask.indices)
-        off = list(ow.mask.complement().indices)
+        off = np.setdiff1d(np.arange(6), ow.mask.indices)
         np.testing.assert_array_equal(ow.next_models[0][off], dc.next_models[0][off])
         overlap_move = dc.latest[0] - dc.sent[0]
         np.testing.assert_allclose(
@@ -307,6 +306,13 @@ class TestRunRound:
             np.stack([np.ones(10)] * 2), Method.OVERLAP_DELAY_CORRECTED, plan, 3, 0.05, oracle, 9, 4
         )
         assert a.mask == b.mask
+
+    def test_sync_step_divergence_names_no_worker(self):
+        # the one global step leaves the guard's range: worker -1 is the sync step
+        oracle = make_quadratic_oracle(dim=3, noise=0.0, seed=0, curvature=1e3)
+        with pytest.raises(DivergenceError) as exc:
+            run_round(np.full((2, 3), 1e99), Method.SYNC_SGD, build_plan((1, 1), 1, 0), 3, 1.0, oracle, 0, 7)
+        assert (exc.value.worker, exc.value.round_index) == (-1, 7)
 
     def test_sync_requires_identical_states(self):
         oracle = make_quadratic_oracle(dim=3, noise=0.0, seed=0)
@@ -347,17 +353,17 @@ class TestRunRound:
         oracle = QuadraticOracle(a_diag=np.linspace(0.5, 2.0, d), noise_sigma=0.3, root_seed=seed)
         x0 = [np.arange(d, dtype=float), -np.ones(d)]
 
-        mask = sample_rand_k(d, k, stream(seed, "mask", 4))
+        mask = sample_rand_k(d, k, RngStream(seed, ("mask", 4)).generator())
         idx = list(mask.indices)
         sent_ref, latest_ref = [], []
         for i in range(n):
             w = x0[i].copy()
             for t in range(plan.pre_steps[i]):
-                g = oracle.a_diag * w + 0.3 * stream(seed, "sample", i, 4, t).generator().standard_normal(d)
+                g = oracle.a_diag * w + 0.3 * RngStream(seed, ("sample", i, 4, t)).generator().standard_normal(d)
                 w = w - eta * g
             sent_ref.append(w.copy())
             for t in range(plan.pre_steps[i], plan.total_steps[i]):
-                g = oracle.a_diag * w + 0.3 * stream(seed, "sample", i, 4, t).generator().standard_normal(d)
+                g = oracle.a_diag * w + 0.3 * RngStream(seed, ("sample", i, 4, t)).generator().standard_normal(d)
                 w = w - eta * g
             latest_ref.append(w.copy())
         sent_avg = (sent_ref[0].copy() + sent_ref[1]) / n
@@ -390,18 +396,17 @@ class TestRunRound:
         # resampled masks matches residual * Z + density * V
         oracle = make_quadratic_oracle(dim=8, noise=0.6, seed=12)
         plan = build_plan((1, 2), 1, 2)
-        gen = stream(12, "init").generator()
+        gen = RngStream(12, ("init",)).generator()
         models = [gen.standard_normal(8) for _ in range(2)]
         start = np.stack(models)
         out = run_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, 3, 0.1, oracle, 12, 0)
         sent = list(out.sent)
         latest = list(out.latest)
         sent_avg = average(sent)
-        diag = drift_diagnostics(start, out)
         k, d = 3, 8
-        target = (1 - k / d) * diag.latest_dispersion_sq + (k / d) * diag.overlap_drift_sq
+        target = (1 - k / d) * disagreement(out.latest) + (k / d) * disagreement(out.latest - out.sent)
         draws, total = 4000, 0.0
-        resample = stream(12, "resample").generator()
+        resample = RngStream(12, ("resample",)).generator()
         for _ in range(draws):
             mask = sample_rand_k(d, k, resample)
             merged = [merge_delay_corrected(z, y, sent_avg, mask) for z, y in zip(latest, sent)]

@@ -1,4 +1,7 @@
+import csv
+import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,10 +12,9 @@ from overlap_sgd.data import synthetic_blobs
 from overlap_sgd.engine import Method
 from overlap_sgd.metrics import (
     CSV_COLUMNS,
+    MetricsRecord,
     RunRecorder,
     disagreement,
-    read_metrics_csv,
-    read_metrics_jsonl,
     render_csv,
     render_jsonl,
     write_metrics,
@@ -35,9 +37,10 @@ def small_run(method=Method.OVERLAP_DELAY_CORRECTED, rounds=3, mask_size=3, seed
         n_workers=2,
         mask_size=mask_size,
         value_bit_width=bit_width,
+        collect_per_worker=False,
     )
     records, status = run_single(
-        method, plan, mask_size, 0.1, rounds, seed, oracle, recorder, np.zeros(10)
+        method, plan, mask_size, 0.1, rounds, seed, oracle, recorder, np.zeros(10), eval_every=1
     )
     assert status == "ok"
     return records, plan
@@ -124,8 +127,11 @@ def test_round_trip_preserves_full_precision(tmp_path):
     records, _ = small_run(rounds=3)
     csv_path, jsonl_path = tmp_path / "m.csv", tmp_path / "m.jsonl"
     write_metrics(records, csv_path, jsonl_path)
-    for loaded in (read_metrics_csv(csv_path), read_metrics_jsonl(jsonl_path)):
-        assert loaded == records
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [[float(row[c]) for c in CSV_COLUMNS] for row in rows] == [list(astuple(r)) for r in records]
+    lines = jsonl_path.read_text(encoding="utf-8").splitlines()
+    assert [MetricsRecord(**json.loads(line)) for line in lines] == records
 
 
 def test_accuracy_bounds():
@@ -166,7 +172,7 @@ def test_eval_every_still_measures_final_round():
     plan = build_plan((1, 1), 1, 0)
     recorder = RunRecorder(
         train=blobs, val=blobs, regularizer=RegularizerParams(), batch_size=4,
-        n_workers=2, mask_size=6,
+        n_workers=2, mask_size=6, value_bit_width=32, collect_per_worker=False,
     )
     records, _ = run_single(
         Method.FEDAVG_FULL, plan, 6, 0.1, 5, 1, oracle, recorder, np.zeros(6), eval_every=2

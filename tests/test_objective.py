@@ -15,7 +15,6 @@ from overlap_sgd.objective import (
     dataset_accuracy,
     dataset_loss,
     full_gradient,
-    logistic_loss,
 )
 
 
@@ -29,26 +28,30 @@ def finite_difference(fn, w, step=1e-6):
     return grad
 
 
+def one_example(x, y):
+    return Dataset(np.asarray(x, dtype=float)[None, :], np.array([y]))
+
+
 class TestLogisticLoss:
     def test_zero_model_gives_log_two(self):
         x = np.array([3.0, -1.0])
-        assert logistic_loss(np.zeros(2), (x, 1.0)) == pytest.approx(math.log(2.0), rel=1e-12)
+        assert dataset_loss(np.zeros(2), one_example(x, 1.0)) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_saturated_correct_classification(self):
         w = np.array([50.0])
-        assert logistic_loss(w, (np.array([1.0]), 1.0)) < 1e-20
+        assert dataset_loss(w, one_example([1.0], 1.0)) < 1e-20
 
     def test_moderate_negative_margin(self):
         # y=+1, <x, w> = -1: loss is log(1 + e), checked against the naive form
         w = np.array([-1.0])
-        val = logistic_loss(w, (np.array([1.0]), 1.0))
+        val = dataset_loss(w, one_example([1.0], 1.0))
         assert val == pytest.approx(math.log(1.0 + math.e), rel=1e-12)
         assert val == pytest.approx(1.313262, abs=1e-6)
 
     def test_stable_at_extreme_margins(self):
         for margin in (-1e4, 1e4):
             w = np.array([margin])
-            assert math.isfinite(logistic_loss(w, (np.array([1.0]), 1.0)))
+            assert math.isfinite(dataset_loss(w, one_example([1.0], 1.0)))
             data = Dataset(np.array([[margin]]), np.array([1.0]))
             assert np.all(np.isfinite(full_gradient(np.array([1.0]), data)))
 

@@ -13,6 +13,7 @@ import yaml
 import overlap_sgd
 from conftest import base_config_dict
 from overlap_sgd.cli import main
+from overlap_sgd.data import serialize_libsvm, synthetic_blobs
 
 SCRIPT_DIR = Path(__file__).resolve().parents[1] / "scripts"
 SCRIPTS = sorted(SCRIPT_DIR.glob("*.py"))
@@ -119,4 +120,40 @@ def test_sweep_with_a_rejected_grid_point_runs_nothing(tmp_path):
     assert "invalid config at sparsity=0.001: methods: fedavg_full requires a full mask" in result.stderr
     assert "sparsity=1.0" not in result.stderr
     assert result.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def bad_input(tmp_path: Path, case: str) -> Path:
+    """A config path that fails as ``case`` says: before, while or after loading data."""
+    if case == "missing-config":
+        return tmp_path / "nope.yaml"
+    if case == "yaml-error":
+        path = tmp_path / "config.yaml"
+        path.write_text("methods: [local_sparse\n", encoding="utf-8")
+        return path
+    data_path = tmp_path / "data.libsvm"
+    if case == "bad-dataset":
+        data_path.write_text("+1 1:0.5\nnot-a-label 2:1.0\n", encoding="utf-8")
+        return write_config(tmp_path, dataset={"path": str(data_path)})
+    # without 'dimension' the mask rule can only be checked once the data is loaded
+    data_path.write_text(serialize_libsvm(synthetic_blobs(6, 40, 1.5, 0)), encoding="utf-8")
+    return write_config(tmp_path, dataset={"path": str(data_path)}, methods=["fedavg_full"])
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("missing-config", "error: config file not found: "),
+        ("yaml-error", "error: could not parse "),
+        ("bad-dataset", "error: could not load dataset "),
+        ("post-load-rule", "invalid config: fedavg_full requires a full mask"),
+    ],
+)
+def test_bad_input_fails_as_overlap_sgd_run_does(tmp_path, capsys, case, message):
+    config = bad_input(tmp_path, case)
+    assert main(["run", str(config)]) == 1
+    expected = capsys.readouterr().err
+    assert expected.startswith(message) and "Traceback" not in expected
+    result = run_script(COMPARISON, config, tmp_path)
+    assert (result.returncode, result.stderr, result.stdout) == (1, expected, "")
     assert not (tmp_path / "out").exists()

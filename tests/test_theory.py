@@ -17,7 +17,6 @@ from overlap_sgd.theory import (
     max_stepsize,
     rate_bound,
     round_complexity,
-    time_complexity,
     tune_bound_params,
 )
 from overlap_sgd.timing import aggregates, build_plan
@@ -160,21 +159,21 @@ class TestComplexities:
         got = round_complexity(consts, agg, bp, 1e-300, n=1, c_round=12.0)
         assert got == pytest.approx(12.0 * 6.0 / 1e-300, rel=1e-12)
 
+    # the wall-clock complexity theory_report prints is rounds * round_seconds
     def test_time_complexity_reference(self):
-        tc = time_complexity(20, build_plan((1, 2, 3, 6), 3, 6))
-        assert tc.seconds == 480
-        assert tc.harmonic_step_time == 2
+        plan = build_plan((1, 2, 3, 6), 3, 6)
+        assert 20 * plan.round_seconds == 480
+        assert aggregates(plan).harmonic_step_time == 2
 
     def test_time_complexity_unit_fleet(self):
-        tc = time_complexity(7, build_plan((1,), 1, 0))
-        assert tc.seconds == 7
-        assert tc.harmonic_step_time == 1
+        plan = build_plan((1,), 1, 0)
+        assert 7 * plan.round_seconds == 7
+        assert aggregates(plan).harmonic_step_time == 1
 
     def test_harmonic_identity_holds_for_awkward_fleet(self):
         plan = build_plan((2, 3, 7), 5, 42)
-        tc = time_complexity(13, plan)
         agg = aggregates(plan)
-        assert Fraction(tc.seconds) == 13 * agg.harmonic_step_time * agg.mean_total
+        assert Fraction(13 * plan.round_seconds) == 13 * agg.harmonic_step_time * agg.mean_total
 
 
 class TestTuning:

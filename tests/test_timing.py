@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from overlap_sgd.errors import ConfigurationError
-from overlap_sgd.theory import time_complexity
 from overlap_sgd.timing import TimingPlan, aggregates, build_plan
 
 small_taus = st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=5)
@@ -131,5 +130,3 @@ def test_corrupt_plan_raises_configuration_error():
     )
     with pytest.raises(ConfigurationError, match="corrupt timing plan"):
         aggregates(corrupt)
-    with pytest.raises(ConfigurationError, match="corrupt timing plan"):
-        time_complexity(3, corrupt)
