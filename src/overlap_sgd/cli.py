@@ -19,7 +19,7 @@ from pathlib import Path
 
 import yaml
 
-from .config import load_config_file, read_synthetic_spec
+from .config import ConfigIssue, read_synthetic_spec, validate_config
 from .data import serialize_libsvm, synthetic_blobs
 from .errors import ConfigurationError, DatasetError
 from .metrics import atomic_write_bytes
@@ -28,20 +28,32 @@ from .runner import run_suite, theory_report
 logger = logging.getLogger(__name__)
 
 
-def _load_or_complain(path) -> tuple:
+def _read_yaml(path, kind: str) -> tuple:
+    """(document, failed): the YAML at ``path``, or failed once one error line is printed."""
     try:
-        config, issues = load_config_file(path)
+        return yaml.safe_load(Path(path).read_text(encoding="utf-8")), False
     except FileNotFoundError:
-        print(f"error: config file not found: {path}", file=sys.stderr)
-        return None, True
+        message = f"{kind} file not found: {path}"
+    except (OSError, UnicodeDecodeError) as exc:
+        message = f"could not read {path}: {exc}"
     except yaml.YAMLError as exc:
-        print(f"error: could not parse {path}: {exc}", file=sys.stderr)
+        message = f"could not parse {path}: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return None, True
+
+
+def _load_or_complain(path) -> tuple:
+    """(config, failed) for a config file or a manifest, whose ``config`` block is replayed."""
+    raw, failed = _read_yaml(path, "config")
+    if failed:
         return None, True
-    if issues:
-        for issue in issues:
-            print(f"invalid config: {issue}", file=sys.stderr)
-        return None, True
-    return config, False
+    if isinstance(raw, dict) and "config" in raw and "runs" in raw:
+        raw = raw["config"]
+    empty = (None, [ConfigIssue("<root>", "empty config file")])
+    config, issues = empty if raw is None else validate_config(raw)
+    for issue in issues:
+        print(f"invalid config: {issue}", file=sys.stderr)
+    return config, bool(issues)
 
 
 def _with_dataset(action, config):
@@ -89,13 +101,8 @@ def cmd_theory(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    try:
-        raw = yaml.safe_load(Path(args.spec).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        print(f"error: spec file not found: {args.spec}", file=sys.stderr)
-        return 1
-    except yaml.YAMLError as exc:
-        print(f"error: could not parse {args.spec}: {exc}", file=sys.stderr)
+    raw, failed = _read_yaml(args.spec, "spec")
+    if failed:
         return 1
     out = raw.get("out") if isinstance(raw, dict) else None
     if not isinstance(out, str) or not out:

@@ -1,10 +1,11 @@
-"""Experiment configuration: schema, validation, and loading.
+"""Experiment configuration: schema and validation.
 
-Configs are plain YAML mappings (a manifest's ``config`` block is accepted
-too, so a finished run can be replayed from its manifest alone).  The
-dataclasses below are the schema: each mapping accepts exactly the fields
-of its dataclass, and every default is the one stated on its field.
-Validation collects every problem instead of failing on the first.
+Configs are plain YAML mappings, read by the CLI (which also accepts a
+manifest's ``config`` block, so a finished run can be replayed from its
+manifest alone).  The dataclasses below are the schema: each mapping
+accepts exactly the fields of its dataclass, and every default is the one
+stated on its field.  Validation collects every problem instead of failing
+on the first.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-import yaml
-
 from .engine import Method, method_plan_problems
 from .errors import ConfigurationError
 from .objective import RegularizerParams
 from .theory import BoundParams
-from .timing import build_plan
+from .timing import TimingPlan, build_plan
 
 __all__ = [
     "SyntheticSpec",
@@ -31,8 +30,8 @@ __all__ = [
     "ExperimentConfig",
     "ConfigIssue",
     "validate_config",
+    "dim_issues",
     "read_synthetic_spec",
-    "load_config_file",
     "rand_k_size",
 ]
 
@@ -316,6 +315,12 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
     output_dir = raw.get("output_dir")
     if not isinstance(output_dir, str) or not output_dir:
         read.bad("output_dir", "must be a non-empty path string")
+    else:
+        # run creates it, so its nearest existing ancestor must be a directory
+        out = Path(output_dir)
+        existing = next((p for p in (out, *out.parents) if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            read.bad("output_dir", f"not a directory: {existing}")
 
     config = ExperimentConfig(
         name=name,
@@ -344,24 +349,25 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
 
     # timing, method and bound rules live with the code that enforces them
     plan = built("timing", build_plan, config.step_times, config.compute_periods, config.comm_seconds)
-    # a libsvm file without 'dimension' has no d until run_suite loads it
+    # a libsvm file without 'dimension' has no d until run and theory load it
     dim = config.dataset.synthetic.dim if config.dataset.synthetic else config.dataset.dimension
     if plan is not None and dim is not None:
-        mask_size = rand_k_size(config.sparsity, dim)
-        for m in config.methods:
-            for problem in method_plan_problems(Method(m), plan, mask_size, dim):
-                read.bad("methods", problem)
-        if config.theory.alpha is not None:
-            built("theory", BoundParams, config.theory.alpha, config.theory.beta, mask_size, dim)
+        issues.extend(dim_issues(config, plan, dim))
     return (None, issues) if issues else (config, [])
 
 
-def load_config_file(path) -> tuple[ExperimentConfig | None, list[ConfigIssue]]:
-    """Load a YAML config, or a manifest (its ``config`` block is replayed)."""
-    text = Path(path).read_text(encoding="utf-8")
-    raw = yaml.safe_load(text)
-    if isinstance(raw, Mapping) and "config" in raw and "runs" in raw:
-        raw = raw["config"]
-    if raw is None:
-        return None, [ConfigIssue("<root>", "empty config file")]
-    return validate_config(raw)
+def dim_issues(config: ExperimentConfig, plan: TimingPlan, dim: int) -> list[ConfigIssue]:
+    """The rules that need the data width d: each method's plan rules at the
+    config's mask size, and the contraction of a pinned alpha/beta pair."""
+    mask_size = rand_k_size(config.sparsity, dim)
+    issues = [
+        ConfigIssue("methods", problem)
+        for m in config.methods
+        for problem in method_plan_problems(Method(m), plan, mask_size, dim)
+    ]
+    if config.theory.alpha is not None:
+        try:
+            BoundParams(config.theory.alpha, config.theory.beta, mask_size, dim)
+        except ConfigurationError as exc:
+            issues.append(ConfigIssue("theory", str(exc)))
+    return issues

@@ -38,7 +38,7 @@ class Mask:
 
     ``indices`` is a strictly increasing, read-only ``int64`` array (any
     integer sequence is accepted and copied); projecting onto a mask keeps
-    the listed coordinates and zeroes the rest.  Masks compare by value.
+    the listed coordinates and zeroes the rest.
     """
 
     indices: np.ndarray
@@ -54,14 +54,6 @@ class Mask:
             raise ConfigurationError(f"mask indices out of range [0, {self.d})")
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
-
-    def __eq__(self, other):
-        if not isinstance(other, Mask):
-            return NotImplemented
-        return self.d == other.d and np.array_equal(self.indices, other.indices)
-
-    def __hash__(self):
-        return hash((self.d, self.indices.tobytes()))
 
 
 def project_mask(x: np.ndarray, s: Mask) -> np.ndarray:

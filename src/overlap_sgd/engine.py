@@ -27,7 +27,6 @@ __all__ = [
     "merge_delay_corrected",
     "merge_overwrite",
     "method_plan_problems",
-    "validate_method_plan",
     "run_round",
 ]
 
@@ -163,13 +162,6 @@ def method_plan_problems(method: Method, plan: TimingPlan, mask_size: int, dim: 
     return problems
 
 
-def validate_method_plan(method: Method, plan: TimingPlan, mask_size: int, dim: int) -> None:
-    """Reject method/plan combinations before round 0."""
-    problems = method_plan_problems(method, plan, mask_size, dim)
-    if problems:
-        raise ConfigurationError("; ".join(problems))
-
-
 def run_round(
     start: np.ndarray,
     method: Method,
@@ -193,7 +185,9 @@ def run_round(
             f"start models have shape {start.shape} but plan has {plan.n_workers} workers"
         )
     n, dim = start.shape
-    validate_method_plan(method, plan, mask_size, dim)
+    problems = method_plan_problems(method, plan, mask_size, dim)
+    if problems:
+        raise ConfigurationError("; ".join(problems))
     mask = sample_rand_k(dim, mask_size, RngStream(root_seed, ("mask", round_index)).generator())
 
     if method is Method.SYNC_SGD:

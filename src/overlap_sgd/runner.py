@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, rand_k_size
+from .config import ExperimentConfig, dim_issues, rand_k_size
 from .data import (
     Dataset,
     apply_normalization,
@@ -23,8 +23,8 @@ from .data import (
     split_train_val,
     synthetic_blobs,
 )
-from .engine import Method, run_round, validate_method_plan
-from .errors import DatasetError, DivergenceError, ParseError
+from .engine import Method, run_round
+from .errors import ConfigurationError, DatasetError, DivergenceError, ParseError
 from .metrics import MetricsRecord, RunRecorder, atomic_write_bytes, write_metrics
 from .objective import LogisticOracle
 from .theory import (
@@ -76,6 +76,16 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
         raise DatasetError(f"could not load dataset {spec.path}: {exc}") from exc
 
 
+def _resolve(config: ExperimentConfig) -> tuple[Dataset, TimingPlan, int]:
+    """(dataset, plan, mask_size) once every rule that needs the loaded d holds."""
+    dataset = resolve_dataset(config)
+    plan = build_plan(config.step_times, config.compute_periods, config.comm_seconds)
+    issues = dim_issues(config, plan, dataset.dim)
+    if issues:
+        raise ConfigurationError("; ".join(issue.message for issue in issues))
+    return dataset, plan, rand_k_size(config.sparsity, dataset.dim)
+
+
 def _sha256_arrays(*arrays: np.ndarray) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -95,6 +105,7 @@ class SeedArtifacts:
     pools: tuple[np.ndarray, ...]  # per-worker example indices into train
     x0: np.ndarray
     hashes: dict
+    oracle: LogisticOracle  # frozen and keyed by (worker, round, step), so every method shares it
 
 
 def prepare_seed_artifacts(dataset: Dataset, config: ExperimentConfig, seed: int) -> SeedArtifacts:
@@ -123,7 +134,14 @@ def prepare_seed_artifacts(dataset: Dataset, config: ExperimentConfig, seed: int
         "partition": _sha256_arrays(*pools),
         "init": _sha256_arrays(x0),
     }
-    return SeedArtifacts(train=train, val=val, pools=pools, x0=x0, hashes=hashes)
+    oracle = LogisticOracle(
+        dataset=train,
+        batch_size=config.batch_size,
+        regularizer=config.regularizer,
+        worker_pools=pools,
+        root_seed=seed,
+    )
+    return SeedArtifacts(train=train, val=val, pools=pools, x0=x0, hashes=hashes, oracle=oracle)
 
 
 def run_single(
@@ -165,11 +183,7 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     Writes one CSV + JSONL per pair plus a manifest that can be fed back
     to ``run`` to reproduce the outputs byte for byte.
     """
-    dataset = resolve_dataset(config)
-    plan = build_plan(config.step_times, config.compute_periods, config.comm_seconds)
-    mask_size = rand_k_size(config.sparsity, dataset.dim)
-    for m in config.methods:
-        validate_method_plan(Method(m), plan, mask_size, dataset.dim)
+    dataset, plan, mask_size = _resolve(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -184,13 +198,6 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
                 # extreme partitions can starve a worker; record it and move on
                 records, status = [], f"skipped:workers-without-examples={empty_pools}"
             else:
-                oracle = LogisticOracle(
-                    dataset=artifacts.train,
-                    batch_size=config.batch_size,
-                    regularizer=config.regularizer,
-                    worker_pools=artifacts.pools,
-                    root_seed=seed,
-                )
                 recorder = RunRecorder(
                     train=artifacts.train,
                     val=artifacts.val,
@@ -208,7 +215,7 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
                     config.stepsize,
                     config.rounds,
                     seed,
-                    oracle,
+                    artifacts.oracle,
                     recorder,
                     artifacts.x0,
                     eval_every=config.eval_every,
@@ -270,24 +277,13 @@ def theory_report(config: ExperimentConfig) -> dict:
     constants are Monte Carlo estimates at the zero initial model and are
     labeled as such.
     """
-    dataset = resolve_dataset(config)
-    plan = build_plan(config.step_times, config.compute_periods, config.comm_seconds)
+    dataset, plan, mask_size = _resolve(config)
     agg = aggregates(plan)
-    mask_size = rand_k_size(config.sparsity, dataset.dim)
-
-    seed = config.seeds[0]
-    artifacts = prepare_seed_artifacts(dataset, config, seed)
+    artifacts = prepare_seed_artifacts(dataset, config, config.seeds[0])
     reg = config.regularizer
-    oracle = LogisticOracle(
-        dataset=artifacts.train,
-        batch_size=config.batch_size,
-        regularizer=reg,
-        worker_pools=artifacts.pools,
-        root_seed=seed,
-    )
     smooth = logistic_smoothness(artifacts.train, reg)
     noise_var, grad_bound = estimate_gradient_stats(
-        oracle, artifacts.train, reg, artifacts.x0, n_draws=config.theory.estimate_draws
+        artifacts.oracle, artifacts.train, reg, artifacts.x0, n_draws=config.theory.estimate_draws
     )
     gap = initial_gap_upper_bound(artifacts.train, reg, artifacts.x0)
     consts = ProblemConstants(

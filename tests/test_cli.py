@@ -308,6 +308,65 @@ class TestRunCommand:
         capsys.readouterr()
 
 
+class TestConfigFileErrors:
+    @pytest.mark.parametrize("case", ["not-utf8", "directory"])
+    def test_unreadable_config_is_one_error_line(self, tmp_path, capsys, case):
+        path = tmp_path / "config.yaml"
+        if case == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"name: caf\xe9\n")
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: could not read {path}: ")
+        assert captured.out == ""
+
+    def test_gen_data_reports_an_unreadable_spec_in_one_line(self, tmp_path, capsys):
+        spec = tmp_path / "blobs.yaml"
+        spec.write_bytes(b"dim: 3\nout: caf\xe9.libsvm\n")
+        assert main(["gen-data", str(spec)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: could not read {spec}: ")
+
+    @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+    def test_output_dir_at_or_below_a_file_is_a_config_error(self, tmp_path, capsys, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        cfg = write_config(tmp_path, output_dir=str(blocker / "out" if below else blocker))
+        for command in ("validate", "run"):
+            assert main([command, str(cfg)]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"invalid config: output_dir: not a directory: {blocker}"
+            ]
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"methods": ["sync_sgd"], "step_times": [1, 1], "comm_seconds": 0},
+                "sync_sgd requires a full mask (k == d, got k=3, d=6)",
+            ),
+            # d=6, k=3: contraction 0.5 * 6 * 6
+            ({"theory": {"alpha": 5.0, "beta": 5.0}}, "contraction 18 >= 1; decrease alpha/beta or residual"),
+        ],
+        ids=["sync-partial-mask", "pinned-contraction"],
+    )
+    def test_run_and_theory_check_the_same_rules_once_d_is_loaded(self, tmp_path, capsys, overrides, message):
+        data_path = tmp_path / "blobs.libsvm"
+        data_path.write_text(serialize_libsvm(synthetic_blobs(6, 40, 1.5, 0)), encoding="utf-8")
+        cfg = write_config(tmp_path, dataset={"path": str(data_path)}, sparsity=0.5, **overrides)
+        # without 'dimension', d is unknown until the file is loaded
+        assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        for command in ("run", "theory"):
+            assert main([command, str(cfg)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [f"invalid config: {message}"]
+            assert captured.out == ""
+            assert not (tmp_path / "out").exists()
+
+
 class TestDatasetFileErrors:
     def test_validate_reports_missing_dataset_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dataset={"path": str(tmp_path / "missing.libsvm")})

@@ -131,6 +131,14 @@ def bad_input(tmp_path: Path, case: str) -> Path:
         path = tmp_path / "config.yaml"
         path.write_text("methods: [local_sparse\n", encoding="utf-8")
         return path
+    if case == "not-utf8-config":
+        path = tmp_path / "config.yaml"
+        path.write_bytes(b"name: caf\xe9\n")
+        return path
+    if case == "config-is-directory":
+        path = tmp_path / "config.yaml"
+        path.mkdir()
+        return path
     data_path = tmp_path / "data.libsvm"
     if case == "bad-dataset":
         data_path.write_text("+1 1:0.5\nnot-a-label 2:1.0\n", encoding="utf-8")
@@ -145,6 +153,8 @@ def bad_input(tmp_path: Path, case: str) -> Path:
     [
         ("missing-config", "error: config file not found: "),
         ("yaml-error", "error: could not parse "),
+        ("not-utf8-config", "error: could not read "),
+        ("config-is-directory", "error: could not read "),
         ("bad-dataset", "error: could not load dataset "),
         ("post-load-rule", "invalid config: fedavg_full requires a full mask"),
     ],
