@@ -15,12 +15,11 @@ writing under <output_dir>/<FIELD>=<value> with a manifest that
 """
 
 import argparse
-import sys
 from pathlib import Path
 
 import numpy as np
 
-from overlap_sgd.cli import _load_or_complain, _with_dataset
+from overlap_sgd.cli import load_config, reject, with_dataset
 from overlap_sgd.config import validate_config
 from overlap_sgd.runner import run_suite
 
@@ -36,17 +35,15 @@ def grid(config, field):
     """(label, config) per grid point; exits, having run nothing, if any point is invalid."""
     if field is None:
         return [(config.name, config)]
-    points = []
+    points, problems = [], []
     for value in GRIDS[field]:
         label = f"{field}={value}"
         point, issues = validate_config(
             {**config.to_dict(), field: value, "output_dir": f"{config.output_dir}/{label}"}
         )
-        for issue in issues:
-            print(f"invalid config at {label}: {issue}", file=sys.stderr)
+        problems += [f"invalid config at {label}: {issue}" for issue in issues]
         points.append((label, point))
-    if any(point is None for _, point in points):
-        sys.exit(1)
+    reject(problems)
     return points
 
 
@@ -72,14 +69,9 @@ def main():
     parser.add_argument("--sweep", choices=sorted(GRIDS))
     args = parser.parse_args()
 
-    config, failed = _load_or_complain(args.config)
-    if failed:
-        sys.exit(1)
-    for label, point in grid(config, args.sweep):
-        result = _with_dataset(run_suite, point)  # one error line, not a traceback
-        if result is None:
-            sys.exit(1)
-        print_table(label, point, result.runs)
+    # an input problem exits 1 with the lines `overlap-sgd run` prints for it
+    for label, point in grid(load_config(args.config), args.sweep):
+        print_table(label, point, with_dataset(run_suite, point).runs)
 
 
 if __name__ == "__main__":

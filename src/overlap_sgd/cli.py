@@ -6,7 +6,7 @@ Subcommands:
   theory <config>    print bound constants, terms, and complexities as JSON
   gen-data <spec>    write a synthetic two-blob dataset as LIBSVM text
 
-Exit codes: 0 success, 1 validation error, 2 at least one run diverged.
+Exit codes: 0 success, 1 an input problem (reported on stderr), 2 at least one run diverged.
 """
 
 from __future__ import annotations
@@ -19,62 +19,60 @@ from pathlib import Path
 
 import yaml
 
-from .config import ConfigIssue, read_synthetic_spec, validate_config
+from .config import ExperimentConfig, blocking_file, read_synthetic_spec, validate_config
 from .data import serialize_libsvm, synthetic_blobs
 from .errors import ConfigurationError, DatasetError
 from .metrics import atomic_write_bytes
 from .runner import run_suite, theory_report
 
-logger = logging.getLogger(__name__)
+
+class InputError(SystemExit):
+    """An input problem, worded as its stderr report: ``main`` prints it and
+    returns 1, and a script that lets it escape prints it and exits 1."""
 
 
-def _read_yaml(path, kind: str) -> tuple:
-    """(document, failed): the YAML at ``path``, or failed once one error line is printed."""
+def reject(lines) -> None:
+    """Raise InputError with ``lines`` as its report, if there are any."""
+    if lines:
+        raise InputError("\n".join(lines))
+
+
+def _read_yaml(path, kind: str):
+    """The YAML document at ``path``; InputError if it is missing, unreadable or not YAML."""
     try:
-        return yaml.safe_load(Path(path).read_text(encoding="utf-8")), False
+        return yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         message = f"{kind} file not found: {path}"
     except (OSError, UnicodeDecodeError) as exc:
         message = f"could not read {path}: {exc}"
     except yaml.YAMLError as exc:
         message = f"could not parse {path}: {exc}"
-    print(f"error: {message}", file=sys.stderr)
-    return None, True
+    raise InputError(f"error: {message}")
 
 
-def _load_or_complain(path) -> tuple:
-    """(config, failed) for a config file or a manifest, whose ``config`` block is replayed."""
-    raw, failed = _read_yaml(path, "config")
-    if failed:
-        return None, True
+def load_config(path) -> ExperimentConfig:
+    """The config in a config file or a manifest, whose ``config`` block is replayed."""
+    raw = _read_yaml(path, "config")
     if isinstance(raw, dict) and "config" in raw and "runs" in raw:
         raw = raw["config"]
-    empty = (None, [ConfigIssue("<root>", "empty config file")])
-    config, issues = empty if raw is None else validate_config(raw)
-    for issue in issues:
-        print(f"invalid config: {issue}", file=sys.stderr)
-    return config, bool(issues)
+    config, issues = (None, ["<root>: empty config file"]) if raw is None else validate_config(raw)
+    reject([f"invalid config: {issue}" for issue in issues])
+    return config
 
 
-def _with_dataset(action, config):
-    """``action(config)``, or None once a dataset error is reported on stderr."""
+def with_dataset(action, config):
+    """``action(config)``, with a dataset that fails to load, or a rule that
+    needs it loaded (e.g. a libsvm file without 'dimension'), as InputError."""
     try:
         return action(config)
     except ConfigurationError as exc:
-        # rules that need the loaded data, e.g. a libsvm file without 'dimension'
-        print(f"invalid config: {exc}", file=sys.stderr)
+        raise InputError(f"invalid config: {exc}") from None
     except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-    return None
+        raise InputError(f"error: {exc}") from None
 
 
 def cmd_run(args) -> int:
-    config, failed = _load_or_complain(args.config)
-    if failed:
-        return 1
-    result = _with_dataset(run_suite, config)
-    if result is None:
-        return 1
+    result = with_dataset(run_suite, load_config(args.config))
     for run in result.runs:
         print(f"{run.method} seed={run.seed}: {run.status} -> {run.csv_path}")
     print(f"manifest: {result.manifest_path}")
@@ -82,42 +80,34 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config, failed = _load_or_complain(args.config)
-    if failed:
-        return 1
+    config = load_config(args.config)
     print(f"config ok: {config.name} ({len(config.methods)} methods, {len(config.seeds)} seeds)")
     return 0
 
 
 def cmd_theory(args) -> int:
-    config, failed = _load_or_complain(args.config)
-    if failed:
-        return 1
-    report = _with_dataset(theory_report, config)
-    if report is None:
-        return 1
+    report = with_dataset(theory_report, load_config(args.config))
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_gen_data(args) -> int:
-    raw, failed = _read_yaml(args.spec, "spec")
-    if failed:
-        return 1
+    raw = _read_yaml(args.spec, "spec")
     out = raw.get("out") if isinstance(raw, dict) else None
     if not isinstance(out, str) or not out:
-        print("error: gen-data spec needs at least an 'out' path", file=sys.stderr)
-        return 1
+        raise InputError("error: gen-data spec needs at least an 'out' path")
     # the same reader as a config's dataset.synthetic, plus the 'out' key
     spec, issues = read_synthetic_spec({k: v for k, v in raw.items() if k != "out"})
-    for issue in issues:
-        print(f"invalid spec: {issue}", file=sys.stderr)
-    if issues:
-        return 1
-    dataset = synthetic_blobs(spec.dim, spec.n_examples, spec.separation, spec.seed)
+    reject([f"invalid spec: {issue}" for issue in issues])
     out = Path(out)
+    if (blocker := blocking_file(out.parent)) is not None:
+        raise InputError(f"error: not a directory: {blocker}")
+    dataset = synthetic_blobs(spec.dim, spec.n_examples, spec.separation, spec.seed)
     out.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_bytes(out, serialize_libsvm(dataset).encode("utf-8"))
+    try:
+        atomic_write_bytes(out, serialize_libsvm(dataset).encode("utf-8"))
+    except OSError as exc:
+        raise InputError(f"error: {exc}") from None
     print(f"wrote {dataset.n_examples} examples (dim {dataset.dim}) to {out}")
     return 0
 
@@ -151,7 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING, format="%(message)s")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

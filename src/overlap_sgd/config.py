@@ -16,6 +16,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
+from .data import validation_size
 from .engine import Method, method_plan_problems
 from .errors import ConfigurationError
 from .objective import RegularizerParams
@@ -30,7 +31,8 @@ __all__ = [
     "ExperimentConfig",
     "ConfigIssue",
     "validate_config",
-    "dim_issues",
+    "data_issues",
+    "blocking_file",
     "read_synthetic_spec",
     "rand_k_size",
 ]
@@ -114,13 +116,9 @@ class ExperimentConfig:
 class ConfigIssue:
     field: str
     message: str
-    hint: str = ""
 
     def __str__(self) -> str:
-        text = f"{self.field}: {self.message}"
-        if self.hint:
-            text += f" ({self.hint})"
-        return text
+        return f"{self.field}: {self.message}"
 
 
 _METHOD_NAMES = tuple(m.value for m in Method)
@@ -157,9 +155,9 @@ class _Fields:
             if key not in known:
                 self.bad(key, "unknown configuration key")
 
-    def bad(self, key: str, message: str, hint: str = "") -> None:
+    def bad(self, key: str, message: str) -> None:
         """Report a problem; returns None, which is what a bad field reads as."""
-        self.issues.append(ConfigIssue(self.prefix + key, message, hint))
+        self.issues.append(ConfigIssue(self.prefix + key, message))
 
     def get(self, key: str):
         return self.raw.get(key, self.defaults.get(key))
@@ -238,7 +236,7 @@ def _read_partition(raw: Mapping, issues: list) -> PartitionSpec | None:
     read = _Fields(value, PartitionSpec, "partition.", issues)
     mode = value["mode"]
     if mode not in ("shared", "shard", "dirichlet"):
-        read.bad("mode", f"unknown mode {mode!r}", "use shared, shard, or dirichlet")
+        read.bad("mode", f"unknown mode {mode!r} (use shared, shard, or dirichlet)")
     if mode == "dirichlet":
         alpha = read.number("alpha", lambda a: a > 0, "dirichlet mode needs alpha > 0")
         return PartitionSpec(mode, alpha, read.integer("min_examples", least=0))
@@ -284,7 +282,7 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
         methods = []
     for m in methods:
         if m not in _METHOD_NAMES:
-            read.bad("methods", f"unknown method {m!r}", f"choose from {sorted(_METHOD_NAMES)}")
+            read.bad("methods", f"unknown method {m!r} (choose from {sorted(_METHOD_NAMES)})")
     if any(methods.count(m) > 1 for m in methods):
         read.bad("methods", "must not contain duplicates")
 
@@ -315,12 +313,8 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
     output_dir = raw.get("output_dir")
     if not isinstance(output_dir, str) or not output_dir:
         read.bad("output_dir", "must be a non-empty path string")
-    else:
-        # run creates it, so its nearest existing ancestor must be a directory
-        out = Path(output_dir)
-        existing = next((p for p in (out, *out.parents) if p.exists()), None)
-        if existing is not None and not existing.is_dir():
-            read.bad("output_dir", f"not a directory: {existing}")
+    elif (blocker := blocking_file(Path(output_dir))) is not None:  # run creates output_dir
+        read.bad("output_dir", f"not a directory: {blocker}")
 
     config = ExperimentConfig(
         name=name,
@@ -349,16 +343,18 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
 
     # timing, method and bound rules live with the code that enforces them
     plan = built("timing", build_plan, config.step_times, config.compute_periods, config.comm_seconds)
-    # a libsvm file without 'dimension' has no d until run and theory load it
-    dim = config.dataset.synthetic.dim if config.dataset.synthetic else config.dataset.dimension
+    # a libsvm file without 'dimension' has no d, nor n, until run and theory load it
+    synthetic = config.dataset.synthetic
+    dim = synthetic.dim if synthetic else config.dataset.dimension
     if plan is not None and dim is not None:
-        issues.extend(dim_issues(config, plan, dim))
+        issues.extend(data_issues(config, plan, dim, synthetic.n_examples if synthetic else None))
     return (None, issues) if issues else (config, [])
 
 
-def dim_issues(config: ExperimentConfig, plan: TimingPlan, dim: int) -> list[ConfigIssue]:
-    """The rules that need the data width d: each method's plan rules at the
-    config's mask size, and the contraction of a pinned alpha/beta pair."""
+def data_issues(config: ExperimentConfig, plan: TimingPlan, dim: int, n: int | None) -> list[ConfigIssue]:
+    """The rules that need the data's shape: each method's plan rules at the
+    config's mask size, the contraction of a pinned alpha/beta pair, and,
+    when the example count ``n`` is known, a training split that is not empty."""
     mask_size = rand_k_size(config.sparsity, dim)
     issues = [
         ConfigIssue("methods", problem)
@@ -370,4 +366,16 @@ def dim_issues(config: ExperimentConfig, plan: TimingPlan, dim: int) -> list[Con
             BoundParams(config.theory.alpha, config.theory.beta, mask_size, dim)
         except ConfigurationError as exc:
             issues.append(ConfigIssue("theory", str(exc)))
+    if n is not None:
+        try:
+            validation_size(n, config.val_fraction)
+        except ConfigurationError as exc:
+            issues.append(ConfigIssue("val_fraction", str(exc)))
     return issues
+
+
+def blocking_file(directory: Path) -> Path | None:
+    """The nearest existing ancestor of ``directory``, itself included, if it
+    is not a directory: creating ``directory`` would then fail."""
+    existing = next((p for p in (directory, *directory.parents) if p.exists()), None)
+    return None if existing is None or existing.is_dir() else existing

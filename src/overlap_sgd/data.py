@@ -25,6 +25,7 @@ __all__ = [
     "load_libsvm",
     "serialize_libsvm",
     "split_train_val",
+    "validation_size",
     "subset",
     "compute_normalization",
     "apply_normalization",
@@ -167,13 +168,21 @@ def serialize_libsvm(dataset: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def split_train_val(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Uniform split without replacement; |val| = floor(n * val_fraction)."""
+def validation_size(n: int, val_fraction: float) -> int:
+    """floor(n * val_fraction) validation examples; ConfigurationError unless one is left to train on."""
     if not 0.0 <= val_fraction < 1.0:
         raise ConfigurationError(f"val_fraction must be in [0, 1), got {val_fraction}")
-    n = dataset.n_examples
     # epsilon guards the floor against cases like 100 * 0.29 = 28.999...996
     n_val = int(math.floor(n * val_fraction + 1e-9))
+    if n_val >= n:
+        raise ConfigurationError(f"val_fraction {val_fraction} leaves none of the {n} examples for training")
+    return n_val
+
+
+def split_train_val(dataset: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Uniform split without replacement; |val| = validation_size(n, val_fraction)."""
+    n = dataset.n_examples
+    n_val = validation_size(n, val_fraction)
     perm = RngStream(seed, ("split",)).generator().permutation(n)
     val_idx = np.sort(perm[:n_val])
     train_idx = np.sort(perm[n_val:])

@@ -6,13 +6,10 @@ class ConfigurationError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed input file; carries the offending line number when known."""
+    """Malformed input file; the message starts with the offending line number when known."""
 
     def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class DatasetError(ValueError):

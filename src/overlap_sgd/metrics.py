@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import suppress
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -69,8 +70,6 @@ class RunRecorder:
         val: Dataset,
         regularizer: RegularizerParams,
         batch_size: int,
-        n_workers: int,
-        mask_size: int,
         value_bit_width: int,
         collect_per_worker: bool,
     ):
@@ -78,8 +77,6 @@ class RunRecorder:
         self.val = val
         self.regularizer = regularizer
         self.batch_size = batch_size
-        self.n_workers = n_workers
-        self.mask_size = mask_size
         self.value_bit_width = value_bit_width
         self.collect_per_worker = collect_per_worker
         self.worker_rows: list[dict] = []
@@ -118,9 +115,9 @@ class RunRecorder:
         self.completed_rounds += 1
         self.logical_time += outcome.duration
         self.processed_examples += self.batch_size * sum(outcome.steps)
-        # n uplinks of mask_size values plus n broadcast deliveries; value
-        # payloads only, no index bits or framing.
-        self.comm_coordinates += 2 * self.n_workers * self.mask_size
+        # n uplinks of the round's mask values plus n broadcast deliveries;
+        # value payloads only, no index bits or framing.
+        self.comm_coordinates += 2 * len(outcome.steps) * outcome.mask.indices.size
 
     def measure_round(self, outcome: RoundOutcome) -> MetricsRecord:
         """Account for ``outcome`` and measure the post-merge state."""
@@ -160,6 +157,8 @@ def render_jsonl(records: list[MetricsRecord]) -> str:
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
+    """Write ``data`` to ``<path>.tmp``, then replace ``path`` with it; a
+    failed write or replace removes the temp file."""
     path = str(path)
     tmp = path + ".tmp"
     try:
@@ -167,6 +166,8 @@ def atomic_write_bytes(path, data: bytes) -> None:
             fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
+        with suppress(OSError):  # the open may have failed before creating it
+            os.unlink(tmp)
         raise OSError(f"failed writing {path}: {exc}") from exc
 
 

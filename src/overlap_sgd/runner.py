@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ExperimentConfig, dim_issues, rand_k_size
+from .config import ExperimentConfig, data_issues, rand_k_size
 from .data import (
     Dataset,
     apply_normalization,
@@ -77,10 +77,10 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
 
 
 def _resolve(config: ExperimentConfig) -> tuple[Dataset, TimingPlan, int]:
-    """(dataset, plan, mask_size) once every rule that needs the loaded d holds."""
+    """(dataset, plan, mask_size) once every rule that needs the loaded data holds."""
     dataset = resolve_dataset(config)
     plan = build_plan(config.step_times, config.compute_periods, config.comm_seconds)
-    issues = dim_issues(config, plan, dataset.dim)
+    issues = data_issues(config, plan, dataset.dim, dataset.n_examples)
     if issues:
         raise ConfigurationError("; ".join(issue.message for issue in issues))
     return dataset, plan, rand_k_size(config.sparsity, dataset.dim)
@@ -203,8 +203,6 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
                     val=artifacts.val,
                     regularizer=config.regularizer,
                     batch_size=config.batch_size,
-                    n_workers=config.n_workers,
-                    mask_size=mask_size,
                     value_bit_width=config.value_bit_width,
                     collect_per_worker=config.eval_per_worker,
                 )

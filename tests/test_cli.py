@@ -349,8 +349,16 @@ class TestConfigFileErrors:
             ),
             # d=6, k=3: contraction 0.5 * 6 * 6
             ({"theory": {"alpha": 5.0, "beta": 5.0}}, "contraction 18 >= 1; decrease alpha/beta or residual"),
+            # floor(40 * 0.99999999999) takes all 40 examples for validation
+            *(
+                (
+                    {"val_fraction": 0.99999999999, "normalize": normalize},
+                    "val_fraction 0.99999999999 leaves none of the 40 examples for training",
+                )
+                for normalize in (True, False)
+            ),
         ],
-        ids=["sync-partial-mask", "pinned-contraction"],
+        ids=["sync-partial-mask", "pinned-contraction", "no-training-example", "no-training-example-raw"],
     )
     def test_run_and_theory_check_the_same_rules_once_d_is_loaded(self, tmp_path, capsys, overrides, message):
         data_path = tmp_path / "blobs.libsvm"
@@ -365,6 +373,24 @@ class TestConfigFileErrors:
             assert captured.err.splitlines() == [f"invalid config: {message}"]
             assert captured.out == ""
             assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_val_fraction_leaving_no_training_example_is_a_config_error(self, tmp_path, capsys, normalize):
+        # n is fixed by the config, so validate sees the rule too
+        blobs = {"dim": 6, "n_examples": 10, "separation": 1.5, "seed": 0}
+        cfg = write_config(
+            tmp_path, dataset={"synthetic": blobs}, val_fraction=0.99999999999, normalize=normalize
+        )
+        for command in ("validate", "run", "theory"):
+            assert main([command, str(cfg)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                "invalid config: val_fraction: "
+                "val_fraction 0.99999999999 leaves none of the 10 examples for training"
+            ]
+            assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestDatasetFileErrors:
@@ -538,6 +564,26 @@ class TestOtherCommands:
         assert main(["gen-data", str(spec)]) == 1
         assert capsys.readouterr().err.splitlines() == [message]
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("case", ["below-a-file", "a-directory"])
+    def test_gen_data_reports_an_unwritable_out_in_one_line(self, tmp_path, capsys, case):
+        blocker = tmp_path / "afile"
+        blocker.write_text("", encoding="utf-8")
+        out_file = blocker / "blobs.libsvm" if case == "below-a-file" else tmp_path / "data"
+        if case == "a-directory":
+            out_file.mkdir()
+        spec = tmp_path / "blobs.yaml"
+        spec.write_text(f"dim: 3\nn_examples: 5\nout: {out_file}\n", encoding="utf-8")
+        assert main(["gen-data", str(spec)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        if case == "below-a-file":
+            expected = f"error: not a directory: {blocker}"
+        else:
+            expected = f"error: failed writing {out_file}: "
+        assert len(err) == 1 and err[0].startswith(expected), err
+        assert captured.out == ""
+        assert not Path(f"{out_file}.tmp").exists()
 
     def test_gen_data_requires_out(self, tmp_path, capsys):
         spec = tmp_path / "nospec.yaml"

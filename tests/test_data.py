@@ -93,6 +93,9 @@ class TestSplit:
     def test_fraction_range(self, tiny_blobs):
         with pytest.raises(ConfigurationError):
             split_train_val(tiny_blobs, 1.0, seed=0)
+        # 60 * 0.99999999999 floors to 60, leaving no example for training
+        with pytest.raises(ConfigurationError, match="leaves none of the 60 examples"):
+            split_train_val(tiny_blobs, 0.99999999999, seed=0)
 
     def test_floor_is_robust_to_float_noise(self):
         # 100 * 0.29 is 28.999...996 in binary; the split must still take 29

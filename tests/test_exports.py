@@ -1,4 +1,5 @@
-"""Every exported name exists, so a deletion cannot leave a stale export behind."""
+"""Every exported or traced name exists, so a deletion cannot leave a stale
+export behind or break ``perfbench/run.py --trace 1``."""
 
 import importlib
 import os
@@ -27,3 +28,12 @@ def test_package_imports_in_a_fresh_interpreter():
 def test_every_name_in_all_exists(name):
     module = importlib.import_module(f"overlap_sgd.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_every_name_the_tracer_wraps_exists():
+    # executed from its source, not imported, so nothing is written under perfbench/
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spans = {"__name__": "spans"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans)
+    # the lookup Tracer.installed makes for each target
+    assert [(owner.__name__, attr) for owner, attr, _ in spans["TARGETS"] if attr not in vars(owner)] == []

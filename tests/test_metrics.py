@@ -34,8 +34,6 @@ def small_run(method=Method.OVERLAP_DELAY_CORRECTED, rounds=3, mask_size=3, seed
         val=val,
         regularizer=RegularizerParams(),
         batch_size=4,
-        n_workers=2,
-        mask_size=mask_size,
         value_bit_width=bit_width,
         collect_per_worker=False,
     )
@@ -172,7 +170,7 @@ def test_eval_every_still_measures_final_round():
     plan = build_plan((1, 1), 1, 0)
     recorder = RunRecorder(
         train=blobs, val=blobs, regularizer=RegularizerParams(), batch_size=4,
-        n_workers=2, mask_size=6, value_bit_width=32, collect_per_worker=False,
+        value_bit_width=32, collect_per_worker=False,
     )
     records, _ = run_single(
         Method.FEDAVG_FULL, plan, 6, 0.1, 5, 1, oracle, recorder, np.zeros(6), eval_every=2
