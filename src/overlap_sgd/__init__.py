@@ -12,7 +12,7 @@ from .engine import (
     merge_overwrite,
     run_round,
 )
-from .errors import ConfigurationError, DatasetError, DivergenceError, ParseError
+from .errors import ConfigurationError, DatasetError, DivergenceError
 from .metrics import MetricsRecord, RunRecorder
 from .objective import LogisticOracle, QuadraticOracle, RegularizerParams, full_gradient
 from .runner import run_suite, theory_report

@@ -65,10 +65,10 @@ def with_dataset(action, config):
     needs it loaded (e.g. a libsvm file without 'dimension'), as InputError."""
     try:
         return action(config)
-    except ConfigurationError as exc:
-        raise InputError(f"invalid config: {exc}") from None
     except DatasetError as exc:
         raise InputError(f"error: {exc}") from None
+    except ConfigurationError as exc:
+        raise InputError(f"invalid config: {exc}") from None
 
 
 def cmd_run(args) -> int:

@@ -16,7 +16,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .data import validation_size
+from .data import check_min_examples, validation_size
 from .engine import Method, method_plan_problems
 from .errors import ConfigurationError
 from .objective import RegularizerParams
@@ -256,13 +256,6 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
     issues: list[ConfigIssue] = []
     read = _Fields(raw, ExperimentConfig, "", issues, extra=("n_workers",))
 
-    def built(field_name: str, make, *args):
-        """``make(*args)``, or None once its ConfigurationError is reported."""
-        try:
-            return make(*args)
-        except ConfigurationError as exc:
-            return read.bad(field_name, str(exc))
-
     name = read.get("name")
     if not isinstance(name, str) or not name:
         read.bad("name", "must be a non-empty string")
@@ -297,7 +290,7 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
     )
     values = (reg.number("strength"), reg.number("scale"))
     # the range rules are the constructor's
-    regularizer = None if None in values else built("regularizer", RegularizerParams, *values)
+    regularizer = None if None in values else _checked(issues, "regularizer", RegularizerParams, *values)
 
     th = _nested(raw, "theory", TheoryOptions, issues, "must be a mapping")
     pinned = {k: th.number(k) for k in ("alpha", "beta") if th.get(k) is not None}
@@ -342,7 +335,7 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
         return None, issues
 
     # timing, method and bound rules live with the code that enforces them
-    plan = built("timing", build_plan, config.step_times, config.compute_periods, config.comm_seconds)
+    plan = _checked(issues, "timing", build_plan, config.step_times, config.compute_periods, config.comm_seconds)
     # a libsvm file without 'dimension' has no d, nor n, until run and theory load it
     synthetic = config.dataset.synthetic
     dim = synthetic.dim if synthetic else config.dataset.dimension
@@ -354,7 +347,8 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
 def data_issues(config: ExperimentConfig, plan: TimingPlan, dim: int, n: int | None) -> list[ConfigIssue]:
     """The rules that need the data's shape: each method's plan rules at the
     config's mask size, the contraction of a pinned alpha/beta pair, and,
-    when the example count ``n`` is known, a training split that is not empty."""
+    when the example count ``n`` is known, a training split that is not empty
+    and can give every worker ``partition.min_examples``."""
     mask_size = rand_k_size(config.sparsity, dim)
     issues = [
         ConfigIssue("methods", problem)
@@ -362,16 +356,20 @@ def data_issues(config: ExperimentConfig, plan: TimingPlan, dim: int, n: int | N
         for problem in method_plan_problems(Method(m), plan, mask_size, dim)
     ]
     if config.theory.alpha is not None:
-        try:
-            BoundParams(config.theory.alpha, config.theory.beta, mask_size, dim)
-        except ConfigurationError as exc:
-            issues.append(ConfigIssue("theory", str(exc)))
-    if n is not None:
-        try:
-            validation_size(n, config.val_fraction)
-        except ConfigurationError as exc:
-            issues.append(ConfigIssue("val_fraction", str(exc)))
+        _checked(issues, "theory", BoundParams, config.theory.alpha, config.theory.beta, mask_size, dim)
+    n_val = None if n is None else _checked(issues, "val_fraction", validation_size, n, config.val_fraction)
+    if n_val is not None:
+        min_examples = config.partition.min_examples
+        _checked(issues, "partition.min_examples", check_min_examples, n - n_val, config.n_workers, min_examples)
     return issues
+
+
+def _checked(issues: list, field_name: str, rule, *args):
+    """``rule(*args)``, or None once its ConfigurationError is an issue of ``field_name``."""
+    try:
+        return rule(*args)
+    except ConfigurationError as exc:
+        issues.append(ConfigIssue(field_name, str(exc)))
 
 
 def blocking_file(directory: Path) -> Path | None:

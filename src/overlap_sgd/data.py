@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RngStream
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, DatasetError
 
 __all__ = [
     "Dataset",
@@ -26,6 +26,7 @@ __all__ = [
     "serialize_libsvm",
     "split_train_val",
     "validation_size",
+    "check_min_examples",
     "subset",
     "compute_normalization",
     "apply_normalization",
@@ -106,7 +107,7 @@ def parse_libsvm(text: str, dimension: int | None = None) -> Dataset:
         try:
             label = float(tokens[0])
         except ValueError:
-            raise ParseError(f"bad label {tokens[0]!r}", line=lineno) from None
+            raise DatasetError(f"line {lineno}: bad label {tokens[0]!r}") from None
         entries: list[tuple[int, float]] = []
         prev = 0
         for tok in tokens[1:]:
@@ -115,11 +116,13 @@ def parse_libsvm(text: str, dimension: int | None = None) -> Dataset:
                 idx = int(idx_str)
                 val = float(val_str)
             except ValueError:
-                raise ParseError(f"bad feature token {tok!r}", line=lineno) from None
+                raise DatasetError(f"line {lineno}: bad feature token {tok!r}") from None
             if idx < 1:
-                raise ParseError(f"feature index {idx} is not 1-based", line=lineno)
+                raise DatasetError(f"line {lineno}: feature index {idx} is not 1-based")
             if idx <= prev:
-                raise ParseError(f"feature indices must be strictly increasing (saw {idx} after {prev})", line=lineno)
+                raise DatasetError(
+                    f"line {lineno}: feature indices must be strictly increasing (saw {idx} after {prev})"
+                )
             prev = idx
             entries.append((idx, val))
         max_index = max(max_index, prev)
@@ -127,34 +130,41 @@ def parse_libsvm(text: str, dimension: int | None = None) -> Dataset:
         rows.append(entries)
 
     if not rows:
-        raise ParseError("no examples")
+        raise DatasetError("no examples")
     d = dimension if dimension is not None else max_index
     if d < max_index:
         raise ConfigurationError(f"dimension override {d} smaller than max feature index {max_index}")
     if d < 1:
-        raise ConfigurationError("dataset has no features")
+        raise DatasetError("dataset has no features")
 
     features = np.zeros((len(rows), d), dtype=np.float64)
     for r, entries in enumerate(rows):
         for idx, val in entries:
             features[r, idx - 1] = val
-    return Dataset(features, _map_labels(raw_labels))
+    try:
+        return Dataset(features, _map_labels(raw_labels))
+    except ConfigurationError as exc:  # the labels or the values, not the config
+        raise DatasetError(str(exc)) from None
 
 
 def load_libsvm(path, dimension: int | None = None) -> Dataset:
     """Read a UTF-8 LIBSVM text file from disk; ``.gz`` paths are decompressed.
 
-    Bytes that are not UTF-8, and a ``.gz`` file that is not intact gzip,
-    raise :class:`ParseError` like malformed text does.
+    A file that cannot be read, is not UTF-8 or intact gzip, or is malformed
+    raises one :class:`DatasetError` naming the path.  A ``dimension``
+    below the largest feature index stays a ConfigurationError.
     """
     path = str(path)
     opener = gzip.open if path.endswith(".gz") else open
     try:
         with opener(path, "rb") as fh:
             text = fh.read().decode("utf-8")
+        return parse_libsvm(text, dimension=dimension)
     except (UnicodeDecodeError, gzip.BadGzipFile, EOFError, zlib.error) as exc:
-        raise ParseError(f"unreadable file: {exc}") from exc
-    return parse_libsvm(text, dimension=dimension)
+        problem = f"unreadable file: {exc}"
+    except (OSError, DatasetError) as exc:
+        problem = str(exc)
+    raise DatasetError(f"could not load dataset {path}: {problem}")
 
 
 def serialize_libsvm(dataset: Dataset) -> str:
@@ -233,6 +243,14 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
+def check_min_examples(n_train: int, n_workers: int, min_examples: int) -> None:
+    """ConfigurationError unless ``n_train`` examples can give each worker ``min_examples``."""
+    if min_examples * n_workers > n_train:
+        raise ConfigurationError(
+            f"min_examples={min_examples} is unsatisfiable with {n_train} examples over {n_workers} workers"
+        )
+
+
 def partition_dirichlet(
     train: Dataset, n_workers: int, alpha: float, seed: int, min_examples: int = 0
 ) -> tuple[np.ndarray, ...]:
@@ -247,11 +265,7 @@ def partition_dirichlet(
     """
     if alpha <= 0:
         raise ConfigurationError(f"dirichlet alpha must be positive, got {alpha}")
-    if min_examples * n_workers > train.n_examples:
-        raise ConfigurationError(
-            f"min_examples={min_examples} is unsatisfiable with "
-            f"{train.n_examples} examples over {n_workers} workers"
-        )
+    check_min_examples(train.n_examples, n_workers, min_examples)
     gen = RngStream(seed, ("partition", "dirichlet")).generator()
     classes = sorted(np.unique(train.labels))
     for _ in range(1000):

@@ -40,6 +40,12 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _logistic_gradient(features: np.ndarray, labels: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gradient of the mean logistic loss over the rows of ``features``."""
+    weights = labels * _sigmoid(-(labels * (features @ w)))
+    return -(features.T @ weights) / labels.size
+
+
 @dataclass(frozen=True)
 class RegularizerParams:
     """Coordinate-wise Geman-McClure penalty strength * sum_j w_j^2 / (w_j^2 + scale^2).
@@ -97,9 +103,7 @@ def full_gradient(w: np.ndarray, dataset: Dataset, reg: RegularizerParams | None
     """Exact gradient of mean logistic loss plus the regularizer gradient."""
     if dataset.n_examples == 0:
         raise ConfigurationError("cannot take a gradient over an empty dataset")
-    margins = dataset.labels * (dataset.features @ w)
-    weights = dataset.labels * _sigmoid(-margins)
-    grad = -(dataset.features.T @ weights) / dataset.n_examples
+    grad = _logistic_gradient(dataset.features, dataset.labels, w)
     if reg is not None:
         grad = grad + reg.gradient(w)
     check_finite(grad, "full gradient")
@@ -138,11 +142,7 @@ class LogisticOracle:
             raise ConfigurationError(f"worker {worker} has no examples to sample from")
         gen = RngStream(self.root_seed, ("sample", worker, round_index, step)).generator()
         rows = pool[gen.integers(0, pool.size, size=self.batch_size)]
-        feats = self.dataset.features[rows]
-        labs = self.dataset.labels[rows]
-        margins = labs * (feats @ w)
-        weights = labs * _sigmoid(-margins)
-        grad = -(feats.T @ weights) / self.batch_size
+        grad = _logistic_gradient(self.dataset.features[rows], self.dataset.labels[rows], w)
         if self.regularizer.enabled:
             grad = grad + self.regularizer.gradient(w)
         return grad

@@ -24,7 +24,7 @@ from .data import (
     synthetic_blobs,
 )
 from .engine import Method, run_round
-from .errors import ConfigurationError, DatasetError, DivergenceError, ParseError
+from .errors import ConfigurationError, DivergenceError
 from .metrics import MetricsRecord, RunRecorder, atomic_write_bytes, write_metrics
 from .objective import LogisticOracle
 from .theory import (
@@ -70,10 +70,7 @@ def resolve_dataset(config: ExperimentConfig) -> Dataset:
     if spec.synthetic is not None:
         s = spec.synthetic
         return synthetic_blobs(s.dim, s.n_examples, s.separation, s.seed)
-    try:
-        return load_libsvm(spec.path, dimension=spec.dimension)
-    except (FileNotFoundError, ParseError) as exc:
-        raise DatasetError(f"could not load dataset {spec.path}: {exc}") from exc
+    return load_libsvm(spec.path, dimension=spec.dimension)
 
 
 def _resolve(config: ExperimentConfig) -> tuple[Dataset, TimingPlan, int]:
@@ -296,7 +293,6 @@ def theory_report(config: ExperimentConfig) -> dict:
     else:
         bp = tune_bound_params(mask_size, dataset.dim, agg)
 
-    ceiling = max_stepsize(consts, agg)
     report: dict = {
         "constants": {
             "smoothness_bound": consts.smoothness,
@@ -321,18 +317,13 @@ def theory_report(config: ExperimentConfig) -> dict:
             "pre_weight": bp.pre_weight,
             "overlap_weight": bp.overlap_weight,
         },
-        "max_stepsize": ceiling,
+        "max_stepsize": max_stepsize(consts, agg),
     }
-    if config.stepsize <= ceiling and config.rounds >= 1:
+    try:
         rb = rate_bound(consts, agg, bp, config.stepsize, config.n_workers, config.rounds)
         report["rate_bound"] = {"stepsize": config.stepsize, "rounds": config.rounds, **asdict(rb)}
-    else:
-        report["rate_bound"] = {
-            "stepsize": config.stepsize,
-            "violation": f"stepsize exceeds the admissible maximum {ceiling}"
-            if config.stepsize > ceiling
-            else "rounds must be >= 1",
-        }
+    except ConfigurationError as exc:
+        report["rate_bound"] = {"stepsize": config.stepsize, "violation": str(exc)}
     rounds_needed = round_complexity(
         consts, agg, bp, config.theory.epsilon, config.n_workers, c_round=config.theory.c_round
     )

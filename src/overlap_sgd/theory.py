@@ -79,6 +79,10 @@ class BoundParams:
     def overlap_weight(self) -> float:
         return 1.0 + self.residual / self.beta
 
+    def staleness_weight(self, agg: TimingAggregates) -> float:
+        """pre_weight * S_N + overlap_weight * S_Q, the squared step counts weighted."""
+        return self.pre_weight * agg.sum_sq_pre + self.overlap_weight * agg.sum_sq_overlap
+
 
 @dataclass(frozen=True)
 class ProblemConstants:
@@ -122,14 +126,15 @@ def rate_bound(
     rounds: int,
 ) -> RateBound:
     """The four-term bound on the average squared gradient norm."""
-    if rounds < 1 or n < 1:
-        raise ConfigurationError("need n >= 1 and rounds >= 1")
     ceiling = max_stepsize(consts, agg)
-    if not 0 < stepsize <= ceiling:
-        raise ConfigurationError(
-            f"stepsize {stepsize} violates the admissible maximum {ceiling} "
-            f"(1 / (8 * L * max_total))"
-        )
+    if stepsize <= 0:
+        raise ConfigurationError(f"stepsize must be positive, got {stepsize}")
+    if stepsize > ceiling:
+        raise ConfigurationError(f"stepsize exceeds the admissible maximum {ceiling}")
+    if rounds < 1:
+        raise ConfigurationError("rounds must be >= 1")
+    if n < 1:
+        raise ConfigurationError("need n >= 1")
     L = consts.smoothness
     g_sq = consts.grad_bound**2
     mean_total = float(agg.mean_total)
@@ -142,7 +147,7 @@ def rate_bound(
         * stepsize**2
         * g_sq
         * agg.max_total
-        * (bp.pre_weight * agg.sum_sq_pre + bp.overlap_weight * agg.sum_sq_overlap)
+        * bp.staleness_weight(agg)
         / ((n * mean_total) * (1.0 - bp.contraction))
     )
     return RateBound(
@@ -156,9 +161,7 @@ def rate_bound(
 
 def accumulated_dispersion(agg: TimingAggregates, bp: BoundParams) -> float:
     """X = drift_sq_sum + max_total * (pre_weight*S_N + overlap_weight*S_Q) / (1 - c)."""
-    return agg.drift_sq_sum + agg.max_total * (
-        bp.pre_weight * agg.sum_sq_pre + bp.overlap_weight * agg.sum_sq_overlap
-    ) / (1.0 - bp.contraction)
+    return agg.drift_sq_sum + agg.max_total * bp.staleness_weight(agg) / (1.0 - bp.contraction)
 
 
 def round_complexity(
@@ -208,9 +211,7 @@ def tune_bound_params(
             if (1.0 + alpha) * (1.0 + beta) >= budget:
                 continue
             bp = BoundParams(alpha=float(alpha), beta=float(beta), k=k, d=d)
-            val = (bp.pre_weight * agg.sum_sq_pre + bp.overlap_weight * agg.sum_sq_overlap) / (
-                1.0 - bp.contraction
-            )
+            val = bp.staleness_weight(agg) / (1.0 - bp.contraction)
             if val < best_val:
                 best, best_val = bp, val
     if best is None:

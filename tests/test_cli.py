@@ -357,8 +357,19 @@ class TestConfigFileErrors:
                 )
                 for normalize in (True, False)
             ),
+            # 40 - floor(40 * 0.1) = 36 training examples cannot give 4 workers 10 each
+            (
+                {"partition": {"mode": "dirichlet", "alpha": 0.5, "min_examples": 10}, "step_times": [1, 1, 1, 1]},
+                "min_examples=10 is unsatisfiable with 36 examples over 4 workers",
+            ),
         ],
-        ids=["sync-partial-mask", "pinned-contraction", "no-training-example", "no-training-example-raw"],
+        ids=[
+            "sync-partial-mask",
+            "pinned-contraction",
+            "no-training-example",
+            "no-training-example-raw",
+            "unsatisfiable-min-examples",
+        ],
     )
     def test_run_and_theory_check_the_same_rules_once_d_is_loaded(self, tmp_path, capsys, overrides, message):
         data_path = tmp_path / "blobs.libsvm"
@@ -388,6 +399,24 @@ class TestConfigFileErrors:
             assert captured.err.splitlines() == [
                 "invalid config: val_fraction: "
                 "val_fraction 0.99999999999 leaves none of the 10 examples for training"
+            ]
+            assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_unsatisfiable_min_examples_is_a_config_error(self, tmp_path, capsys):
+        # n is fixed by the config, so validate sees the rule too; 40 - 4 = 36 examples train
+        cfg = write_config(
+            tmp_path,
+            dataset={"synthetic": {"dim": 6, "n_examples": 40, "separation": 1.5, "seed": 0}},
+            partition={"mode": "dirichlet", "alpha": 0.5, "min_examples": 10},
+            step_times=[1, 1, 1, 1],
+        )
+        for command in ("validate", "run", "theory"):
+            assert main([command, str(cfg)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                "invalid config: partition.min_examples: "
+                "min_examples=10 is unsatisfiable with 36 examples over 4 workers"
             ]
             assert captured.out == ""
         assert not (tmp_path / "out").exists()
@@ -459,6 +488,60 @@ class TestDatasetFileErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "theory"])
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("1 1:0.5\n2 1:1.0\n3 2:1.0\n", "labels must form a binary set, got 3 distinct values: [1.0, 2.0, 3.0]"),
+            ("+1 1:0.5\n-1 1:nan\n", "features contain non-finite values"),
+            ("+1\n-1\n", "dataset has no features"),
+        ],
+        ids=["non-binary-labels", "nan-feature", "labels-only"],
+    )
+    def test_bad_dataset_content_is_one_error_line(self, tmp_path, capsys, command, text, problem):
+        data_path = tmp_path / "bad.libsvm"
+        data_path.write_text(text, encoding="utf-8")
+        cfg = write_config(tmp_path, dataset={"path": str(data_path)}, methods=["local_sparse"])
+        assert main([command, str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: could not load dataset {data_path}: {problem}"]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "theory"])
+    @pytest.mark.parametrize(
+        "error",
+        [OSError(5, "Input/output error"), PermissionError(13, "Permission denied")],
+        ids=["io-error", "permission-denied"],
+    )
+    def test_unreadable_dataset_file_is_one_error_line(self, tmp_path, capsys, monkeypatch, command, error):
+        import overlap_sgd.data as data_mod
+
+        data_path = tmp_path / "blobs.libsvm"
+        data_path.write_text(serialize_libsvm(synthetic_blobs(6, 40, 1.5, 0)), encoding="utf-8")
+        cfg = write_config(tmp_path, dataset={"path": str(data_path)}, methods=["local_sparse"])
+
+        def failing_open(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(data_mod, "open", failing_open, raising=False)  # shadows the builtin
+        assert main([command, str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: could not load dataset {data_path}: {error}"]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "theory"])
+    def test_dimension_below_the_largest_feature_index_stays_a_config_error(self, tmp_path, capsys, command):
+        data_path = tmp_path / "wide.libsvm"
+        data_path.write_text("+1 5:1\n-1 1:1\n", encoding="utf-8")
+        cfg = write_config(tmp_path, dataset={"path": str(data_path), "dimension": 3}, methods=["local_sparse"])
+        assert main([command, str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid config: dimension override 3 smaller than max feature index 5"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "theory"])
     def test_dataset_file_vanishing_after_validation_is_one_error_line(
         self, tmp_path, capsys, monkeypatch, command
     ):
@@ -468,8 +551,11 @@ class TestDatasetFileErrors:
         data_path.write_text(serialize_libsvm(synthetic_blobs(6, 40, 1.5, 0)), encoding="utf-8")
         cfg = write_config(tmp_path, dataset={"path": str(data_path)}, methods=["local_sparse"])
 
+        load = runner_mod.load_libsvm
+
         def vanished(path, dimension=None):
-            raise FileNotFoundError(2, "No such file or directory", str(path))
+            data_path.unlink()
+            return load(path, dimension=dimension)
 
         monkeypatch.setattr(runner_mod, "load_libsvm", vanished)
         assert main([command, str(cfg)]) == 1

@@ -17,7 +17,7 @@ from overlap_sgd.data import (
     split_train_val,
     synthetic_blobs,
 )
-from overlap_sgd.errors import ConfigurationError, ParseError
+from overlap_sgd.errors import ConfigurationError, DatasetError
 
 
 class TestParseLibsvm:
@@ -35,17 +35,17 @@ class TestParseLibsvm:
         np.testing.assert_array_equal(data.labels, [-1.0, 1.0])
 
     def test_empty_input(self):
-        with pytest.raises(ParseError, match="no examples"):
+        with pytest.raises(DatasetError, match="no examples"):
             parse_libsvm("\n\n")
 
     def test_malformed_token_reports_line(self):
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(DatasetError, match="line 2"):
             parse_libsvm("+1 1:1\n-1 1:oops\n")
 
     def test_indices_must_increase(self):
-        with pytest.raises(ParseError, match="strictly increasing"):
+        with pytest.raises(DatasetError, match="strictly increasing"):
             parse_libsvm("+1 2:1 2:3\n")
-        with pytest.raises(ParseError, match="1-based"):
+        with pytest.raises(DatasetError, match="1-based"):
             parse_libsvm("+1 0:1\n")
 
     def test_non_binary_labels(self):

@@ -1,6 +1,8 @@
 """Every exported or traced name exists, so a deletion cannot leave a stale
-export behind or break ``perfbench/run.py --trace 1``."""
+export behind or break ``perfbench/run.py --trace 1``; and no module
+imports a name it never uses."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -37,3 +39,29 @@ def test_every_name_the_tracer_wraps_exists():
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans)
     # the lookup Tracer.installed makes for each target
     assert [(owner.__name__, attr) for owner, attr, _ in spans["TARGETS"] if attr not in vars(owner)] == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports but never reads; ``__all__`` entries count as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({(a.asname or a.name).split(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({a.asname or a.name: node.lineno for a in node.names})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = [p for p in sorted((ROOT / "src" / "overlap_sgd").glob("*.py")) if p.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", SOURCES + sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # __init__.py is exempt: its imports are the package's re-exports
+    assert _unused_imports(path) == []

@@ -7,21 +7,24 @@ and a starved-worker suite that takes the skip path.  Output directories
 are relative, so the manifests do not depend on where the test runs.
 
 The same digest must come out of a ``python -O`` interpreter, where
-``assert`` statements are stripped.  A change that moves any output byte
-must say why and re-record ``GOLDEN_DIGEST``.
+``assert`` statements are stripped.  ``THEORY_DIGEST`` pins the ``theory``
+JSON of every bundled config the same way.  A change that moves any
+output byte must say why and re-record the digest.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import overlap_sgd
 from overlap_sgd.config import validate_config
-from overlap_sgd.runner import run_suite
+from overlap_sgd.runner import run_suite, theory_report
 
 # Recorded with NumPy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas), Python 3.11.
 GOLDEN_DIGEST = "b18153233171733db3d3fa13fcbdd76680f1e176e55a0ca8844c92add29b1293"
@@ -136,3 +139,24 @@ def test_golden_suite_outputs_under_python_O(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1", GOLDEN_DIGEST]
+
+
+# Recorded with NumPy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas), Python 3.11.
+THEORY_DIGEST = "47fc15d9134ab9b0c6c671b38ef15ac323a7a8f127ad4a6ce80182d2adf3b13e"
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_theory_reports_of_the_bundled_configs():
+    # the 1e-6 stepsize is under the admissible maximum, so that report holds the rate-bound terms
+    raws = [yaml.safe_load(path.read_text(encoding="utf-8")) for path in sorted(CONFIG_DIR.glob("*.yaml"))]
+    comparison = yaml.safe_load((CONFIG_DIR / "overlap_comparison.yaml").read_text(encoding="utf-8"))
+    raws.append({**comparison, "stepsize": 1.0e-6})
+    h = hashlib.sha256()
+    for raw in raws:
+        config, issues = validate_config(raw)
+        assert issues == [], issues
+        report = theory_report(config)
+        h.update(json.dumps(report, indent=2, sort_keys=True).encode("utf-8"))
+    assert len(raws) == 8 and "total" in report["rate_bound"]
+    assert h.hexdigest() == THEORY_DIGEST
