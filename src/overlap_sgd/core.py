@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +22,7 @@ from .errors import ConfigurationError, DivergenceError
 __all__ = [
     "Mask",
     "RngStream",
+    "RoundMemo",
     "check_finite",
     "project_mask",
     "sample_rand_k",
@@ -65,6 +68,64 @@ def project_mask(x: np.ndarray, s: Mask) -> np.ndarray:
     return out
 
 
+class _KeyedGenerator(np.random.Generator):
+    """A Generator a weak reference can watch, so :class:`_PhiloxPool` knows
+    when nothing draws from its bit generator any more."""
+
+    __slots__ = ("__weakref__",)
+
+    @property
+    def bit_generator(self):
+        # the bit generator may now outlive this generator, so it is never re-keyed
+        bit_generator = np.random.Generator.bit_generator.__get__(self)
+        _PHILOX_POOL.release(bit_generator)
+        return bit_generator
+
+
+class _PhiloxPool:
+    """One Philox bit generator, re-keyed for each stream once nothing draws from it.
+
+    Building ``Philox(key=...)`` gathers OS entropy for a seed sequence that
+    the key then overrides; setting an existing Philox to the same key and a
+    zero counter gives the same draws for a fraction of the cost.  The bit
+    generator is re-keyed only when the generator last handed out is gone
+    and its bit generator was never handed out on its own, so no stream a
+    caller still holds ever moves.  Draws never depend on whether a stream
+    was built or re-keyed, so sharing one pool across the process couples
+    no two callers.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._bit_generator = None
+        self._last = None  # weak reference to the generator last handed out
+
+    def generator(self, key: np.ndarray) -> np.random.Generator:
+        with self._lock:
+            if self._bit_generator is not None and self._last() is None:
+                self._bit_generator.state = {
+                    "bit_generator": "Philox",
+                    "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+                    "buffer": np.zeros(4, dtype=np.uint64),
+                    "buffer_pos": 4,
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+            else:
+                self._bit_generator = np.random.Philox(key=key)
+            gen = _KeyedGenerator(self._bit_generator)
+            self._last = weakref.ref(gen)
+            return gen
+
+    def release(self, bit_generator) -> None:
+        with self._lock:
+            if bit_generator is self._bit_generator:
+                self._bit_generator = None
+
+
+_PHILOX_POOL = _PhiloxPool()
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A replayable random stream addressed by ``(root_seed, key)``.
@@ -80,7 +141,13 @@ class RngStream:
     key: tuple
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self._philox_key()))
+        """A fresh generator at the start of this stream.
+
+        The Philox behind it is re-keyed from an earlier stream once nothing
+        can draw from that stream any more; the draws are those of
+        ``Generator(Philox(key=...))`` either way.
+        """
+        return _PHILOX_POOL.generator(self._philox_key())
 
     def _philox_key(self) -> np.ndarray:
         h = hashlib.sha256()
@@ -125,6 +192,34 @@ def sample_rand_k(d: int, k: int, gen: np.random.Generator) -> Mask:
         else:
             head[i], tail[j] = tail.get(j, j), head[i]
     return Mask(indices=np.sort(np.array(head, dtype=np.int64)), d=d)
+
+
+class RoundMemo:
+    """Values drawn in one round, kept for the other methods that replay the round.
+
+    A lookup for a new round first empties the memo, and at most ``limit``
+    values are kept, so the memo never holds more than one round's draws.
+    ``key`` must name everything the value depends on besides the round;
+    values are stored under ``(round_index, key)``, so a value is only ever
+    returned for the draw that made it.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.round_index = None
+        self.values = {}
+
+    def get(self, round_index: int, key, draw):
+        """The value kept for ``key`` in ``round_index``, or ``draw()`` if there is none."""
+        if round_index != self.round_index:
+            self.values.clear()
+            self.round_index = round_index
+        value = self.values.get((round_index, key))
+        if value is None:
+            value = draw()
+            if len(self.values) < self.limit:
+                self.values[round_index, key] = value
+        return value
 
 
 def average(vs) -> np.ndarray:

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Mask, RngStream, average, project_mask, sample_rand_k
+from .core import Mask, RngStream, RoundMemo, average, project_mask, sample_rand_k
 from .errors import ConfigurationError, DivergenceError
 from .timing import TimingPlan
 
@@ -77,7 +77,8 @@ class RoundOutcome:
 
 
 def _guard(w: np.ndarray, round_index: int, worker: int) -> None:
-    if not np.all(np.isfinite(w)) or np.any(np.abs(w) > DIVERGENCE_LIMIT):
+    # a NaN anywhere makes the max NaN, and NaN <= limit is false
+    if not np.abs(w).max() <= DIVERGENCE_LIMIT:
         raise DivergenceError(
             f"worker {worker} diverged in round {round_index}",
             round_index=round_index,
@@ -171,13 +172,17 @@ def run_round(
     oracle,
     root_seed: int,
     round_index: int,
+    masks: RoundMemo | None = None,
 ) -> RoundOutcome:
     """Execute one round of ``method`` from the ``(n, d)`` models ``start``.
 
     ``start`` is not modified.  The mask is drawn once from the
     round-keyed stream and shared by all workers; sample streams are keyed
     (worker, round, step index), so methods that take the same steps see
-    the same randomness.
+    the same randomness.  A caller that runs several methods through the
+    same round passes them one ``masks`` memo, so the round's mask is
+    drawn once for all of them, just as an oracle with a row memo draws
+    each (worker, step) batch once.
     """
     method = Method(method)
     if start.ndim != 2 or start.shape[0] != plan.n_workers:
@@ -188,7 +193,11 @@ def run_round(
     problems = method_plan_problems(method, plan, mask_size, dim)
     if problems:
         raise ConfigurationError("; ".join(problems))
-    mask = sample_rand_k(dim, mask_size, RngStream(root_seed, ("mask", round_index)).generator())
+    mask = (RoundMemo(0) if masks is None else masks).get(
+        round_index,
+        (root_seed, dim, mask_size),
+        lambda: sample_rand_k(dim, mask_size, RngStream(root_seed, ("mask", round_index)).generator()),
+    )
 
     if method is Method.SYNC_SGD:
         # one gradient per worker at the common point, averaged, one global step

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, check_finite
+from .core import RngStream, RoundMemo, check_finite
 from .data import Dataset
 from .errors import ConfigurationError
 
@@ -32,12 +32,10 @@ def _softplus(t: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t, dtype=np.float64)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # 1 / (1 + exp(-t)) for t >= 0 and exp(t) / (1 + exp(t)) below, so exp never
+    # overflows; minimum(t, -t) keeps a NaN's sign and payload, which -abs(t) would not
+    e = np.exp(np.minimum(t, -t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def _logistic_gradient(features: np.ndarray, labels: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -119,6 +117,12 @@ class LogisticOracle:
     ``root_seed``, so cross-method runs with matched keys see identical
     samples.  The regularizer gradient is added in full to every batch
     gradient (the penalty is data-independent).
+
+    ``memo`` keeps the row indices drawn in the current round, up to
+    ``round_keys`` of them: set that to the number of distinct
+    (worker, step) keys one round of the plan draws, and methods that run
+    the same round one after another draw each batch once.  Moving to
+    another round empties the memo; with ``round_keys == 0`` it keeps nothing.
     """
 
     dataset: Dataset
@@ -126,6 +130,7 @@ class LogisticOracle:
     regularizer: RegularizerParams
     worker_pools: tuple[np.ndarray, ...]
     root_seed: int
+    round_keys: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -135,17 +140,21 @@ class LogisticOracle:
         object.__setattr__(
             self, "worker_pools", tuple(np.asarray(p, dtype=np.int64) for p in self.worker_pools)
         )
+        object.__setattr__(self, "memo", RoundMemo(self.round_keys))
 
     def gradient(self, w: np.ndarray, worker: int, round_index: int, step: int) -> np.ndarray:
         pool = self.worker_pools[worker]
         if pool.size == 0:
             raise ConfigurationError(f"worker {worker} has no examples to sample from")
-        gen = RngStream(self.root_seed, ("sample", worker, round_index, step)).generator()
-        rows = pool[gen.integers(0, pool.size, size=self.batch_size)]
+        rows = self.memo.get(round_index, (worker, step), lambda: self._draw_rows(pool, worker, round_index, step))
         grad = _logistic_gradient(self.dataset.features[rows], self.dataset.labels[rows], w)
         if self.regularizer.enabled:
             grad = grad + self.regularizer.gradient(w)
         return grad
+
+    def _draw_rows(self, pool: np.ndarray, worker: int, round_index: int, step: int) -> np.ndarray:
+        gen = RngStream(self.root_seed, ("sample", worker, round_index, step)).generator()
+        return pool[gen.integers(0, pool.size, size=self.batch_size)]
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, data_issues, rand_k_size
+from .core import RoundMemo
 from .data import (
     Dataset,
     apply_normalization,
@@ -23,7 +24,7 @@ from .data import (
     split_train_val,
     synthetic_blobs,
 )
-from .engine import Method, run_round
+from .engine import run_round
 from .errors import ConfigurationError, DivergenceError
 from .metrics import MetricsRecord, RunRecorder, atomic_write_bytes, write_metrics
 from .objective import LogisticOracle
@@ -40,7 +41,7 @@ from .theory import (
 )
 from .timing import TimingPlan, aggregates, build_plan
 
-__all__ = ["RunReport", "SuiteResult", "run_suite", "run_single", "resolve_dataset", "theory_report"]
+__all__ = ["RunReport", "SuiteResult", "run_suite", "resolve_dataset", "theory_report"]
 
 logger = logging.getLogger(__name__)
 
@@ -102,7 +103,7 @@ class SeedArtifacts:
     pools: tuple[np.ndarray, ...]  # per-worker example indices into train
     x0: np.ndarray
     hashes: dict
-    oracle: LogisticOracle  # frozen and keyed by (worker, round, step), so every method shares it
+    oracle: LogisticOracle  # keyed by (worker, round, step), so every method shares it and its row memo
 
 
 def prepare_seed_artifacts(dataset: Dataset, config: ExperimentConfig, seed: int) -> SeedArtifacts:
@@ -137,102 +138,112 @@ def prepare_seed_artifacts(dataset: Dataset, config: ExperimentConfig, seed: int
         regularizer=config.regularizer,
         worker_pools=pools,
         root_seed=seed,
+        round_keys=sum(build_plan(config.step_times, config.compute_periods, config.comm_seconds).total_steps),
     )
     return SeedArtifacts(train=train, val=val, pools=pools, x0=x0, hashes=hashes, oracle=oracle)
 
 
-def run_single(
-    method: Method,
-    plan: TimingPlan,
-    mask_size: int,
-    stepsize: float,
-    rounds: int,
-    root_seed: int,
-    oracle,
-    recorder: RunRecorder,
-    x0: np.ndarray,
-    eval_every: int,
-) -> tuple[list[MetricsRecord], str]:
-    """Drive one (method, seed) trajectory; returns (records, status)."""
-    method = Method(method)
-    if rounds == 0:
-        return [], "ok"
-    models = np.tile(x0, (plan.n_workers, 1))
-    records = [recorder.measure_initial(models)]
-    for r in range(rounds):
-        try:
-            outcome = run_round(models, method, plan, mask_size, stepsize, oracle, root_seed, r)
-        except DivergenceError as exc:
-            logger.warning("%s seed %s: %s", method.value, root_seed, exc)
-            return records, f"diverged:round={r}"
-        due = (r + 1) % eval_every == 0 or r == rounds - 1
-        if due:
-            records.append(recorder.measure_round(outcome))
-        else:
-            recorder.advance(outcome)
-        models = outcome.next_models
-    return records, "ok"
+@dataclass
+class _MethodRun:
+    """One method's trajectory through a seed's rounds."""
+
+    method: str
+    recorder: RunRecorder | None  # None when the seed's runs were skipped
+    models: np.ndarray | None
+    records: list[MetricsRecord]
+    status: str = "ok"
+
+
+def _run_methods(
+    config: ExperimentConfig, plan: TimingPlan, mask_size: int, seed: int, artifacts: SeedArtifacts
+) -> list[_MethodRun]:
+    """Every method of ``config`` on one seed, round-major.
+
+    Round ``r`` runs for every method still running before round ``r + 1``
+    starts, so the oracle's row memo and one mask memo hand each of the
+    round's draws to all of them; both hold one round at a time.  A method
+    that diverges stops alone.
+    """
+    runs = []
+    for method in config.methods:
+        recorder = RunRecorder(
+            train=artifacts.train,
+            val=artifacts.val,
+            regularizer=config.regularizer,
+            batch_size=config.batch_size,
+            value_bit_width=config.value_bit_width,
+            collect_per_worker=config.eval_per_worker,
+        )
+        models = np.tile(artifacts.x0, (plan.n_workers, 1))
+        records = [recorder.measure_initial(models)] if config.rounds else []
+        runs.append(_MethodRun(method, recorder, models, records))
+    masks = RoundMemo(1)
+    for r in range(config.rounds):
+        due = (r + 1) % config.eval_every == 0 or r == config.rounds - 1
+        for run in runs:
+            if run.status != "ok":
+                continue
+            try:
+                outcome = run_round(
+                    run.models, run.method, plan, mask_size, config.stepsize, artifacts.oracle, seed, r, masks
+                )
+            except DivergenceError as exc:
+                logger.warning("%s seed %s: %s", run.method, seed, exc)
+                run.status = f"diverged:round={r}"
+                continue
+            if due:
+                run.records.append(run.recorder.measure_round(outcome))
+            else:
+                run.recorder.advance(outcome)
+            run.models = outcome.next_models
+    return runs
 
 
 def run_suite(config: ExperimentConfig) -> SuiteResult:
     """Run every (method, seed) pair under identical data artifacts.
 
-    Writes one CSV + JSONL per pair plus a manifest that can be fed back
-    to ``run`` to reproduce the outputs byte for byte.
+    Each seed runs its methods round-major (see ``_run_methods``), so every
+    keyed minibatch and mask is drawn once per seed however many methods
+    use it.  Writes one CSV + JSONL per pair, in the order of ``methods``
+    within each seed, plus a manifest that can be fed back to ``run`` to
+    reproduce the outputs byte for byte.  ``output_dir`` is created only
+    once the first seed's data artifacts exist.
     """
     dataset, plan, mask_size = _resolve(config)
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     reports: list[RunReport] = []
     artifact_hashes: dict[str, dict] = {}
     for seed in config.seeds:
         artifacts = prepare_seed_artifacts(dataset, config, seed)
+        out_dir.mkdir(parents=True, exist_ok=True)
         artifact_hashes[str(seed)] = artifacts.hashes
         empty_pools = [w for w, a in enumerate(artifacts.pools) if a.size == 0]
-        for method in config.methods:
-            if empty_pools:
-                # extreme partitions can starve a worker; record it and move on
-                records, status = [], f"skipped:workers-without-examples={empty_pools}"
-            else:
-                recorder = RunRecorder(
-                    train=artifacts.train,
-                    val=artifacts.val,
-                    regularizer=config.regularizer,
-                    batch_size=config.batch_size,
-                    value_bit_width=config.value_bit_width,
-                    collect_per_worker=config.eval_per_worker,
-                )
-                records, status = run_single(
-                    Method(method),
-                    plan,
-                    mask_size,
-                    config.stepsize,
-                    config.rounds,
-                    seed,
-                    artifacts.oracle,
-                    recorder,
-                    artifacts.x0,
-                    eval_every=config.eval_every,
-                )
-            stem = f"{method}_seed{seed}"
+        if empty_pools:
+            # extreme partitions can starve a worker; record it and move on
+            status = f"skipped:workers-without-examples={empty_pools}"
+            runs = [_MethodRun(method, None, None, [], status) for method in config.methods]
+        else:
+            runs = _run_methods(config, plan, mask_size, seed, artifacts)
+        for run in runs:
+            stem = f"{run.method}_seed{seed}"
             csv_path = out_dir / f"{stem}.csv"
             jsonl_path = out_dir / f"{stem}.jsonl"
-            write_metrics(records, csv_path, jsonl_path)
-            if config.eval_per_worker and not empty_pools:
-                payload = "".join(json.dumps(row) + "\n" for row in recorder.worker_rows)
+            write_metrics(run.records, csv_path, jsonl_path)
+            if config.eval_per_worker and run.recorder is not None:
+                payload = "".join(json.dumps(row) + "\n" for row in run.recorder.worker_rows)
                 atomic_write_bytes(out_dir / f"{stem}_workers.jsonl", payload.encode("utf-8"))
             reports.append(
                 RunReport(
-                    method=method,
+                    method=run.method,
                     seed=seed,
                     csv_path=str(csv_path),
                     jsonl_path=str(jsonl_path),
-                    status=status,
-                    records=tuple(records),
+                    status=run.status,
+                    records=tuple(run.records),
                 )
             )
-            logger.info("finished %s seed %s (%s)", method, seed, status)
+            logger.info("finished %s seed %s (%s)", run.method, seed, run.status)
 
     manifest = {
         "config": config.to_dict(),

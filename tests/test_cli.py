@@ -422,6 +422,24 @@ class TestConfigFileErrors:
         assert not (tmp_path / "out").exists()
 
 
+    def test_dirichlet_redraw_failure_leaves_no_output_dir(self, tmp_path, capsys):
+        # 180 training examples could give 4 workers 20 each, so validate passes, but
+        # alpha this small piles nearly all of them on one worker in every redraw
+        cfg = write_config(
+            tmp_path,
+            dataset={"synthetic": {"dim": 6, "n_examples": 200, "separation": 1.5, "seed": 0}},
+            partition={"mode": "dirichlet", "alpha": 0.001, "min_examples": 20},
+            step_times=[1, 1, 1, 1],
+        )
+        assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("invalid config: could not satisfy min_examples=20 within 1000 redraws")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
 class TestDatasetFileErrors:
     def test_validate_reports_missing_dataset_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dataset={"path": str(tmp_path / "missing.libsvm")})

@@ -185,6 +185,34 @@ class TestRngStream:
         RngStream(-3, ("s",)).generator()  # negative seeds are usable too
 
 
+    def test_live_generators_keep_their_own_streams(self):
+        def fresh(stream):
+            return np.random.Generator(np.random.Philox(key=stream._philox_key()))
+
+        streams = [RngStream(3, ("held", 0)), RngStream(3, ("held", 1))]
+        held = [s.generator() for s in streams]
+        refs = [fresh(s) for s in streams]
+        for i in range(20):
+            RngStream(4, ("between", i)).generator().integers(0, 10, size=3)
+            for gen, ref in zip(held, refs):
+                np.testing.assert_array_equal(gen.integers(0, 1 << 30, size=5), ref.integers(0, 1 << 30, size=5))
+                np.testing.assert_array_equal(gen.standard_normal(2), ref.standard_normal(2))
+        for i in range(1000):
+            stream = RngStream(5, ("churn", i))
+            np.testing.assert_array_equal(
+                stream.generator().integers(0, 1 << 30, size=3), fresh(stream).integers(0, 1 << 30, size=3)
+            )
+        for gen, ref in zip(held, refs):
+            np.testing.assert_array_equal(gen.integers(0, 1 << 30, size=5), ref.integers(0, 1 << 30, size=5))
+
+    def test_a_bit_generator_taken_out_is_never_rekeyed(self):
+        stream = RngStream(6, ("taken",))
+        bit_generator = stream.generator().bit_generator
+        RngStream(6, ("after",)).generator().integers(0, 10, size=4)
+        expected = np.random.Generator(np.random.Philox(key=stream._philox_key())).integers(0, 1 << 30, size=5)
+        np.testing.assert_array_equal(np.random.Generator(bit_generator).integers(0, 1 << 30, size=5), expected)
+
+
 class TestAverage:
     def test_single_element(self):
         np.testing.assert_array_equal(average([vec(1.0, 3.0)]), vec(1.0, 3.0))

@@ -5,7 +5,9 @@ from conftest import make_logistic_oracle, make_quadratic_oracle
 from overlap_sgd.core import Mask, RngStream, average, project_mask, sample_rand_k
 from overlap_sgd.data import synthetic_blobs
 from overlap_sgd.engine import (
+    DIVERGENCE_LIMIT,
     Method,
+    _guard,
     local_steps,
     merge_delay_corrected,
     merge_overwrite,
@@ -60,6 +62,17 @@ class TestRunLocalSteps:
         oracle = make_quadratic_oracle(dim=1, curvature=1e3)
         with pytest.raises(DivergenceError):
             local_steps(np.array([1.0]), 200, 1.0, oracle, round_index=5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0000001e100, -1.0000001e100])
+    def test_guard_names_the_round_and_worker(self, bad):
+        w = np.array([0.5, bad, -2.0])
+        with pytest.raises(DivergenceError) as info:
+            _guard(w, round_index=7, worker=3)
+        assert (info.value.round_index, info.value.worker) == (7, 3)
+        assert str(info.value) == "worker 3 diverged in round 7"
+
+    def test_guard_allows_the_limit_itself(self):
+        _guard(np.array([DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT, 0.0]), round_index=0, worker=0)
 
 
 class TestMergeRules:

@@ -1,47 +1,49 @@
 import csv
 import json
 import math
+import tempfile
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from conftest import make_logistic_oracle
+from conftest import base_config_dict
+from overlap_sgd.config import validate_config
 from overlap_sgd.core import average
-from overlap_sgd.data import synthetic_blobs
-from overlap_sgd.engine import Method
 from overlap_sgd.metrics import (
     CSV_COLUMNS,
     MetricsRecord,
-    RunRecorder,
     disagreement,
     render_csv,
     render_jsonl,
     write_metrics,
 )
-from overlap_sgd.objective import RegularizerParams
-from overlap_sgd.runner import run_single
+from overlap_sgd.runner import run_suite
 from overlap_sgd.timing import build_plan
 
 
-def small_run(method=Method.OVERLAP_DELAY_CORRECTED, rounds=3, mask_size=3, seed=5, bit_width=32):
-    blobs = synthetic_blobs(dim=10, n_examples=80, separation=1.5, seed=1)
-    train, val = blobs, synthetic_blobs(dim=10, n_examples=20, separation=1.5, seed=2)
-    oracle = make_logistic_oracle(train, n_workers=2, batch_size=4, seed=seed)
-    plan = build_plan((1, 2), 1, 2)
-    recorder = RunRecorder(
-        train=train,
-        val=val,
-        regularizer=RegularizerParams(),
+def suite_records(**overrides) -> list[MetricsRecord]:
+    """Records of a one-method, one-seed suite over ``base_config_dict(**overrides)``."""
+    with tempfile.TemporaryDirectory() as out:
+        config, issues = validate_config(base_config_dict(output_dir=out, **overrides))
+        assert not issues
+        (run,) = run_suite(config).runs
+    assert run.status == "ok"
+    return list(run.records)
+
+
+def small_run(method="overlap_delay_corrected", rounds=3, mask_size=3, seed=5, bit_width=32):
+    records = suite_records(
+        dataset={"synthetic": {"dim": 10, "n_examples": 100, "separation": 1.5, "seed": 1}},
+        val_fraction=0.2,
+        methods=[method],
         batch_size=4,
+        sparsity=mask_size / 10,
+        rounds=rounds,
+        seeds=[seed],
         value_bit_width=bit_width,
-        collect_per_worker=False,
     )
-    records, status = run_single(
-        method, plan, mask_size, 0.1, rounds, seed, oracle, recorder, np.zeros(10), eval_every=1
-    )
-    assert status == "ok"
-    return records, plan
+    return records, build_plan((1, 2), 1, 2)
 
 
 def test_disagreement_examples():
@@ -90,7 +92,7 @@ def test_counters_match_closed_forms_overlap():
 
 def test_counters_match_closed_forms_blocking():
     rounds = 4
-    records, plan = small_run(method=Method.LOCAL_SPARSE, rounds=rounds)
+    records, plan = small_run(method="local_sparse", rounds=rounds)
     assert records[-1].processed_examples == 4 * rounds * sum(plan.pre_steps)
 
 
@@ -165,15 +167,17 @@ def test_csv_column_order_is_stable():
 
 
 def test_eval_every_still_measures_final_round():
-    blobs = synthetic_blobs(dim=6, n_examples=40, separation=1.5, seed=3)
-    oracle = make_logistic_oracle(blobs, n_workers=2, batch_size=4, seed=1)
+    records = suite_records(
+        dataset={"synthetic": {"dim": 6, "n_examples": 40, "separation": 1.5, "seed": 3}},
+        step_times=[1, 1],
+        comm_seconds=0,
+        methods=["fedavg_full"],
+        batch_size=4,
+        sparsity=1.0,
+        rounds=5,
+        eval_every=2,
+        seeds=[1],
+    )
     plan = build_plan((1, 1), 1, 0)
-    recorder = RunRecorder(
-        train=blobs, val=blobs, regularizer=RegularizerParams(), batch_size=4,
-        value_bit_width=32, collect_per_worker=False,
-    )
-    records, _ = run_single(
-        Method.FEDAVG_FULL, plan, 6, 0.1, 5, 1, oracle, recorder, np.zeros(6), eval_every=2
-    )
     assert [r.round for r in records] == [0, 2, 4, 5]
     assert records[-1].processed_examples == 4 * 5 * sum(plan.pre_steps)

@@ -12,6 +12,7 @@ from overlap_sgd.objective import (
     LogisticOracle,
     QuadraticOracle,
     RegularizerParams,
+    _sigmoid,
     dataset_accuracy,
     dataset_loss,
     full_gradient,
@@ -54,6 +55,33 @@ class TestLogisticLoss:
             assert math.isfinite(dataset_loss(w, one_example([1.0], 1.0)))
             data = Dataset(np.array([[margin]]), np.array([1.0]))
             assert np.all(np.isfinite(full_gradient(np.array([1.0]), data)))
+
+
+def two_branch_sigmoid(t):
+    """Reference: each sign of t through its own overflow-free branch."""
+    out = np.empty_like(t, dtype=np.float64)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestSigmoid:
+    def test_bit_identical_to_the_two_branch_formula(self):
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123], dtype=np.uint64)
+        special = np.concatenate(
+            [
+                [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 746.0, -746.0, 710.0, -710.0],
+                [5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300],
+                nans.view(np.float64),
+            ]
+        )
+        rng = np.random.default_rng(17)
+        vectors = [special] + [scale * rng.standard_normal(10_000) for scale in (1e-3, 1.0, 30.0, 1e3)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in vectors:
+                np.testing.assert_array_equal(_sigmoid(t).view(np.uint64), two_branch_sigmoid(t).view(np.uint64))
 
 
 class TestFullGradient:
