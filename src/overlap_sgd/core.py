@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigurationError, DivergenceError
 
@@ -68,62 +67,20 @@ def project_mask(x: np.ndarray, s: Mask) -> np.ndarray:
     return out
 
 
-class _KeyedGenerator(np.random.Generator):
-    """A Generator a weak reference can watch, so :class:`_PhiloxPool` knows
-    when nothing draws from its bit generator any more."""
+class _KeySequence(ISeedSequence):
+    """The seed sequence of one stream: it hands Philox the stream's key.
 
-    __slots__ = ("__weakref__",)
-
-    @property
-    def bit_generator(self):
-        # the bit generator may now outlive this generator, so it is never re-keyed
-        bit_generator = np.random.Generator.bit_generator.__get__(self)
-        _PHILOX_POOL.release(bit_generator)
-        return bit_generator
-
-
-class _PhiloxPool:
-    """One Philox bit generator, re-keyed for each stream once nothing draws from it.
-
-    Building ``Philox(key=...)`` gathers OS entropy for a seed sequence that
-    the key then overrides; setting an existing Philox to the same key and a
-    zero counter gives the same draws for a fraction of the cost.  The bit
-    generator is re-keyed only when the generator last handed out is gone
-    and its bit generator was never handed out on its own, so no stream a
-    caller still holds ever moves.  Draws never depend on whether a stream
-    was built or re-keyed, so sharing one pool across the process couples
-    no two callers.
+    ``Philox(_KeySequence(key))`` is ``Philox(key=key)`` with a zero counter,
+    built without gathering OS entropy for a seed that the key overrides.
     """
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._bit_generator = None
-        self._last = None  # weak reference to the generator last handed out
+    def __init__(self, key: np.ndarray):
+        self.key = key
 
-    def generator(self, key: np.ndarray) -> np.random.Generator:
-        with self._lock:
-            if self._bit_generator is not None and self._last() is None:
-                self._bit_generator.state = {
-                    "bit_generator": "Philox",
-                    "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-                    "buffer": np.zeros(4, dtype=np.uint64),
-                    "buffer_pos": 4,
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-            else:
-                self._bit_generator = np.random.Philox(key=key)
-            gen = _KeyedGenerator(self._bit_generator)
-            self._last = weakref.ref(gen)
-            return gen
-
-    def release(self, bit_generator) -> None:
-        with self._lock:
-            if bit_generator is self._bit_generator:
-                self._bit_generator = None
-
-
-_PHILOX_POOL = _PhiloxPool()
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a stream key is 2 uint64 words, not {n_words} {np.dtype(dtype)} words")
+        return self.key
 
 
 @dataclass(frozen=True)
@@ -131,23 +88,19 @@ class RngStream:
     """A replayable random stream addressed by ``(root_seed, key)``.
 
     ``key`` is a tuple of strings and integers naming the consumer, e.g.
-    ``("sample", worker, round, step)`` or ``("mask", round)``.  The key is
-    hashed into a Philox counter-based generator, so distinct keys give
-    independent streams and the same key always replays the same stream,
-    on every platform.
+    ``("sample", worker, round, step)`` or ``("mask", round)``.  SHA-256 of
+    ``(root_seed, key)`` is the key of a fresh Philox counter-based
+    generator, so distinct keys give independent streams, the same key
+    always replays the same stream on every platform, and no draw depends
+    on process state or on the order in which streams are opened.
     """
 
     root_seed: int
     key: tuple
 
     def generator(self) -> np.random.Generator:
-        """A fresh generator at the start of this stream.
-
-        The Philox behind it is re-keyed from an earlier stream once nothing
-        can draw from that stream any more; the draws are those of
-        ``Generator(Philox(key=...))`` either way.
-        """
-        return _PHILOX_POOL.generator(self._philox_key())
+        """A new generator at the start of this stream, shared with no other caller."""
+        return np.random.Generator(np.random.Philox(_KeySequence(self._philox_key())))
 
     def _philox_key(self) -> np.ndarray:
         h = hashlib.sha256()

@@ -107,7 +107,9 @@ def parse_libsvm(text: str, dimension: int | None = None) -> Dataset:
         try:
             label = float(tokens[0])
         except ValueError:
-            raise DatasetError(f"line {lineno}: bad label {tokens[0]!r}") from None
+            label = math.nan
+        if not math.isfinite(label):
+            raise DatasetError(f"line {lineno}: bad label {tokens[0]!r}")
         entries: list[tuple[int, float]] = []
         prev = 0
         for tok in tokens[1:]:

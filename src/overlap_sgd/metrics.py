@@ -47,7 +47,7 @@ class MetricsRecord:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
-_INT_COLUMNS = {f.name for f in fields(MetricsRecord) if f.type == "int"}  # annotations are strings here
+_INT_COLUMNS = frozenset(f.name for f in fields(MetricsRecord) if f.type == "int")  # annotations are strings here
 
 
 def disagreement(models, mean: np.ndarray | None = None) -> float:

@@ -205,7 +205,9 @@ def tune_bound_params(
     budget = 1.0 / residual
     best = None
     best_val = math.inf
-    candidates = np.exp(np.linspace(math.log(1e-4), math.log(budget - 1.0), grid))
+    # a mask so sparse that (1 + 1e-4)**2 >= budget starts where (low, low) is admissible
+    low = 1e-4 if (1.0 + 1e-4) ** 2 < budget else (budget - 1.0) / 3
+    candidates = np.exp(np.linspace(math.log(low), math.log(budget - 1.0), grid))
     for alpha in candidates:
         for beta in candidates:
             if (1.0 + alpha) * (1.0 + beta) >= budget:

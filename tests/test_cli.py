@@ -481,6 +481,17 @@ class TestDatasetFileErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "theory"])
+    def test_non_finite_label_is_one_error_line(self, tmp_path, capsys, command):
+        data_path = tmp_path / "nan.libsvm"
+        data_path.write_text("1 1:0.5\nnan 1:0.3\n1 1:0.2\n", encoding="utf-8")
+        cfg = write_config(tmp_path, dataset={"path": str(data_path)}, methods=["local_sparse"])
+        assert main([command, str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: could not load dataset {data_path}: line 2: bad label 'nan'"]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "theory"])
     @pytest.mark.parametrize(
         "name, payload",
         [
@@ -639,6 +650,15 @@ class TestOtherCommands:
         report = json.loads(capsys.readouterr().out)
         assert "constants" in report and "complexity" in report
         assert report["complexity"]["rounds"] >= 1
+
+    def test_theory_accepts_a_one_coordinate_mask_in_ten_thousand(self, tmp_path, capsys):
+        synthetic = {"dim": 10000, "n_examples": 40, "separation": 1.5, "seed": 3}
+        cfg = write_config(tmp_path, dataset={"synthetic": synthetic}, sparsity=0.0001, stepsize=0.001)
+        assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["theory", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["bound_params"]["contraction"] < 1.0
 
     def test_gen_data_writes_loadable_libsvm(self, tmp_path, capsys):
         spec = tmp_path / "blobs.yaml"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from overlap_sgd.core import Mask, RngStream, average, project_mask, sample_rand_k
+from overlap_sgd.core import Mask, RngStream, _KeySequence, average, project_mask, sample_rand_k
 from overlap_sgd.errors import ConfigurationError
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -211,6 +211,12 @@ class TestRngStream:
         RngStream(6, ("after",)).generator().integers(0, 10, size=4)
         expected = np.random.Generator(np.random.Philox(key=stream._philox_key())).integers(0, 1 << 30, size=5)
         np.testing.assert_array_equal(np.random.Generator(bit_generator).integers(0, 1 << 30, size=5), expected)
+
+    def test_key_sequence_hands_out_only_the_philox_key(self):
+        key = RngStream(7, ("seq",))._philox_key()
+        assert _KeySequence(key).generate_state(2, np.uint64) is key
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            _KeySequence(key).generate_state(4)
 
 
 class TestAverage:

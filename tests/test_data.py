@@ -42,6 +42,11 @@ class TestParseLibsvm:
         with pytest.raises(DatasetError, match="line 2"):
             parse_libsvm("+1 1:1\n-1 1:oops\n")
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+    def test_non_finite_label_is_a_bad_label(self, label):
+        with pytest.raises(DatasetError, match=f"^line 2: bad label '{label}'$"):
+            parse_libsvm(f"1 1:0.5\n{label} 1:0.3\n1 1:0.2\n")
+
     def test_indices_must_increase(self):
         with pytest.raises(DatasetError, match="strictly increasing"):
             parse_libsvm("+1 2:1 2:3\n")

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import make_logistic_oracle, make_quadratic_oracle
 from overlap_sgd.core import Mask, RngStream, average, project_mask, sample_rand_k
@@ -163,6 +167,50 @@ class TestMergeStack:
             merge_delay_corrected(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(3), mask)
         with pytest.raises(ConfigurationError):
             merge_overwrite(np.zeros((2, 2)), np.zeros(3), mask)
+
+
+@st.composite
+def fleet_shapes(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    d = draw(st.integers(min_value=1, max_value=40))
+    k = draw(st.integers(min_value=1, max_value=d))
+    return n, d, k
+
+
+class TestMergeProperties:
+    @given(shape=fleet_shapes(), seed=st.integers(min_value=0, max_value=2**32))
+    @example(shape=(3, 1, 1), seed=0)
+    @example(shape=(4, 9, 9), seed=1)
+    def test_stack_merges_equal_row_by_row(self, shape, seed):
+        n, d, k = shape
+        gen = RngStream(seed, ("merge-property",)).generator()
+        latest, sent = gen.standard_normal((2, n, d))
+        mask = sample_rand_k(d, k, gen)
+        sent_avg = average(sent)
+        message = project_mask(sent_avg, mask)
+        dc = merge_delay_corrected(latest, sent, sent_avg, mask)
+        ow = merge_overwrite(latest, message, mask)
+        for i in range(n):
+            np.testing.assert_array_equal(dc[i], merge_delay_corrected(latest[i], sent[i], sent_avg, mask))
+            np.testing.assert_array_equal(ow[i], merge_overwrite(latest[i], message, mask))
+
+    @given(
+        shape=fleet_shapes(),
+        seed=st.integers(min_value=0, max_value=2**32),
+        step_times=st.lists(st.integers(min_value=1, max_value=3), min_size=6, max_size=6),
+    )
+    @example(shape=(3, 1, 1), seed=0, step_times=[1, 2, 3, 1, 2, 3])
+    @example(shape=(4, 9, 9), seed=1, step_times=[1, 2, 3, 1, 2, 3])
+    def test_delay_corrected_mean_equals_mean_of_latest(self, shape, seed, step_times):
+        n, d, k = shape
+        taus = step_times[:n]  # one per worker
+        plan = build_plan(taus, 1, math.lcm(*taus))
+        start = RngStream(seed, ("start-property",)).generator().standard_normal((n, d))
+        oracle = make_quadratic_oracle(dim=d, noise=0.3, seed=seed)
+        out = run_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, k, 0.05, oracle, seed, 0)
+        latest_mean = average(out.latest)
+        resid = np.linalg.norm(average(out.next_models) - latest_mean)
+        assert resid <= 1e-12 * (1.0 + np.linalg.norm(latest_mean))
 
 
 class TestRunRound:

@@ -65,3 +65,45 @@ SOURCES = [p for p in sorted((ROOT / "src" / "overlap_sgd").glob("*.py")) if p.n
 def test_no_unused_imports(path):
     # __init__.py is exempt: its imports are the package's re-exports
     assert _unused_imports(path) == []
+
+
+IMMUTABLE_CALLS = frozenset({"tuple", "frozenset", "logging.getLogger"})
+
+
+def _is_immutable(node: ast.expr) -> bool:
+    """A constant, a tuple of immutables, arithmetic on them, or a call that builds an immutable."""
+    if isinstance(node, ast.Constant):
+        return True
+    if isinstance(node, ast.Tuple):
+        return all(_is_immutable(e) for e in node.elts)
+    if isinstance(node, ast.BinOp):
+        return _is_immutable(node.left) and _is_immutable(node.right)
+    if isinstance(node, ast.UnaryOp):
+        return _is_immutable(node.operand)
+    return isinstance(node, ast.Call) and ast.unparse(node.func) in IMMUTABLE_CALLS
+
+
+def _module_state(path: Path) -> list[str]:
+    """Module-level names ``path`` binds to a mutable value, and ``global`` rebinds anywhere."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [
+        f"{path.name}:{n.lineno} global {', '.join(n.names)}" for n in ast.walk(tree) if isinstance(n, ast.Global)
+    ]
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [ast.unparse(t) for t in targets]
+            if names != ["__all__"] and node.value is not None and not _is_immutable(node.value):
+                found.append(f"{path.name}:{node.lineno} {' = '.join(names)}")
+        pending.extend(child for child in ast.iter_child_nodes(node) if isinstance(child, ast.stmt))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "overlap_sgd").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_state(path):
+    # every draw depends only on its stream key, and every call only on its arguments
+    assert _module_state(path) == []

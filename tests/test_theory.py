@@ -192,6 +192,12 @@ class TestTuning:
             )
         assert weight(tuned) <= weight(naive)
 
+    @pytest.mark.parametrize("d", [10000, 100000])
+    def test_one_coordinate_mask_has_admissible_params(self, d):
+        # (1 + 1e-4)**2 already exceeds 1 / residual, below the old grid's first point
+        agg = aggregates(build_plan((1, 2, 3, 6), 3, 6))
+        assert tune_bound_params(1, d, agg).contraction < 1.0
+
     def test_full_mask_shortcut(self):
         agg = aggregates(build_plan((1,), 1, 0))
         bp = tune_bound_params(4, 4, agg)
