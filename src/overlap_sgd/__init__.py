@@ -10,6 +10,7 @@ from .engine import (
     local_steps,
     merge_delay_corrected,
     merge_overwrite,
+    round_mask,
     run_round,
 )
 from .errors import ConfigurationError, DatasetError, DivergenceError

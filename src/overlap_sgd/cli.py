@@ -37,10 +37,23 @@ def reject(lines) -> None:
         raise InputError("\n".join(lines))
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a key repeated in one mapping instead of keeping its last value."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        self.flatten_mapping(node)  # pairs merged in by '<<' go first, and own keys override them
+        keys = [self.construct_object(key, deep=True) for key in own]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise yaml.constructor.ConstructorError(None, None, f"duplicate key {key!r}", own[i].start_mark)
+        return super().construct_mapping(node, deep)
+
+
 def _read_yaml(path, kind: str):
-    """The YAML document at ``path``; InputError if it is missing, unreadable or not YAML."""
+    """The YAML document at ``path``; InputError if it is missing, unreadable, not YAML or repeats a key."""
     try:
-        return yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        return yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_UniqueKeyLoader)
     except FileNotFoundError:
         message = f"{kind} file not found: {path}"
     except (OSError, UnicodeDecodeError) as exc:
@@ -119,22 +132,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="enable info logging")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run an experiment suite from a config or manifest")
-    p_run.add_argument("config")
-    p_run.set_defaults(func=cmd_run)
-
-    p_val = sub.add_parser("validate", help="validate a config file")
-    p_val.add_argument("config")
-    p_val.set_defaults(func=cmd_validate)
-
-    p_theory = sub.add_parser("theory", help="print bound constants and complexities as JSON")
-    p_theory.add_argument("config")
-    p_theory.set_defaults(func=cmd_theory)
-
-    p_gen = sub.add_parser("gen-data", help="write a synthetic dataset as LIBSVM text")
-    p_gen.add_argument("spec", help="YAML with dim, n_examples, separation, seed, out")
-    p_gen.set_defaults(func=cmd_gen_data)
+    for name, func, help_text, arg, arg_help in (
+        ("run", cmd_run, "run an experiment suite from a config or manifest", "config", None),
+        ("validate", cmd_validate, "validate a config file", "config", None),
+        ("theory", cmd_theory, "print bound constants and complexities as JSON", "config", None),
+        ("gen-data", cmd_gen_data, "write a synthetic dataset as LIBSVM text", "spec",
+         "YAML with dim, n_examples, separation, seed, out"),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument(arg, help=arg_help)
+        command.set_defaults(func=func)
     return parser
 
 

@@ -16,6 +16,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
+from .core import SEED_MODULUS
 from .data import check_min_examples, validation_size
 from .engine import Method, method_plan_problems
 from .errors import ConfigurationError
@@ -227,9 +228,7 @@ def _read_dataset(raw, issues: list) -> DatasetSpec | None:
 
 def _read_partition(raw: Mapping, issues: list) -> PartitionSpec | None:
     """A ``mode``, plus ``alpha`` and ``min_examples`` in dirichlet mode only."""
-    if "partition" not in raw:
-        return PartitionSpec()
-    value = raw["partition"]
+    value = raw.get("partition", {"mode": PartitionSpec.mode})
     if not isinstance(value, Mapping) or "mode" not in value:
         issues.append(ConfigIssue("partition", "must be a mapping with a 'mode' key"))
         return None
@@ -282,8 +281,8 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
     seeds = _as_int_list(read.get("seeds"))
     if seeds is None:
         read.bad("seeds", "must be a non-empty list of integers")
-    elif len(set(seeds)) != len(seeds):
-        read.bad("seeds", "must not contain duplicates")
+    elif len({s % SEED_MODULUS for s in seeds}) != len(seeds):
+        read.bad("seeds", "must not contain duplicates (a seed is taken modulo 2**64)")
 
     reg = _nested(
         raw, "regularizer", RegularizerParams, issues, "must be a mapping with 'strength' and 'scale'"

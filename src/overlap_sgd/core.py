@@ -1,4 +1,4 @@
-"""Dense vector algebra, Rand-K masks, and the keyed random-number substrate.
+"""Dense vector algebra, Rand-K mask sampling, and the keyed random-number substrate.
 
 A model is a 1-D float64 numpy array; a fleet of worker models is the
 rows of one ``(n, d)`` array.  All reductions use a fixed ascending-index
@@ -21,12 +21,14 @@ from .errors import ConfigurationError, DivergenceError
 __all__ = [
     "Mask",
     "RngStream",
-    "RoundMemo",
+    "SEED_MODULUS",
     "check_finite",
     "project_mask",
     "sample_rand_k",
     "average",
 ]
+
+SEED_MODULUS = 2**64  # a root seed is taken modulo this: congruent seeds name the same streams
 
 
 def check_finite(arr: np.ndarray, context: str = "vector") -> None:
@@ -104,7 +106,7 @@ class RngStream:
 
     def _philox_key(self) -> np.ndarray:
         h = hashlib.sha256()
-        h.update(struct.pack("<Q", self.root_seed & 0xFFFFFFFFFFFFFFFF))
+        h.update(struct.pack("<Q", self.root_seed % SEED_MODULUS))
         for part in self.key:
             if isinstance(part, str):
                 raw = part.encode("utf-8")
@@ -145,34 +147,6 @@ def sample_rand_k(d: int, k: int, gen: np.random.Generator) -> Mask:
         else:
             head[i], tail[j] = tail.get(j, j), head[i]
     return Mask(indices=np.sort(np.array(head, dtype=np.int64)), d=d)
-
-
-class RoundMemo:
-    """Values drawn in one round, kept for the other methods that replay the round.
-
-    A lookup for a new round first empties the memo, and at most ``limit``
-    values are kept, so the memo never holds more than one round's draws.
-    ``key`` must name everything the value depends on besides the round;
-    values are stored under ``(round_index, key)``, so a value is only ever
-    returned for the draw that made it.
-    """
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.round_index = None
-        self.values = {}
-
-    def get(self, round_index: int, key, draw):
-        """The value kept for ``key`` in ``round_index``, or ``draw()`` if there is none."""
-        if round_index != self.round_index:
-            self.values.clear()
-            self.round_index = round_index
-        value = self.values.get((round_index, key))
-        if value is None:
-            value = draw()
-            if len(self.values) < self.limit:
-                self.values[round_index, key] = value
-        return value
 
 
 def average(vs) -> np.ndarray:

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Mask, RngStream, RoundMemo, average, project_mask, sample_rand_k
+from .core import Mask, RngStream, average, project_mask, sample_rand_k
 from .errors import ConfigurationError, DivergenceError
 from .timing import TimingPlan
 
@@ -27,6 +27,7 @@ __all__ = [
     "merge_delay_corrected",
     "merge_overwrite",
     "method_plan_problems",
+    "round_mask",
     "run_round",
 ]
 
@@ -163,26 +164,25 @@ def method_plan_problems(method: Method, plan: TimingPlan, mask_size: int, dim: 
     return problems
 
 
+def round_mask(root_seed: int, round_index: int, dim: int, mask_size: int) -> Mask:
+    """The k-of-d mask of round ``round_index``, shared by all its workers and methods."""
+    return sample_rand_k(dim, mask_size, RngStream(root_seed, ("mask", round_index)).generator())
+
+
 def run_round(
     start: np.ndarray,
     method: Method,
     plan: TimingPlan,
-    mask_size: int,
+    mask: Mask,
     stepsize: float,
     oracle,
-    root_seed: int,
     round_index: int,
-    masks: RoundMemo | None = None,
 ) -> RoundOutcome:
     """Execute one round of ``method`` from the ``(n, d)`` models ``start``.
 
-    ``start`` is not modified.  The mask is drawn once from the
-    round-keyed stream and shared by all workers; sample streams are keyed
-    (worker, round, step index), so methods that take the same steps see
-    the same randomness.  A caller that runs several methods through the
-    same round passes them one ``masks`` memo, so the round's mask is
-    drawn once for all of them, just as an oracle with a row memo draws
-    each (worker, step) batch once.
+    ``start`` is not modified, and the caller draws the round's ``mask``
+    (see ``round_mask``).  Sample streams are keyed (worker, round, step
+    index), so methods that take the same steps see the same randomness.
     """
     method = Method(method)
     if start.ndim != 2 or start.shape[0] != plan.n_workers:
@@ -190,14 +190,11 @@ def run_round(
             f"start models have shape {start.shape} but plan has {plan.n_workers} workers"
         )
     n, dim = start.shape
-    problems = method_plan_problems(method, plan, mask_size, dim)
+    if mask.d != dim:
+        raise ConfigurationError(f"mask dimension {mask.d} does not match model dimension {dim}")
+    problems = method_plan_problems(method, plan, mask.indices.size, dim)
     if problems:
         raise ConfigurationError("; ".join(problems))
-    mask = (RoundMemo(0) if masks is None else masks).get(
-        round_index,
-        (root_seed, dim, mask_size),
-        lambda: sample_rand_k(dim, mask_size, RngStream(root_seed, ("mask", round_index)).generator()),
-    )
 
     if method is Method.SYNC_SGD:
         # one gradient per worker at the common point, averaged, one global step

@@ -8,11 +8,12 @@ tests).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, RoundMemo, check_finite
+from .core import RngStream, check_finite
 from .data import Dataset
 from .errors import ConfigurationError
 
@@ -118,11 +119,11 @@ class LogisticOracle:
     samples.  The regularizer gradient is added in full to every batch
     gradient (the penalty is data-independent).
 
-    ``memo`` keeps the row indices drawn in the current round, up to
-    ``round_keys`` of them: set that to the number of distinct
+    ``batch_rows`` keeps the most recently drawn row indices in an LRU cache
+    of ``round_keys`` entries: set that to the number of distinct
     (worker, step) keys one round of the plan draws, and methods that run
-    the same round one after another draw each batch once.  Moving to
-    another round empties the memo; with ``round_keys == 0`` it keeps nothing.
+    the same round one after another draw each batch once, while the cache
+    never holds more than one round; with ``round_keys == 0`` it keeps nothing.
     """
 
     dataset: Dataset
@@ -137,24 +138,25 @@ class LogisticOracle:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.dataset.n_examples == 0:
             raise ConfigurationError("oracle over an empty dataset")
-        object.__setattr__(
-            self, "worker_pools", tuple(np.asarray(p, dtype=np.int64) for p in self.worker_pools)
-        )
-        object.__setattr__(self, "memo", RoundMemo(self.round_keys))
+        pools = tuple(np.asarray(p, dtype=np.int64) for p in self.worker_pools)
+        root_seed, batch_size = self.root_seed, self.batch_size
+        object.__setattr__(self, "worker_pools", pools)
+        # a closure, not a bound method: caching self would keep the oracle in a reference cycle
+        @functools.lru_cache(maxsize=self.round_keys)
+        def batch_rows(worker: int, round_index: int, step: int) -> np.ndarray:
+            gen = RngStream(root_seed, ("sample", worker, round_index, step)).generator()
+            return pools[worker][gen.integers(0, pools[worker].size, size=batch_size)]
+
+        object.__setattr__(self, "batch_rows", batch_rows)
 
     def gradient(self, w: np.ndarray, worker: int, round_index: int, step: int) -> np.ndarray:
-        pool = self.worker_pools[worker]
-        if pool.size == 0:
+        if self.worker_pools[worker].size == 0:
             raise ConfigurationError(f"worker {worker} has no examples to sample from")
-        rows = self.memo.get(round_index, (worker, step), lambda: self._draw_rows(pool, worker, round_index, step))
+        rows = self.batch_rows(worker, round_index, step)
         grad = _logistic_gradient(self.dataset.features[rows], self.dataset.labels[rows], w)
         if self.regularizer.enabled:
             grad = grad + self.regularizer.gradient(w)
         return grad
-
-    def _draw_rows(self, pool: np.ndarray, worker: int, round_index: int, step: int) -> np.ndarray:
-        gen = RngStream(self.root_seed, ("sample", worker, round_index, step)).generator()
-        return pool[gen.integers(0, pool.size, size=self.batch_size)]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, data_issues, rand_k_size
-from .core import RoundMemo
 from .data import (
     Dataset,
     apply_normalization,
@@ -24,7 +23,7 @@ from .data import (
     split_train_val,
     synthetic_blobs,
 )
-from .engine import run_round
+from .engine import round_mask, run_round
 from .errors import ConfigurationError, DivergenceError
 from .metrics import MetricsRecord, RunRecorder, atomic_write_bytes, write_metrics
 from .objective import LogisticOracle
@@ -103,7 +102,7 @@ class SeedArtifacts:
     pools: tuple[np.ndarray, ...]  # per-worker example indices into train
     x0: np.ndarray
     hashes: dict
-    oracle: LogisticOracle  # keyed by (worker, round, step), so every method shares it and its row memo
+    oracle: LogisticOracle  # keyed by (worker, round, step), so every method shares it and its batch cache
 
 
 def prepare_seed_artifacts(dataset: Dataset, config: ExperimentConfig, seed: int) -> SeedArtifacts:
@@ -160,9 +159,9 @@ def _run_methods(
     """Every method of ``config`` on one seed, round-major.
 
     Round ``r`` runs for every method still running before round ``r + 1``
-    starts, so the oracle's row memo and one mask memo hand each of the
-    round's draws to all of them; both hold one round at a time.  A method
-    that diverges stops alone.
+    starts, so the round's mask, drawn once, and the oracle's batch cache
+    hand each of the round's draws to all of them.  A method that diverges
+    stops alone.
     """
     runs = []
     for method in config.methods:
@@ -177,16 +176,15 @@ def _run_methods(
         models = np.tile(artifacts.x0, (plan.n_workers, 1))
         records = [recorder.measure_initial(models)] if config.rounds else []
         runs.append(_MethodRun(method, recorder, models, records))
-    masks = RoundMemo(1)
     for r in range(config.rounds):
+        live = [run for run in runs if run.status == "ok"]
+        if not live:
+            break
         due = (r + 1) % config.eval_every == 0 or r == config.rounds - 1
-        for run in runs:
-            if run.status != "ok":
-                continue
+        mask = round_mask(seed, r, artifacts.x0.size, mask_size)
+        for run in live:
             try:
-                outcome = run_round(
-                    run.models, run.method, plan, mask_size, config.stepsize, artifacts.oracle, seed, r, masks
-                )
+                outcome = run_round(run.models, run.method, plan, mask, config.stepsize, artifacts.oracle, r)
             except DivergenceError as exc:
                 logger.warning("%s seed %s: %s", run.method, seed, exc)
                 run.status = f"diverged:round={r}"

@@ -11,6 +11,7 @@ rationals.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,17 +51,21 @@ class TimingPlan:
         return self.compute_periods * self.base_period + self.comm_seconds
 
 
+def _count(value, least: int, message: str) -> int:
+    """``value`` as a Python int, if it is a Python or NumPy integer >= ``least``; a bool or float is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigurationError(message)
+    return int(value)
+
+
 def build_plan(step_times, compute_periods: int, comm_seconds: int) -> TimingPlan:
     """Validate the timing inputs and derive all per-round step counts."""
-    taus = tuple(int(t) for t in step_times)
+    taus = tuple(step_times)
     if len(taus) < 1:
         raise ConfigurationError("need at least one worker step time")
-    if any(t < 1 for t in taus):
-        raise ConfigurationError(f"step times must be positive integers, got {taus}")
-    if not isinstance(compute_periods, int) or compute_periods < 1:
-        raise ConfigurationError(f"compute_periods must be a positive integer, got {compute_periods}")
-    if not isinstance(comm_seconds, int) or comm_seconds < 0:
-        raise ConfigurationError(f"comm_seconds must be a non-negative integer, got {comm_seconds}")
+    taus = tuple(_count(t, 1, f"step times must be positive integers, got {taus}") for t in taus)
+    compute_periods = _count(compute_periods, 1, f"compute_periods must be a positive integer, got {compute_periods}")
+    comm_seconds = _count(comm_seconds, 0, f"comm_seconds must be a non-negative integer, got {comm_seconds}")
 
     base = math.lcm(*taus)
     if base > MAX_BASE_PERIOD:

@@ -7,8 +7,8 @@ import pytest
 import yaml
 
 from conftest import base_config_dict
-from overlap_sgd.cli import main
-from overlap_sgd.config import rand_k_size, validate_config
+from overlap_sgd.cli import _read_yaml, main
+from overlap_sgd.config import ConfigIssue, PartitionSpec, rand_k_size, validate_config
 from overlap_sgd.data import load_libsvm, serialize_libsvm, synthetic_blobs
 from overlap_sgd.metrics import render_csv
 from overlap_sgd.runner import run_suite
@@ -90,6 +90,14 @@ class TestValidateConfig:
             ({"dataset": {"synthetic": {"n_examples": 8000.9}}}, "dataset.synthetic.n_examples"),
             ({"dataset": {"synthetic": {"separtion": 3}}}, "dataset.synthetic.separtion"),
             ({"methods": [["local_sparse"]]}, "methods"),
+            ({"methods": "local_sparse"}, "methods"),
+            ({"seeds": 3}, "seeds"),
+            ({"step_times": 2}, "step_times"),
+            ({"dataset": [1]}, "dataset"),
+            ({"dataset": {"synthetic": 5}}, "dataset.synthetic"),
+            ({"partition": "shared"}, "partition"),
+            ({"regularizer": 3}, "regularizer"),
+            ({"theory": [1]}, "theory"),
         ],
     )
     def test_rejects_wrong_types_and_non_finite_numbers(self, overrides, field):
@@ -113,6 +121,46 @@ class TestValidateConfig:
         config, issues = validate_config(base_config_dict(theory=theory))
         assert config is None
         assert [str(i) for i in issues] == [message]
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"dataset": {"path": "a.svm", "synthetic": {}}}, "dataset: provide exactly one of 'path' or 'synthetic'"),
+            ({"dataset": {}}, "dataset: provide exactly one of 'path' or 'synthetic'"),
+            ({"partition": {}}, "partition: must be a mapping with a 'mode' key"),
+            (
+                {"partition": {"mode": "random"}},
+                "partition.mode: unknown mode 'random' (use shared, shard, or dirichlet)",
+            ),
+            ({"name": ""}, "name: must be a non-empty string"),
+            ({"output_dir": ""}, "output_dir: must be a non-empty path string"),
+        ],
+    )
+    def test_outside_input_rules(self, overrides, message):
+        config, issues = validate_config(base_config_dict(**overrides))
+        assert config is None
+        assert [str(i) for i in issues] == [message]
+
+    def test_root_must_be_a_mapping(self):
+        assert validate_config([base_config_dict()]) == (None, [ConfigIssue("<root>", "config must be a mapping")])
+
+    @pytest.mark.parametrize(
+        "seeds", [[4, 4], [1, 2**64 + 1], [1, 2, -(2**64) + 1], [1, 18446744073709551617, -18446744073709551615]]
+    )
+    def test_seeds_that_name_the_same_streams_are_duplicates(self, seeds):
+        config, issues = validate_config(base_config_dict(seeds=seeds))
+        assert config is None
+        assert [str(i) for i in issues] == ["seeds: must not contain duplicates (a seed is taken modulo 2**64)"]
+        assert validate_config(base_config_dict(seeds=[1, 2**64 - 1, 2**64 + 2]))[1] == []
+
+    def test_missing_partition_reads_as_shared_and_round_trips(self):
+        raw = base_config_dict()
+        del raw["partition"]
+        config, issues = validate_config(raw)
+        assert not issues
+        assert config.partition == PartitionSpec(mode="shared")
+        assert config.to_dict()["partition"] == {"mode": "shared"}
+        assert validate_config(config.to_dict()) == (config, [])
 
     def test_rejects_duplicate_methods(self):
         config, issues = validate_config(base_config_dict(methods=["local_sparse", "local_sparse"]))
@@ -328,6 +376,35 @@ class TestConfigFileErrors:
         assert main(["gen-data", str(spec)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: could not read {spec}: ")
+
+    @pytest.mark.parametrize("command", ["validate", "run", "theory"])
+    def test_a_repeated_config_key_is_a_parse_error(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, rounds=2)
+        path.write_text(path.read_text(encoding="utf-8") + "rounds: 700\n", encoding="utf-8")
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: could not parse {path}: duplicate key 'rounds'\n")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_a_repeated_spec_key_is_a_parse_error(self, tmp_path, capsys):
+        spec = tmp_path / "blobs.yaml"
+        spec.write_text(f"dim: 3\nn_examples: 5\ndim: 4\nout: {tmp_path / 'blobs.libsvm'}\n", encoding="utf-8")
+        assert main(["gen-data", str(spec)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: could not parse {spec}: duplicate key 'dim'\n")
+        assert not (tmp_path / "blobs.libsvm").exists()
+
+    def test_a_repeated_nested_key_is_a_parse_error(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        text = path.read_text(encoding="utf-8") + "regularizer: {strength: 0.0, strength: 0.1}\n"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert "duplicate key 'strength'" in capsys.readouterr().err
+
+    def test_merge_keys_still_load_and_own_keys_override_them(self, tmp_path):
+        path = tmp_path / "merge.yaml"
+        path.write_text("base: &b {x: 1, y: 2}\nm: {<<: *b, x: 3}\n", encoding="utf-8")
+        assert _read_yaml(path, "config") == {"base": {"x": 1, "y": 2}, "m": {"x": 3, "y": 2}}
 
     @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
     def test_output_dir_at_or_below_a_file_is_a_config_error(self, tmp_path, capsys, below):

@@ -16,6 +16,7 @@ from overlap_sgd.engine import (
     merge_delay_corrected,
     merge_overwrite,
     method_plan_problems,
+    round_mask,
     run_round,
 )
 from overlap_sgd.errors import ConfigurationError, DivergenceError
@@ -207,7 +208,7 @@ class TestMergeProperties:
         plan = build_plan(taus, 1, math.lcm(*taus))
         start = RngStream(seed, ("start-property",)).generator().standard_normal((n, d))
         oracle = make_quadratic_oracle(dim=d, noise=0.3, seed=seed)
-        out = run_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, k, 0.05, oracle, seed, 0)
+        out = run_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, round_mask(seed, 0, d, k), 0.05, oracle, 0)
         latest_mean = average(out.latest)
         resid = np.linalg.norm(average(out.next_models) - latest_mean)
         assert resid <= 1e-12 * (1.0 + np.linalg.norm(latest_mean))
@@ -225,7 +226,7 @@ class TestRunRound:
         ]
         for method, plan, mask_size, start in cases:
             before = start.copy()
-            out = run_round(start, method, plan, mask_size, 0.05, oracle, 2, 0)
+            out = run_round(start, method, plan, round_mask(2, 0, 5, mask_size), 0.05, oracle, 0)
             np.testing.assert_array_equal(start, before)
             assert out.next_models.shape == out.sent.shape == out.latest.shape == (2, 5)
 
@@ -233,13 +234,13 @@ class TestRunRound:
         oracle = make_quadratic_oracle(dim=4)
         plan = build_plan((1, 2), 1, 0)
         with pytest.raises(ConfigurationError, match="2 workers"):
-            run_round(np.ones((3, 4)), Method.LOCAL_SPARSE, plan, 2, 0.1, oracle, 0, 0)
+            run_round(np.ones((3, 4)), Method.LOCAL_SPARSE, plan, round_mask(0, 0, 4, 2), 0.1, oracle, 0)
 
     def test_mean_of_merged_equals_mean_of_latest(self):
         oracle = make_quadratic_oracle(dim=12, noise=0.3, seed=4)
         plan = build_plan((1, 2, 4), 1, 4)
         start = np.stack([np.ones(12)] * 3)
-        out = run_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, 5, 0.05, oracle, 4, 0)
+        out = run_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, round_mask(4, 0, 12, 5), 0.05, oracle, 0)
         merged_mean = average(list(out.next_models))
         latest_mean = average(list(out.latest))
         resid = np.linalg.norm(merged_mean - latest_mean)
@@ -251,7 +252,7 @@ class TestRunRound:
         models = [np.full(6, 2.0)] * 2
         for r in range(5):
             start = np.stack(models)
-            out = run_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, 2, 0.04, oracle, 8, r)
+            out = run_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, round_mask(8, r, 6, 2), 0.04, oracle, r)
             mean_before = average(models)
             mean_after = average(list(out.next_models))
             predicted = mean_before - 0.04 * out.avg_grad_sum
@@ -275,7 +276,7 @@ class TestRunRound:
             total = np.zeros(2, dtype=int)
             for r in range(3):
                 start = np.stack(models)
-                out = run_round(start, method, plan, mask_size, 0.05, oracle, 2, r)
+                out = run_round(start, method, plan, round_mask(2, r, 4, mask_size), 0.05, oracle, r)
                 total += np.array(out.steps)
                 models = [m.copy() for m in out.next_models]
             np.testing.assert_array_equal(total, 3 * np.array(expected))
@@ -284,7 +285,7 @@ class TestRunRound:
         oracle = make_quadratic_oracle(dim=4, noise=0.2, seed=6)
         plan = build_plan((1, 2), 1, 2)
         start = np.stack([np.ones(4)] * 2)
-        out = run_round(start, Method.LOCAL_SPARSE, plan, 2, 0.05, oracle, 6, 0)
+        out = run_round(start, Method.LOCAL_SPARSE, plan, round_mask(6, 0, 4, 2), 0.05, oracle, 0)
         assert disagreement(out.latest - out.sent) == 0.0
         assert disagreement(out.sent - start) > 0.0
 
@@ -293,7 +294,7 @@ class TestRunRound:
         plan = build_plan((1, 2), 3, 4)
         for method in (Method.LOCAL_SPARSE, Method.OVERLAP_OVERWRITE):
             start = np.stack([np.ones(4)] * 2)
-            out = run_round(start, method, plan, 2, 0.05, oracle, 0, 0)
+            out = run_round(start, method, plan, round_mask(0, 0, 4, 2), 0.05, oracle, 0)
             assert out.duration == plan.round_seconds == 10
 
     def test_baseline_coincidence_no_delay_full_mask(self):
@@ -313,7 +314,7 @@ class TestRunRound:
             snaps = []
             for r in range(4):
                 start = np.stack(models)
-                out = run_round(start, method, plan, 6, 0.1, oracle, 17, r)
+                out = run_round(start, method, plan, round_mask(17, r, 6, 6), 0.1, oracle, r)
                 models = [m.copy() for m in out.next_models]
                 snaps.append(np.stack(models))
             trajectories[method] = np.stack(snaps)
@@ -328,10 +329,9 @@ class TestRunRound:
         sync_models = [np.zeros(5)] * 2
         dc_models = [np.zeros(5)] * 2
         for r in range(10):
-            out_sync = run_round(np.stack(sync_models), Method.SYNC_SGD, plan, 5, 0.1, oracle, 21, r)
-            out_dc = run_round(
-                np.stack(dc_models), Method.OVERLAP_DELAY_CORRECTED, plan, 5, 0.1, oracle, 21, r
-            )
+            mask = round_mask(21, r, 5, 5)
+            out_sync = run_round(np.stack(sync_models), Method.SYNC_SGD, plan, mask, 0.1, oracle, r)
+            out_dc = run_round(np.stack(dc_models), Method.OVERLAP_DELAY_CORRECTED, plan, mask, 0.1, oracle, r)
             sync_models = [m.copy() for m in out_sync.next_models]
             dc_models = [m.copy() for m in out_dc.next_models]
             dev = max(
@@ -346,7 +346,7 @@ class TestRunRound:
         plan = build_plan((2,), 1, 2)
         outs = {}
         for method in (Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED):
-            outs[method] = run_round(np.stack([np.ones(6)]), method, plan, 2, 0.1, oracle, 14, 0)
+            outs[method] = run_round(np.stack([np.ones(6)]), method, plan, round_mask(14, 0, 6, 2), 0.1, oracle, 0)
         ow, dc = outs[Method.OVERLAP_OVERWRITE], outs[Method.OVERLAP_DELAY_CORRECTED]
         np.testing.assert_array_equal(ow.mask.indices, dc.mask.indices)
         np.testing.assert_array_equal(ow.latest[0], dc.latest[0])
@@ -358,20 +358,36 @@ class TestRunRound:
             dc.next_models[0][on] - ow.next_models[0][on], overlap_move[on], rtol=1e-12
         )
 
-    def test_mask_shared_across_workers_and_methods(self):
+    def test_round_mask_is_the_round_keyed_rand_k_draw(self):
+        for seed, r, d, k in [(9, 4, 10, 3), (0, 0, 1, 1), (2**64 + 9, 4, 10, 3), (5, 7, 1000, 1000)]:
+            mask = round_mask(seed, r, d, k)
+            want = sample_rand_k(d, k, RngStream(seed, ("mask", r)).generator())
+            assert mask.d == want.d == d
+            np.testing.assert_array_equal(mask.indices, want.indices)
+
+    def test_run_round_opens_no_mask_stream(self, monkeypatch):
+        keys = []
+        generator = RngStream.generator
         oracle = make_quadratic_oracle(dim=10, noise=0.1, seed=3)
-        plan = build_plan((1, 1), 1, 1)
-        a = run_round(np.stack([np.ones(10)] * 2), Method.OVERLAP_OVERWRITE, plan, 3, 0.05, oracle, 9, 4)
-        b = run_round(
-            np.stack([np.ones(10)] * 2), Method.OVERLAP_DELAY_CORRECTED, plan, 3, 0.05, oracle, 9, 4
-        )
-        np.testing.assert_array_equal(a.mask.indices, b.mask.indices)
+        mask = round_mask(9, 4, 10, 3)
+        monkeypatch.setattr(RngStream, "generator", lambda stream: keys.append(stream.key) or generator(stream))
+        for method in (Method.LOCAL_SPARSE, Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED):
+            out = run_round(np.ones((2, 10)), method, build_plan((1, 1), 1, 1), mask, 0.05, oracle, 4)
+            assert out.mask is mask
+        assert sorted(set(keys)) == [("sample", w, 4, t) for w in range(2) for t in range(2)]
+
+    def test_rejects_a_mask_over_another_dimension(self):
+        oracle = make_quadratic_oracle(dim=4)
+        plan = build_plan((1, 2), 1, 0)
+        with pytest.raises(ConfigurationError, match="mask dimension 5 does not match model dimension 4"):
+            run_round(np.zeros((2, 4)), Method.LOCAL_SPARSE, plan, round_mask(0, 0, 5, 2), 0.1, oracle, 0)
 
     def test_sync_step_divergence_names_no_worker(self):
         # the one global step leaves the guard's range: worker -1 is the sync step
         oracle = make_quadratic_oracle(dim=3, noise=0.0, seed=0, curvature=1e3)
         with pytest.raises(DivergenceError) as exc:
-            run_round(np.full((2, 3), 1e99), Method.SYNC_SGD, build_plan((1, 1), 1, 0), 3, 1.0, oracle, 0, 7)
+            plan = build_plan((1, 1), 1, 0)
+            run_round(np.full((2, 3), 1e99), Method.SYNC_SGD, plan, round_mask(0, 7, 3, 3), 1.0, oracle, 7)
         assert (exc.value.worker, exc.value.round_index) == (-1, 7)
 
     def test_sync_requires_identical_states(self):
@@ -379,20 +395,20 @@ class TestRunRound:
         plan = build_plan((1, 1), 1, 0)
         start = np.stack([np.zeros(3), np.ones(3)])
         with pytest.raises(ConfigurationError, match="identical"):
-            run_round(start, Method.SYNC_SGD, plan, 3, 0.1, oracle, 0, 0)
+            run_round(start, Method.SYNC_SGD, plan, round_mask(0, 0, 3, 3), 0.1, oracle, 0)
 
     def test_method_plan_incompatibilities(self):
-        # run_round rejects them before round 0 draws anything
+        # run_round rejects them before round 0 takes a step
         oracle = make_quadratic_oracle(dim=4)
         start = np.zeros((2, 4))
         plan_uneq = build_plan((1, 2), 1, 0)
         with pytest.raises(ConfigurationError, match="sync_sgd requires"):
-            run_round(start, Method.SYNC_SGD, plan_uneq, 4, 0.1, oracle, 0, 0)
+            run_round(start, Method.SYNC_SGD, plan_uneq, round_mask(0, 0, 4, 4), 0.1, oracle, 0)
         plan_eq = build_plan((1, 1), 1, 0)
         with pytest.raises(ConfigurationError, match="full mask"):
-            run_round(start, Method.SYNC_SGD, plan_eq, 2, 0.1, oracle, 0, 0)
+            run_round(start, Method.SYNC_SGD, plan_eq, round_mask(0, 0, 4, 2), 0.1, oracle, 0)
         with pytest.raises(ConfigurationError, match="fedavg_full requires"):
-            run_round(start, Method.FEDAVG_FULL, plan_uneq, 2, 0.1, oracle, 0, 0)
+            run_round(start, Method.FEDAVG_FULL, plan_uneq, round_mask(0, 0, 4, 2), 0.1, oracle, 0)
 
     def test_method_plan_problems_lists_every_rule(self):
         plan = build_plan((1, 2), 2, 2)
@@ -446,9 +462,7 @@ class TestRunRound:
         expected[Method.LOCAL_SPARSE] = merged
 
         for method, want in expected.items():
-            out = run_round(
-                np.stack(x0), method, plan, k, eta, oracle, seed, round_index=4
-            )
+            out = run_round(np.stack(x0), method, plan, round_mask(seed, 4, d, k), eta, oracle, round_index=4)
             np.testing.assert_array_equal(out.mask.indices, mask.indices)
             for i in range(n):
                 np.testing.assert_array_equal(out.sent[i], sent_ref[i])
@@ -462,7 +476,7 @@ class TestRunRound:
         gen = RngStream(12, ("init",)).generator()
         models = [gen.standard_normal(8) for _ in range(2)]
         start = np.stack(models)
-        out = run_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, 3, 0.1, oracle, 12, 0)
+        out = run_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, round_mask(12, 0, 8, 3), 0.1, oracle, 0)
         sent = list(out.sent)
         latest = list(out.latest)
         sent_avg = average(sent)

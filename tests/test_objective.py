@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -167,6 +169,26 @@ class TestStochasticGradient:
         )
         with pytest.raises(ConfigurationError, match="no examples"):
             oracle.gradient(np.zeros(tiny_blobs.dim), 0, 0, 0)
+
+    def test_a_caching_oracle_is_freed_with_its_last_reference(self, tiny_blobs):
+        # the batch cache must not hold the oracle, or each seed's train set outlives it until a GC pass
+        oracle = LogisticOracle(
+            dataset=tiny_blobs,
+            batch_size=4,
+            regularizer=RegularizerParams(),
+            worker_pools=(np.arange(tiny_blobs.n_examples),),
+            root_seed=0,
+            round_keys=3,
+        )
+        oracle.gradient(np.zeros(tiny_blobs.dim), 0, 0, 0)
+        assert oracle.batch_rows.cache_info().currsize == 1
+        freed = weakref.ref(oracle)
+        gc.disable()
+        try:
+            del oracle
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestQuadraticOracle:

@@ -53,6 +53,13 @@ def test_suite_draws_each_minibatch_and_mask_once(tmp_path, drawn_keys):
     assert masks == {(seed, ("mask", r)): 1 for seed in config.seeds for r in rounds}
 
 
+def test_a_suite_diverged_in_round_0_draws_one_mask_per_seed(tmp_path, drawn_keys):
+    result = run_suite(make_config(tmp_path, "diverged", stepsize=1e150))
+    assert {r.status for r in result.runs} == {"diverged:round=0"}
+    masks = Counter(k for k in drawn_keys if k[1][0] == "mask")
+    assert masks == {(seed, ("mask", 0)): 1 for seed in (1, 2)}
+
+
 def test_each_method_writes_what_it_writes_alone(tmp_path):
     together = run_suite(make_config(tmp_path, "all", eval_per_worker=True))
     assert {r.status for r in together.runs} == {"ok"}
@@ -67,10 +74,10 @@ def test_each_method_writes_what_it_writes_alone(tmp_path):
 def test_a_diverged_method_stops_alone(tmp_path, monkeypatch):
     run_round = runner_mod.run_round
 
-    def overwrite_diverges_in_round_1(start, method, plan, mask_size, stepsize, oracle, seed, round_index, masks):
+    def overwrite_diverges_in_round_1(start, method, plan, mask, stepsize, oracle, round_index):
         if method == "overlap_overwrite" and round_index == 1:
             raise DivergenceError("worker 0 diverged in round 1", round_index=1, worker=0)
-        return run_round(start, method, plan, mask_size, stepsize, oracle, seed, round_index, masks)
+        return run_round(start, method, plan, mask, stepsize, oracle, round_index)
 
     clean = run_suite(make_config(tmp_path, "clean"))
     monkeypatch.setattr(runner_mod, "run_round", overwrite_diverges_in_round_1)
@@ -96,5 +103,6 @@ def test_theory_draws_leave_the_memo_within_one_round(tmp_path, monkeypatch):
     (oracle,) = oracles
     plan = build_plan(config.step_times, config.compute_periods, config.comm_seconds)
     assert oracle.round_keys == sum(plan.total_steps) < 2000
-    assert oracle.memo.round_index == -1
-    assert len(oracle.memo.values) == oracle.round_keys
+    # 2000 keys, each drawn once; the cache keeps one round's worth of them
+    info = oracle.batch_rows.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2000, oracle.round_keys)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -79,6 +80,33 @@ def test_rejects_bad_inputs():
         build_plan((1,), 0, 0)
     with pytest.raises(ConfigurationError):
         build_plan((1,), 1, -1)
+
+
+@pytest.mark.parametrize(
+    "step_times, compute_periods, comm_seconds, message",
+    [
+        ([1.5, 2], 1, 0, r"step times must be positive integers, got \(1\.5, 2\)"),
+        ([1, True], 1, 0, r"step times must be positive integers, got \(1, True\)"),
+        ([1, 2.0], 1, 0, r"step times must be positive integers"),
+        ([1, 2], True, 0, "compute_periods must be a positive integer, got True"),
+        ([1, 2], 1.0, 0, "compute_periods must be a positive integer, got 1.0"),
+        ([1, 2], np.float64(1), 0, "compute_periods must be a positive integer"),
+        ([1, 2], 1, False, "comm_seconds must be a non-negative integer, got False"),
+        ([1, 2], 1, 2.0, "comm_seconds must be a non-negative integer, got 2.0"),
+        ([1, 2], 1, np.int64(-2), "comm_seconds must be a non-negative integer"),
+    ],
+)
+def test_timing_inputs_are_integers_not_bools_or_floats(step_times, compute_periods, comm_seconds, message):
+    with pytest.raises(ConfigurationError, match=message):
+        build_plan(step_times, compute_periods, comm_seconds)
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8, int])
+def test_numpy_integers_are_accepted_and_stored_as_python_ints(integer):
+    plan = build_plan([integer(1), integer(2)], integer(1), integer(2))
+    assert plan == build_plan([1, 2], 1, 2)
+    stored = (*plan.step_times, plan.compute_periods, plan.comm_seconds, plan.base_period, *plan.total_steps)
+    assert {type(v) for v in stored} == {int}
 
 
 @given(taus=small_taus, m=st.integers(1, 5), zeta_mult=st.integers(0, 4))
