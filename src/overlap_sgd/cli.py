@@ -19,7 +19,7 @@ from pathlib import Path
 
 import yaml
 
-from .config import ExperimentConfig, blocking_file, read_synthetic_spec, validate_config
+from .config import ExperimentConfig, blocking_file, path_issue, read_synthetic_spec, validate_config
 from .data import serialize_libsvm, synthetic_blobs
 from .errors import ConfigurationError, DatasetError
 from .metrics import atomic_write_bytes
@@ -107,8 +107,10 @@ def cmd_theory(args) -> int:
 def cmd_gen_data(args) -> int:
     raw = _read_yaml(args.spec, "spec")
     out = raw.get("out") if isinstance(raw, dict) else None
-    if not isinstance(out, str) or not out:
+    if out is None:
         raise InputError("error: gen-data spec needs at least an 'out' path")
+    if (problem := path_issue(out)) is not None:
+        raise InputError(f"error: out: {problem}")
     # the same reader as a config's dataset.synthetic, plus the 'out' key
     spec, issues = read_synthetic_spec({k: v for k, v in raw.items() if k != "out"})
     reject([f"invalid spec: {issue}" for issue in issues])

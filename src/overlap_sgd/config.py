@@ -3,9 +3,9 @@
 Configs are plain YAML mappings, read by the CLI (which also accepts a
 manifest's ``config`` block, so a finished run can be replayed from its
 manifest alone).  The dataclasses below are the schema: each mapping
-accepts exactly the fields of its dataclass, and every default is the one
-stated on its field.  Validation collects every problem instead of failing
-on the first.
+accepts exactly the fields of its dataclass, and a field states its default
+and, in its metadata, the rule its value alone must meet.  Validation
+collects every problem instead of failing on the first.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "validate_config",
     "data_issues",
     "blocking_file",
+    "path_issue",
     "read_synthetic_spec",
     "rand_k_size",
 ]
@@ -44,12 +45,60 @@ def rand_k_size(sparsity: float, dim: int) -> int:
     return max(1, int(math.floor(sparsity * dim + 0.5)))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """An int or float, not a bool, in float range: not ``.nan``, ``.inf`` or a 400-digit int."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+def _rule(accept, message: str, convert=None) -> dict:
+    """A field's accepted values, as its dataclass metadata: a value ``accept``
+    rejects is reported as ``message``; one it takes reads as ``convert(value)``."""
+    return {"accept": accept, "message": message, "convert": convert or (lambda v: v)}
+
+
+def _int(least: int | None = 1, message: str = "") -> dict:
+    """An int, not a bool, of at least ``least`` (any int if ``least`` is None)."""
+    message = message or ("must be a positive integer" if least else "must be a non-negative integer")
+    return _rule(lambda v: _is_int(v) and (least is None or v >= least), message)
+
+
+def _num(valid=lambda v: True, message: str = "must be a number") -> dict:
+    """A finite int or float, not a bool, for which ``valid`` holds; read as a float."""
+    return _rule(lambda v: _is_number(v) and valid(v), message, float)
+
+
+def _list(message: str, item: Mapping | None = None) -> dict:
+    """A non-empty list whose every entry the rule ``item`` accepts, if one is given; read as a tuple."""
+    accept = item["accept"] if item else (lambda v: True)
+    return _rule(lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(accept, v)), message, tuple)
+
+
+def _text(message: str) -> dict:
+    return _rule(lambda v: isinstance(v, str) and v != "", message)
+
+
+def _bool() -> dict:
+    return _rule(lambda v: isinstance(v, bool), "must be a boolean")
+
+
+def path_issue(value) -> str | None:
+    """Why ``value`` cannot name a file or directory, or None if it can; a NUL
+    byte, which no OS takes in a path, makes open and mkdir raise ValueError."""
+    if not isinstance(value, str) or not value:
+        return "must be a non-empty path string"
+    return "must not contain a NUL byte" if "\0" in value else None
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
-    dim: int = 100
-    n_examples: int = 8000
-    separation: float = 2.0
-    seed: int = 7
+    dim: int = field(default=100, metadata=_int())
+    n_examples: int = field(default=8000, metadata=_int())
+    separation: float = field(default=2.0, metadata=_num())
+    seed: int = field(default=7, metadata=_int(None, "must be an integer"))
 
 
 @dataclass(frozen=True)
@@ -62,40 +111,42 @@ class DatasetSpec:
 @dataclass(frozen=True)
 class PartitionSpec:
     mode: str = "shared"          # shared | shard | dirichlet
-    alpha: float | None = None    # dirichlet concentration (dirichlet mode only)
-    min_examples: int = 0         # redraw until every worker has this many (dirichlet mode only)
+    # dirichlet mode only: the concentration, and a redraw until every worker has min_examples
+    alpha: float | None = field(default=None, metadata=_num(lambda a: a > 0, "dirichlet mode needs alpha > 0"))
+    min_examples: int = field(default=0, metadata=_int(0))
 
 
 @dataclass(frozen=True)
 class TheoryOptions:
     alpha: float | None = None     # None -> grid-searched
     beta: float | None = None
-    c_round: float = 12.0
-    epsilon: float = 1e-2
-    estimate_draws: int = 200
+    c_round: float = field(default=12.0, metadata=_num(lambda v: v > 0, "must be a positive number"))
+    epsilon: float = field(default=1e-2, metadata=_num(lambda v: v > 0, "must be a positive number"))
+    estimate_draws: int = field(default=200, metadata=_int(2, "must be an integer >= 2"))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetSpec
-    step_times: tuple[int, ...]
-    methods: tuple[str, ...]
+    step_times: tuple[int, ...] = field(metadata=_list("must be a non-empty list of positive integers", _int()))
+    methods: tuple[str, ...] = field(metadata=_list("must be a non-empty list of method names"))
     output_dir: str
-    name: str = "run"
-    normalize: bool = True
-    val_fraction: float = 0.1
+    name: str = field(default="run", metadata=_text("must be a non-empty string"))
+    normalize: bool = field(default=True, metadata=_bool())
+    val_fraction: float = field(default=0.1, metadata=_num(lambda v: 0 <= v < 1, "must be in [0, 1)"))
     partition: PartitionSpec = field(default_factory=PartitionSpec)
-    compute_periods: int = 1                 # local compute window, in base periods
-    comm_seconds: int = 0
-    stepsize: float = 0.1
-    batch_size: int = 256
-    sparsity: float = 1.0                    # fraction of coordinates communicated
-    rounds: int = 1
-    seeds: tuple[int, ...] = (0,)
+    compute_periods: int = field(default=1, metadata=_int())  # local compute window, in base periods
+    comm_seconds: int = field(default=0, metadata=_int(0))
+    stepsize: float = field(default=0.1, metadata=_num(lambda v: v > 0, "must be a positive number"))
+    batch_size: int = field(default=256, metadata=_int())
+    # fraction of coordinates communicated
+    sparsity: float = field(default=1.0, metadata=_num(lambda v: 0 < v <= 1, "must be in (0, 1]"))
+    rounds: int = field(default=1, metadata=_int(0))
+    seeds: tuple[int, ...] = field(default=(0,), metadata=_list("must be a non-empty list of integers", _int(None)))
     regularizer: RegularizerParams = field(default_factory=RegularizerParams)
-    value_bit_width: int = 32
-    eval_every: int = 1
-    eval_per_worker: bool = False
+    value_bit_width: int = field(default=32, metadata=_int())
+    eval_every: int = field(default=1, metadata=_int())
+    eval_per_worker: bool = field(default=False, metadata=_bool())
     theory: TheoryOptions = field(default_factory=TheoryOptions)
 
     @property
@@ -125,32 +176,16 @@ class ConfigIssue:
 _METHOD_NAMES = tuple(m.value for m in Method)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """An int or float, not a bool, in float range: not ``.nan``, ``.inf`` or a 400-digit int."""
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
-
-
-def _as_int_list(value) -> list[int] | None:
-    if not isinstance(value, (list, tuple)) or not value or not all(map(_is_int, value)):
-        return None
-    return list(value)
-
-
 class _Fields:
-    """Typed reads from one config mapping, with the defaults of its dataclass.
-
-    Keys the dataclass lacks are reported as unknown.  A value of the wrong
-    type, or outside its range, is reported under ``prefix + key`` and
-    reads as None.
-    """
+    """Reads from one config mapping, each by the rule on its dataclass field,
+    with the defaults of that dataclass.  Keys the dataclass lacks are reported
+    as unknown; a value its rule rejects is reported under ``prefix + key`` and
+    reads as None."""
 
     def __init__(self, raw: Mapping, cls, prefix: str, issues: list, extra: tuple = ()):
         self.raw, self.prefix, self.issues = raw, prefix, issues
         self.defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+        self.rules = {f.name: f.metadata for f in fields(cls) if f.metadata}
         known = {f.name for f in fields(cls)} | set(extra)
         for key in raw:
             if key not in known:
@@ -163,22 +198,14 @@ class _Fields:
     def get(self, key: str):
         return self.raw.get(key, self.defaults.get(key))
 
-    def _checked(self, key: str, valid, message: str):
-        value = self.get(key)
-        return value if valid(value) else self.bad(key, message)
+    def read(self, key: str, rule: Mapping | None = None):
+        """The value under ``key``, read by ``rule`` or else by the rule on its field."""
+        value, rule = self.get(key), rule or self.rules[key]
+        return rule["convert"](value) if rule["accept"](value) else self.bad(key, rule["message"])
 
-    def integer(self, key: str, least: int | None = 1, message: str = "") -> int | None:
-        """An int, not a bool, of at least ``least`` (any int if ``least`` is None)."""
-        message = message or ("must be a positive integer" if least else "must be a non-negative integer")
-        return self._checked(key, lambda v: _is_int(v) and (least is None or v >= least), message)
-
-    def number(self, key: str, valid=lambda v: True, message: str = "must be a number") -> float | None:
-        """A finite int or float, not a bool, for which ``valid`` holds; read as a float."""
-        value = self._checked(key, lambda v: _is_number(v) and valid(v), message)
-        return None if value is None else float(value)
-
-    def boolean(self, key: str) -> bool | None:
-        return self._checked(key, lambda v: isinstance(v, bool), "must be a boolean")
+    def ruled(self) -> dict:
+        """Every field that carries a rule, read by it, in field order."""
+        return {key: self.read(key) for key in self.rules}
 
 
 def _nested(raw: Mapping, key: str, cls, issues: list, message: str) -> _Fields:
@@ -193,14 +220,8 @@ def _nested(raw: Mapping, key: str, cls, issues: list, message: str) -> _Fields:
 def read_synthetic_spec(raw: Mapping, prefix: str = "") -> tuple[SyntheticSpec | None, list[ConfigIssue]]:
     """Read a synthetic-data spec: a config's ``dataset.synthetic`` or a ``gen-data`` file."""
     issues: list[ConfigIssue] = []
-    read = _Fields(raw, SyntheticSpec, prefix, issues)
-    spec = SyntheticSpec(
-        dim=read.integer("dim"),
-        n_examples=read.integer("n_examples"),
-        separation=read.number("separation"),
-        seed=read.integer("seed", least=None, message="must be an integer"),
-    )
-    return (None, issues) if issues else (spec, [])
+    values = _Fields(raw, SyntheticSpec, prefix, issues).ruled()
+    return (None, issues) if issues else (SyntheticSpec(**values), [])
 
 
 def _read_dataset(raw, issues: list) -> DatasetSpec | None:
@@ -209,16 +230,19 @@ def _read_dataset(raw, issues: list) -> DatasetSpec | None:
         issues.append(ConfigIssue("dataset", "must be a mapping with 'path' or 'synthetic'"))
         return None
     read = _Fields(raw, DatasetSpec, "dataset.", issues)
-    path, synthetic = raw.get("path"), raw.get("synthetic")
+    path, dimension, synthetic = raw.get("path"), raw.get("dimension"), raw.get("synthetic")
     if (path is None) == (synthetic is None):
         issues.append(ConfigIssue("dataset", "provide exactly one of 'path' or 'synthetic'"))
         return None
     if path is not None:
         # opened as given, relative to the working directory, as run and theory do
-        if not Path(str(path)).is_file():
+        if (problem := path_issue(path)) is not None:
+            read.bad("path", problem)
+        elif not Path(path).is_file():
             read.bad("path", f"no such file: {path}")
-        dimension = None if raw.get("dimension") is None else read.integer("dimension")
-        return DatasetSpec(path=str(path), dimension=dimension)
+        return DatasetSpec(path, None if dimension is None else read.read("dimension", _int()))
+    if dimension is not None:
+        read.bad("dimension", "only meaningful with 'path'")
     if not isinstance(synthetic, Mapping):
         return read.bad("synthetic", "must be a mapping")
     spec, problems = read_synthetic_spec(synthetic, "dataset.synthetic.")
@@ -227,7 +251,7 @@ def _read_dataset(raw, issues: list) -> DatasetSpec | None:
 
 
 def _read_partition(raw: Mapping, issues: list) -> PartitionSpec | None:
-    """A ``mode``, plus ``alpha`` and ``min_examples`` in dirichlet mode only."""
+    """A ``mode``, plus the ruled ``alpha`` and ``min_examples`` in dirichlet mode only."""
     value = raw.get("partition", {"mode": PartitionSpec.mode})
     if not isinstance(value, Mapping) or "mode" not in value:
         issues.append(ConfigIssue("partition", "must be a mapping with a 'mode' key"))
@@ -237,9 +261,8 @@ def _read_partition(raw: Mapping, issues: list) -> PartitionSpec | None:
     if mode not in ("shared", "shard", "dirichlet"):
         read.bad("mode", f"unknown mode {mode!r} (use shared, shard, or dirichlet)")
     if mode == "dirichlet":
-        alpha = read.number("alpha", lambda a: a > 0, "dirichlet mode needs alpha > 0")
-        return PartitionSpec(mode, alpha, read.integer("min_examples", least=0))
-    for key in ("alpha", "min_examples"):
+        return PartitionSpec(mode, **read.ruled())
+    for key in read.rules:
         if key in value:
             read.bad(key, "only meaningful for dirichlet mode")
     return PartitionSpec(mode)
@@ -254,84 +277,46 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
         return None, [ConfigIssue("<root>", "config must be a mapping")]
     issues: list[ConfigIssue] = []
     read = _Fields(raw, ExperimentConfig, "", issues, extra=("n_workers",))
+    values = read.ruled()  # the fields whose rule is their own, in field order; the rest join below
 
-    name = read.get("name")
-    if not isinstance(name, str) or not name:
-        read.bad("name", "must be a non-empty string")
+    step_times = values["step_times"] or ()
+    n_workers = read.read("n_workers", _int()) if "n_workers" in raw else None
+    if n_workers is not None and step_times and n_workers != len(step_times):
+        read.bad("n_workers", f"is {n_workers} but step_times lists {len(step_times)} workers")
 
-    step_times = _as_int_list(raw.get("step_times"))
-    if step_times is None or any(t < 1 for t in step_times):
-        read.bad("step_times", "must be a non-empty list of positive integers")
-        step_times = []
-    if "n_workers" in raw:
-        n_workers = read.integer("n_workers")
-        if n_workers is not None and step_times and n_workers != len(step_times):
-            read.bad("n_workers", f"is {n_workers} but step_times lists {len(step_times)} workers")
-
-    methods = raw.get("methods")
-    if not isinstance(methods, (list, tuple)) or not methods:
-        read.bad("methods", "must be a non-empty list of method names")
-        methods = []
+    methods = values["methods"] or ()
     for m in methods:
         if m not in _METHOD_NAMES:
             read.bad("methods", f"unknown method {m!r} (choose from {sorted(_METHOD_NAMES)})")
     if any(methods.count(m) > 1 for m in methods):
         read.bad("methods", "must not contain duplicates")
 
-    seeds = _as_int_list(read.get("seeds"))
-    if seeds is None:
-        read.bad("seeds", "must be a non-empty list of integers")
-    elif len({s % SEED_MODULUS for s in seeds}) != len(seeds):
+    if (seeds := values["seeds"]) and len({s % SEED_MODULUS for s in seeds}) != len(seeds):
         read.bad("seeds", "must not contain duplicates (a seed is taken modulo 2**64)")
 
     reg = _nested(
         raw, "regularizer", RegularizerParams, issues, "must be a mapping with 'strength' and 'scale'"
     )
-    values = (reg.number("strength"), reg.number("scale"))
+    args = [reg.read(key, _num()) for key in ("strength", "scale")]
     # the range rules are the constructor's
-    regularizer = None if None in values else _checked(issues, "regularizer", RegularizerParams, *values)
+    values["regularizer"] = None if None in args else _checked(issues, "regularizer", RegularizerParams, *args)
 
     th = _nested(raw, "theory", TheoryOptions, issues, "must be a mapping")
-    pinned = {k: th.number(k) for k in ("alpha", "beta") if th.get(k) is not None}
+    pinned = {k: th.read(k, _num()) for k in ("alpha", "beta") if th.get(k) is not None}
     if len(pinned) == 1:
         read.bad("theory", "pin both alpha and beta, or neither")
-    theory = TheoryOptions(
-        **pinned,
-        c_round=th.number("c_round", lambda v: v > 0, "must be a positive number"),
-        epsilon=th.number("epsilon", lambda v: v > 0, "must be a positive number"),
-        estimate_draws=th.integer("estimate_draws", least=2, message="must be an integer >= 2"),
-    )
+    values["theory"] = TheoryOptions(**pinned, **th.ruled())
 
     output_dir = raw.get("output_dir")
-    if not isinstance(output_dir, str) or not output_dir:
-        read.bad("output_dir", "must be a non-empty path string")
+    if (problem := path_issue(output_dir)) is not None:
+        read.bad("output_dir", problem)
     elif (blocker := blocking_file(Path(output_dir))) is not None:  # run creates output_dir
         read.bad("output_dir", f"not a directory: {blocker}")
 
-    config = ExperimentConfig(
-        name=name,
-        dataset=_read_dataset(raw.get("dataset"), issues),
-        step_times=tuple(step_times),
-        methods=tuple(methods),
-        output_dir=output_dir,
-        normalize=read.boolean("normalize"),
-        val_fraction=read.number("val_fraction", lambda v: 0 <= v < 1, "must be in [0, 1)"),
-        partition=_read_partition(raw, issues),
-        compute_periods=read.integer("compute_periods"),
-        comm_seconds=read.integer("comm_seconds", least=0),
-        stepsize=read.number("stepsize", lambda v: v > 0, "must be a positive number"),
-        batch_size=read.integer("batch_size"),
-        sparsity=read.number("sparsity", lambda v: 0 < v <= 1, "must be in (0, 1]"),
-        rounds=read.integer("rounds", least=0),
-        seeds=tuple(seeds or ()),
-        regularizer=regularizer,
-        value_bit_width=read.integer("value_bit_width"),
-        eval_every=read.integer("eval_every"),
-        eval_per_worker=read.boolean("eval_per_worker"),
-        theory=theory,
-    )
+    dataset, partition = _read_dataset(raw.get("dataset"), issues), _read_partition(raw, issues)
     if issues:
         return None, issues
+    config = ExperimentConfig(**values, dataset=dataset, output_dir=output_dir, partition=partition)
 
     # timing, method and bound rules live with the code that enforces them
     plan = _checked(issues, "timing", build_plan, config.step_times, config.compute_periods, config.comm_seconds)

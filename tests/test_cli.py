@@ -1,5 +1,6 @@
 import gzip
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,15 @@ import yaml
 
 from conftest import base_config_dict
 from overlap_sgd.cli import _read_yaml, main
-from overlap_sgd.config import ConfigIssue, PartitionSpec, rand_k_size, validate_config
+from overlap_sgd.config import (
+    ConfigIssue,
+    ExperimentConfig,
+    PartitionSpec,
+    SyntheticSpec,
+    TheoryOptions,
+    rand_k_size,
+    validate_config,
+)
 from overlap_sgd.data import load_libsvm, serialize_libsvm, synthetic_blobs
 from overlap_sgd.metrics import render_csv
 from overlap_sgd.runner import run_suite
@@ -25,6 +34,39 @@ def write_config(tmp_path, **overrides) -> Path:
 
 def snapshot(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()}
+
+
+# A valid value other than the default for every field that carries a rule,
+# and where each dataclass sits in a config; partition is read in dirichlet mode.
+NON_DEFAULTS = {
+    ExperimentConfig: {
+        "step_times": [1, 1, 2],
+        "methods": ["local_sparse", "overlap_overwrite"],
+        "name": "other-run",
+        "normalize": False,
+        "val_fraction": 0.2,
+        "compute_periods": 2,
+        "comm_seconds": 4,
+        "stepsize": 0.05,
+        "batch_size": 8,
+        "sparsity": 0.25,
+        "rounds": 2,
+        "seeds": [3, 4],
+        "value_bit_width": 16,
+        "eval_every": 2,
+        "eval_per_worker": True,
+    },
+    SyntheticSpec: {"dim": 10, "n_examples": 250, "separation": 2.5, "seed": 11},
+    PartitionSpec: {"alpha": 0.25, "min_examples": 3},
+    TheoryOptions: {"c_round": 6.0, "epsilon": 0.05, "estimate_draws": 50},
+}
+PLACES = {
+    ExperimentConfig: (),
+    SyntheticSpec: ("dataset", "synthetic"),
+    PartitionSpec: ("partition",),
+    TheoryOptions: ("theory",),
+}
+RULED_FIELDS = [(cls, f) for cls in NON_DEFAULTS for f in fields(cls) if f.metadata]
 
 
 class TestValidateConfig:
@@ -98,6 +140,17 @@ class TestValidateConfig:
             ({"partition": "shared"}, "partition"),
             ({"regularizer": 3}, "regularizer"),
             ({"theory": [1]}, "theory"),
+            ({"compute_periods": 0}, "compute_periods"),
+            ({"comm_seconds": -2}, "comm_seconds"),
+            ({"normalize": "yes"}, "normalize"),
+            ({"eval_per_worker": 1}, "eval_per_worker"),
+            ({"dataset": {"synthetic": {"separation": "far"}}}, "dataset.synthetic.separation"),
+            ({"dataset": {"synthetic": {"seed": 7.5}}}, "dataset.synthetic.seed"),
+            ({"partition": {"mode": "dirichlet", "alpha": "0.5"}}, "partition.alpha"),
+            ({"partition": {"mode": "dirichlet", "alpha": 0.5, "min_examples": -1}}, "partition.min_examples"),
+            # this test file stands in for a dataset file: validate only checks that it exists
+            ({"dataset": {"path": __file__, "dimension": True}}, "dataset.dimension"),
+            ({"n_workers": True}, "n_workers"),
         ],
     )
     def test_rejects_wrong_types_and_non_finite_numbers(self, overrides, field):
@@ -134,12 +187,36 @@ class TestValidateConfig:
             ),
             ({"name": ""}, "name: must be a non-empty string"),
             ({"output_dir": ""}, "output_dir: must be a non-empty path string"),
+            ({"output_dir": "o\0b"}, "output_dir: must not contain a NUL byte"),
+            ({"dataset": {"path": "d\0.svm"}}, "dataset.path: must not contain a NUL byte"),
+            (
+                {"dataset": {"synthetic": {"dim": 12, "n_examples": 300}, "dimension": 5}},
+                "dataset.dimension: only meaningful with 'path'",
+            ),
         ],
     )
     def test_outside_input_rules(self, overrides, message):
         config, issues = validate_config(base_config_dict(**overrides))
         assert config is None
         assert [str(i) for i in issues] == [message]
+
+    @pytest.mark.parametrize("cls, f", RULED_FIELDS, ids=[f"{cls.__name__}.{f.name}" for cls, f in RULED_FIELDS])
+    def test_every_ruled_field_is_read_and_round_trips(self, cls, f):
+        value = NON_DEFAULTS[cls][f.name]
+        assert value != f.default
+        raw = base_config_dict(partition={"mode": "dirichlet", "alpha": 0.5})
+        block = raw
+        for key in PLACES[cls]:
+            block = block.setdefault(key, {})
+        block[f.name] = value
+        config, issues = validate_config(raw)
+        assert issues == []
+        parsed = config
+        for key in PLACES[cls]:
+            parsed = getattr(parsed, key)
+        expected = tuple(value) if isinstance(value, list) else value
+        assert getattr(parsed, f.name) == expected and type(getattr(parsed, f.name)) is type(expected)
+        assert validate_config(config.to_dict()) == (config, [])
 
     def test_root_must_be_a_mapping(self):
         assert validate_config([base_config_dict()]) == (None, [ConfigIssue("<root>", "config must be a mapping")])
@@ -536,6 +613,24 @@ class TestDatasetFileErrors:
         monkeypatch.chdir(tmp_path.parent)
         assert [i.field for i in validate_config(raw)[1]] == ["dataset.path"]
 
+    @pytest.mark.parametrize("path", [5, True, ""])
+    def test_dataset_path_must_be_a_path_string(self, tmp_path, monkeypatch, path):
+        # files that a non-string path would name once converted to text
+        for name in ("5", "True"):
+            (tmp_path / name).write_text(serialize_libsvm(synthetic_blobs(6, 40, 1.5, 0)), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        config, issues = validate_config(base_config_dict(dataset={"path": path}, methods=["local_sparse"]))
+        assert config is None
+        assert [str(i) for i in issues] == ["dataset.path: must be a non-empty path string"]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_output_dir_with_a_nul_byte_is_one_config_error_line(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, output_dir=str(tmp_path / "o\0b"))
+        assert main([command, str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["invalid config: output_dir: must not contain a NUL byte"]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["run", "theory"])
     def test_missing_dataset_file_is_one_error_line(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, dataset={"path": str(tmp_path / "missing.libsvm")})
@@ -785,6 +880,16 @@ class TestOtherCommands:
         assert len(err) == 1 and err[0].startswith(expected), err
         assert captured.out == ""
         assert not Path(f"{out_file}.tmp").exists()
+
+    def test_gen_data_rejects_an_out_with_a_nul_byte_in_one_line(self, tmp_path, capsys, monkeypatch):
+        spec = tmp_path / "blobs.yaml"
+        spec.write_text(yaml.safe_dump({"dim": 3, "n_examples": 5, "out": "d\0x/blobs.svm"}), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-data", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: out: must not contain a NUL byte"]
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.yaml"]
 
     def test_gen_data_requires_out(self, tmp_path, capsys):
         spec = tmp_path / "nospec.yaml"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_logistic_oracle, make_quadratic_oracle
@@ -212,6 +212,47 @@ class TestMergeProperties:
         latest_mean = average(out.latest)
         resid = np.linalg.norm(average(out.next_models) - latest_mean)
         assert resid <= 1e-12 * (1.0 + np.linalg.norm(latest_mean))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=fleet_shapes(),
+        seed=st.integers(min_value=0, max_value=2**32),
+        step_times=st.lists(st.integers(min_value=1, max_value=3), min_size=6, max_size=6),
+        compute_periods=st.integers(min_value=1, max_value=2),
+        comm_bases=st.integers(min_value=0, max_value=2),
+        method=st.sampled_from(
+            [Method.LOCAL_SPARSE, Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED, Method.FEDAVG_FULL]
+        ),
+        logistic=st.booleans(),
+    )
+    @example(
+        shape=(1, 1, 1), seed=0, step_times=[1] * 6, compute_periods=1, comm_bases=0,
+        method=Method.OVERLAP_OVERWRITE, logistic=True,
+    )
+    def test_mean_model_identities(self, shape, seed, step_times, compute_periods, comm_bases, method, logistic):
+        # criterion 01's identity, with the merge identities, for every merging method on both oracles
+        n, d, k = shape
+        k = d if method is Method.FEDAVG_FULL else k
+        taus = step_times[:n]
+        plan = build_plan(taus, compute_periods, comm_bases * math.lcm(*taus))
+        if logistic:
+            oracle = make_logistic_oracle(synthetic_blobs(d, 30, 1.2, seed), n_workers=n, batch_size=4, seed=seed)
+        else:
+            oracle = make_quadratic_oracle(dim=d, noise=0.5, seed=seed)
+        start = RngStream(seed, ("start-property",)).generator().standard_normal((n, d))
+        mask = round_mask(seed, 0, d, k)
+        out = run_round(start, method, plan, mask, 0.05, oracle, 0)
+
+        def close(actual, expected):
+            return np.linalg.norm(actual - expected) <= 1e-10 * (1.0 + np.linalg.norm(expected))
+
+        latest = average(out.latest)
+        assert close(latest, average(start) - 0.05 * out.avg_grad_sum)
+        if method is Method.OVERLAP_DELAY_CORRECTED:
+            assert close(average(out.next_models), latest)
+        else:
+            on_mask = np.isin(np.arange(d), mask.indices)
+            assert close(average(out.next_models), np.where(on_mask, average(out.sent), latest))
 
 
 class TestRunRound:
