@@ -6,7 +6,8 @@ Subcommands:
   theory <config>    print bound constants, terms, and complexities as JSON
   gen-data <spec>    write a synthetic two-blob dataset as LIBSVM text
 
-Exit codes: 0 success, 1 an input problem (reported on stderr), 2 at least one run diverged.
+Exit codes: 0 success, 1 an input problem or an output that cannot be written
+(reported on stderr), 2 at least one run diverged.
 """
 
 from __future__ import annotations
@@ -74,11 +75,12 @@ def load_config(path) -> ExperimentConfig:
 
 
 def with_dataset(action, config):
-    """``action(config)``, with a dataset that fails to load, or a rule that
-    needs it loaded (e.g. a libsvm file without 'dimension'), as InputError."""
+    """``action(config)``, with a dataset that fails to load, a rule that needs
+    it loaded (e.g. a libsvm file without 'dimension'), or an output that
+    cannot be written, as InputError."""
     try:
         return action(config)
-    except DatasetError as exc:
+    except (DatasetError, OSError) as exc:
         raise InputError(f"error: {exc}") from None
     except ConfigurationError as exc:
         raise InputError(f"invalid config: {exc}") from None

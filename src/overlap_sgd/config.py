@@ -90,7 +90,13 @@ def path_issue(value) -> str | None:
     byte, which no OS takes in a path, makes open and mkdir raise ValueError."""
     if not isinstance(value, str) or not value:
         return "must be a non-empty path string"
-    return "must not contain a NUL byte" if "\0" in value else None
+    if "\0" in value:
+        return "must not contain a NUL byte"
+    try:  # a missing path is False; a path the OS rejects (e.g. too long) raises
+        Path(value).exists()
+    except OSError as exc:
+        return f"unusable path: {exc.strerror}"
+    return None
 
 
 @dataclass(frozen=True)

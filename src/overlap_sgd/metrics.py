@@ -15,10 +15,11 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .core import average
 from .data import Dataset
 from .engine import RoundOutcome
-from .objective import RegularizerParams, dataset_accuracy, dataset_loss, full_gradient
+from .objective import dataset_accuracy, dataset_loss, full_gradient
 
 __all__ = [
     "MetricsRecord",
@@ -61,36 +62,29 @@ def disagreement(models, mean: np.ndarray | None = None) -> float:
 
 
 class RunRecorder:
-    """Accumulates logical time, processed examples, and communication cost,
-    and evaluates optimization metrics at the worker-average model."""
+    """One (method, seed) run: its models, status, records and cumulative costs;
+    each record is evaluated at the worker-average model."""
 
-    def __init__(
-        self,
-        train: Dataset,
-        val: Dataset,
-        regularizer: RegularizerParams,
-        batch_size: int,
-        value_bit_width: int,
-        collect_per_worker: bool,
-    ):
+    def __init__(self, method: str, models: np.ndarray, train: Dataset, val: Dataset, config: ExperimentConfig):
+        self.method = method
+        self.models = models
         self.train = train
         self.val = val
-        self.regularizer = regularizer
-        self.batch_size = batch_size
-        self.value_bit_width = value_bit_width
-        self.collect_per_worker = collect_per_worker
+        self.config = config
+        self.status = "ok"  # the runner sets "diverged:round=<r>" or "skipped:<reason>"
+        self.records: list[MetricsRecord] = []
         self.worker_rows: list[dict] = []
         self.logical_time = 0
         self.completed_rounds = 0
         self.processed_examples = 0
         self.comm_coordinates = 0
 
-    def _evaluate(self, models: np.ndarray) -> MetricsRecord:
-        if self.collect_per_worker:
-            self.worker_rows.extend(self.per_worker_rows(models))
-        mean_model = average(models)
-        reg_value = self.regularizer.value(mean_model)
-        grad = full_gradient(mean_model, self.train, self.regularizer)
+    def _evaluate(self) -> MetricsRecord:
+        if self.config.eval_per_worker:
+            self.worker_rows.extend(self.per_worker_rows(self.models))
+        mean_model = average(self.models)
+        reg_value = self.config.regularizer.value(mean_model)
+        grad = full_gradient(mean_model, self.train, self.config.regularizer)
         val_loss = dataset_loss(mean_model, self.val) if self.val.n_examples else float("nan")
         val_acc = dataset_accuracy(mean_model, self.val) if self.val.n_examples else float("nan")
         return MetricsRecord(
@@ -101,28 +95,29 @@ class RunRecorder:
             train_accuracy=dataset_accuracy(mean_model, self.train),
             val_accuracy=val_acc,
             grad_norm=float(np.linalg.norm(grad)),
-            disagreement_x=disagreement(models, mean_model),
+            disagreement_x=disagreement(self.models, mean_model),
             processed_examples=self.processed_examples,
             comm_coordinates=self.comm_coordinates,
-            comm_bits=self.comm_coordinates * self.value_bit_width,
+            comm_bits=self.comm_coordinates * self.config.value_bit_width,
         )
 
-    def measure_initial(self, models: np.ndarray) -> MetricsRecord:
-        return self._evaluate(models)
+    def measure_initial(self) -> None:
+        self.records.append(self._evaluate())
 
     def advance(self, outcome: RoundOutcome) -> None:
-        """Fold one completed round into the cumulative counters."""
+        """Fold one completed round into the counters and move to its models."""
+        self.models = outcome.next_models
         self.completed_rounds += 1
         self.logical_time += outcome.duration
-        self.processed_examples += self.batch_size * sum(outcome.steps)
+        self.processed_examples += self.config.batch_size * sum(outcome.steps)
         # n uplinks of the round's mask values plus n broadcast deliveries;
         # value payloads only, no index bits or framing.
         self.comm_coordinates += 2 * len(outcome.steps) * outcome.mask.indices.size
 
-    def measure_round(self, outcome: RoundOutcome) -> MetricsRecord:
-        """Account for ``outcome`` and measure the post-merge state."""
+    def measure_round(self, outcome: RoundOutcome) -> None:
+        """Account for ``outcome`` and record the post-merge state."""
         self.advance(outcome)
-        return self._evaluate(outcome.next_models)
+        self.records.append(self._evaluate())
 
     def per_worker_rows(self, models: np.ndarray) -> list[dict]:
         rows = []
@@ -131,7 +126,7 @@ class RunRecorder:
                 {
                     "round": self.completed_rounds,
                     "worker": w,
-                    "train_loss": dataset_loss(m, self.train) + self.regularizer.value(m),
+                    "train_loss": dataset_loss(m, self.train) + self.config.regularizer.value(m),
                     "train_accuracy": dataset_accuracy(m, self.train),
                 }
             )

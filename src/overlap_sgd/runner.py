@@ -142,40 +142,26 @@ def prepare_seed_artifacts(dataset: Dataset, config: ExperimentConfig, seed: int
     return SeedArtifacts(train=train, val=val, pools=pools, x0=x0, hashes=hashes, oracle=oracle)
 
 
-@dataclass
-class _MethodRun:
-    """One method's trajectory through a seed's rounds."""
-
-    method: str
-    recorder: RunRecorder | None  # None when the seed's runs were skipped
-    models: np.ndarray | None
-    records: list[MetricsRecord]
-    status: str = "ok"
-
-
 def _run_methods(
     config: ExperimentConfig, plan: TimingPlan, mask_size: int, seed: int, artifacts: SeedArtifacts
-) -> list[_MethodRun]:
+) -> list[RunRecorder]:
     """Every method of ``config`` on one seed, round-major.
 
     Round ``r`` runs for every method still running before round ``r + 1``
     starts, so the round's mask, drawn once, and the oracle's batch cache
     hand each of the round's draws to all of them.  A method that diverges
-    stops alone.
+    stops alone.  A partition that starves a worker skips every run.
     """
-    runs = []
-    for method in config.methods:
-        recorder = RunRecorder(
-            train=artifacts.train,
-            val=artifacts.val,
-            regularizer=config.regularizer,
-            batch_size=config.batch_size,
-            value_bit_width=config.value_bit_width,
-            collect_per_worker=config.eval_per_worker,
-        )
-        models = np.tile(artifacts.x0, (plan.n_workers, 1))
-        records = [recorder.measure_initial(models)] if config.rounds else []
-        runs.append(_MethodRun(method, recorder, models, records))
+    runs = [
+        RunRecorder(method, np.tile(artifacts.x0, (plan.n_workers, 1)), artifacts.train, artifacts.val, config)
+        for method in config.methods
+    ]
+    empty_pools = [w for w, a in enumerate(artifacts.pools) if a.size == 0]
+    for run in runs:
+        if empty_pools:  # extreme partitions can starve a worker; record it and move on
+            run.status = f"skipped:workers-without-examples={empty_pools}"
+        elif config.rounds:
+            run.measure_initial()
     for r in range(config.rounds):
         live = [run for run in runs if run.status == "ok"]
         if not live:
@@ -190,10 +176,9 @@ def _run_methods(
                 run.status = f"diverged:round={r}"
                 continue
             if due:
-                run.records.append(run.recorder.measure_round(outcome))
+                run.measure_round(outcome)
             else:
-                run.recorder.advance(outcome)
-            run.models = outcome.next_models
+                run.advance(outcome)
     return runs
 
 
@@ -216,20 +201,13 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
         artifacts = prepare_seed_artifacts(dataset, config, seed)
         out_dir.mkdir(parents=True, exist_ok=True)
         artifact_hashes[str(seed)] = artifacts.hashes
-        empty_pools = [w for w, a in enumerate(artifacts.pools) if a.size == 0]
-        if empty_pools:
-            # extreme partitions can starve a worker; record it and move on
-            status = f"skipped:workers-without-examples={empty_pools}"
-            runs = [_MethodRun(method, None, None, [], status) for method in config.methods]
-        else:
-            runs = _run_methods(config, plan, mask_size, seed, artifacts)
-        for run in runs:
+        for run in _run_methods(config, plan, mask_size, seed, artifacts):
             stem = f"{run.method}_seed{seed}"
             csv_path = out_dir / f"{stem}.csv"
             jsonl_path = out_dir / f"{stem}.jsonl"
             write_metrics(run.records, csv_path, jsonl_path)
-            if config.eval_per_worker and run.recorder is not None:
-                payload = "".join(json.dumps(row) + "\n" for row in run.recorder.worker_rows)
+            if config.eval_per_worker and not run.status.startswith("skipped"):
+                payload = "".join(json.dumps(row) + "\n" for row in run.worker_rows)
                 atomic_write_bytes(out_dir / f"{stem}_workers.jsonl", payload.encode("utf-8"))
             reports.append(
                 RunReport(

@@ -1,5 +1,7 @@
+import errno
 import gzip
 import json
+import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -406,6 +408,17 @@ class TestRunCommand:
         assert {"round", "worker", "train_loss", "train_accuracy"} <= set(rows[0])
         capsys.readouterr()
 
+    def test_an_output_that_cannot_be_written_is_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        blocker = tmp_path / "out" / "overlap_delay_corrected_seed0.csv"
+        blocker.mkdir(parents=True)
+        assert main(["run", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: failed writing {blocker}: "), err
+        assert captured.out == ""
+        assert [p.name for p in blocker.parent.iterdir()] == [blocker.name]
+
     def test_theory_respects_pinned_analysis_params(self, tmp_path):
         raw = base_config_dict(
             sparsity=0.5,
@@ -631,6 +644,19 @@ class TestDatasetFileErrors:
         assert captured.err.splitlines() == ["invalid config: output_dir: must not contain a NUL byte"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["validate", "run", "theory"])
+    @pytest.mark.parametrize("key", ["output_dir", "dataset.path"])
+    def test_a_path_too_long_for_the_os_is_one_config_error_line(self, tmp_path, capsys, monkeypatch, command, key):
+        long_path = {"output_dir": "a" * 5000} if key == "output_dir" else {"dataset": {"path": "p" * 5000}}
+        cfg = write_config(tmp_path, **long_path)
+        monkeypatch.chdir(tmp_path)
+        assert main([command, str(cfg)]) == 1
+        captured = capsys.readouterr()
+        problem = f"unusable path: {os.strerror(errno.ENAMETOOLONG)}"
+        assert captured.err.splitlines() == [f"invalid config: {key}: {problem}"]
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
     @pytest.mark.parametrize("command", ["run", "theory"])
     def test_missing_dataset_file_is_one_error_line(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, dataset={"path": str(tmp_path / "missing.libsvm")})
@@ -771,8 +797,7 @@ class TestDatasetFileErrors:
 
         monkeypatch.setattr(runner_mod, "write_metrics", output_dir_gone)
         cfg = write_config(tmp_path, methods=["local_sparse"])
-        with pytest.raises(FileNotFoundError):
-            main(["run", str(cfg)])
+        assert main(["run", str(cfg)]) == 1
         assert "could not load dataset" not in capsys.readouterr().err
 
 
@@ -890,6 +915,17 @@ class TestOtherCommands:
         assert captured.err.splitlines() == ["error: out: must not contain a NUL byte"]
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.yaml"]
+
+    def test_gen_data_rejects_an_out_too_long_for_the_os_in_one_line(self, tmp_path, capsys, monkeypatch):
+        spec = tmp_path / "blobs.yaml"
+        out = "d" * 5000 + "/blobs.svm"
+        spec.write_text(yaml.safe_dump({"dim": 3, "n_examples": 5, "out": out}), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-data", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: out: unusable path: {os.strerror(errno.ENAMETOOLONG)}"]
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["blobs.yaml"]
 
     def test_gen_data_requires_out(self, tmp_path, capsys):
         spec = tmp_path / "nospec.yaml"

@@ -1,4 +1,6 @@
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from conftest import base_config_dict
 from overlap_sgd.config import validate_config
 from overlap_sgd.core import RngStream
 from overlap_sgd.errors import DivergenceError
+from overlap_sgd.metrics import render_csv
 from overlap_sgd.runner import run_suite, theory_report
 from overlap_sgd.timing import build_plan
 
@@ -87,6 +90,51 @@ def test_a_diverged_method_stops_alone(tmp_path, monkeypatch):
             assert (a.status, a.records) == ("diverged:round=1", b.records[:2])
         else:
             assert (a.status, a.records) == (b.status, b.records)
+
+
+@pytest.mark.filterwarnings("ignore:worker .* received zero examples")
+def test_the_per_worker_sidecar_follows_each_run_status(tmp_path, monkeypatch):
+    run_round = runner_mod.run_round
+
+    def overwrite_diverges_in_round_1(start, method, plan, mask, stepsize, oracle, round_index):
+        if method == "overlap_overwrite" and round_index == 1:
+            raise DivergenceError("worker 0 diverged in round 1", round_index=1, worker=0)
+        return run_round(start, method, plan, mask, stepsize, oracle, round_index)
+
+    monkeypatch.setattr(runner_mod, "run_round", overwrite_diverges_in_round_1)
+    # 3 examples over 4 workers: some pool is empty by pigeonhole, so every seed is skipped
+    starved = {
+        "dataset": {"synthetic": {"dim": 4, "n_examples": 3, "separation": 1.0, "seed": 0}},
+        "val_fraction": 0.0,
+        "partition": {"mode": "dirichlet", "alpha": 1.0},
+        "step_times": [1, 1, 1, 1],
+        "comm_seconds": 0,
+        "batch_size": 2,
+    }
+    skipped = "skipped:workers-without-examples="
+    # (overrides, statuses and record counts of seed 1's then seed 2's runs)
+    suites = {
+        "ok": ({}, ["ok", "diverged:round=1", "ok"] * 2, [4, 2, 4] * 2),
+        "no-rounds": ({"rounds": 0}, ["ok"] * 6, [0] * 6),
+        "starved": (starved, [skipped + "[2]"] * 3 + [skipped + "[0, 3]"] * 3, [0] * 6),
+    }
+    for name, (overrides, statuses, n_records) in suites.items():
+        config = make_config(tmp_path, name, eval_per_worker=True, **overrides)
+        runs = run_suite(config).runs
+        assert ([r.status for r in runs], [len(r.records) for r in runs]) == (statuses, n_records), name
+        for run in runs:
+            sidecar = Path(run.csv_path).with_name(f"{run.method}_seed{run.seed}_workers.jsonl")
+            if run.status.startswith("skipped"):
+                # a header-only CSV, an empty JSONL and no sidecar
+                assert Path(run.csv_path).read_text(encoding="utf-8") == render_csv([])
+                assert Path(run.jsonl_path).read_text(encoding="utf-8") == ""
+                assert not sidecar.exists()
+                continue
+            rows = [json.loads(line) for line in sidecar.read_text(encoding="utf-8").splitlines()]
+            # one row per worker per record, for an ok run and for a diverged one up to its last record
+            expected = [(rec.round, w) for rec in run.records for w in range(len(config.step_times))]
+            assert [(row["round"], row["worker"]) for row in rows] == expected
+            assert all(list(row) == ["round", "worker", "train_loss", "train_accuracy"] for row in rows)
 
 
 def test_theory_draws_leave_the_memo_within_one_round(tmp_path, monkeypatch):

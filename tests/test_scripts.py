@@ -167,3 +167,14 @@ def test_bad_input_fails_as_overlap_sgd_run_does(tmp_path, capsys, case, message
     result = run_script(COMPARISON, config, tmp_path)
     assert (result.returncode, result.stderr, result.stdout) == (1, expected, "")
     assert not (tmp_path / "out").exists()
+
+
+def test_an_output_that_cannot_be_written_fails_as_overlap_sgd_run_does(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path)
+    (tmp_path / "out" / "local_sparse_seed0.csv").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)  # output_dir is relative, as the script sees it
+    assert main(["run", str(config)]) == 1
+    expected = capsys.readouterr().err
+    assert expected.startswith("error: failed writing out/local_sparse_seed0.csv: ") and "Traceback" not in expected
+    result = run_script(COMPARISON, config, tmp_path)
+    assert (result.returncode, result.stderr, result.stdout) == (1, expected, "")
