@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run a config and print one row per method: the mean final train loss and
 accuracy over the seeds that finished, the logical seconds and bits of the
-run, and how many seeds finished.
+run, and how many seeds finished, read back from the manifest and JSONL files
+the suite wrote.
 
 --sweep FIELD reruns the config at every value of FIELD's grid, each point
 writing under <output_dir>/<FIELD>=<value> with a manifest that
@@ -15,6 +16,7 @@ writing under <output_dir>/<FIELD>=<value> with a manifest that
 """
 
 import argparse
+import json
 from pathlib import Path
 
 import numpy as np
@@ -47,20 +49,24 @@ def grid(config, field):
     return points
 
 
-def print_table(label, config, runs):
-    print(f"\n{label}: {config.rounds} rounds, metrics under {config.output_dir}")
+def print_table(label, manifest_path):
+    """The table of the suite whose manifest is at ``manifest_path`` (a Path), read from the files it names."""
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    config = manifest["config"]
+    print(f"\n{label}: {config['rounds']} rounds, metrics under {config['output_dir']}")
     print(f"  {'method':26s} {'train_loss':>10s} {'train_acc':>9s} {'time_s':>8s} {'comm_bits':>12s}  seeds ok")
-    for method in config.methods:
-        tried = [r for r in runs if r.method == method]
-        finals = [r.records[-1] for r in tried if r.status == "ok" and r.records]
+    for method in config["methods"]:
+        tried = [r for r in manifest["runs"] if r["method"] == method]
+        logs = [(manifest_path.parent / r["jsonl"]).read_text(encoding="utf-8") for r in tried if r["status"] == "ok"]
+        finals = [json.loads(log.splitlines()[-1]) for log in logs if log]  # a run of 0 rounds has an empty log
         ok = f"{len(finals)}/{len(tried)}"
         if not finals:
             print(f"  {method:26s} {'no seed finished':>43s}  {ok}")
             continue
-        loss = np.mean([f.train_loss for f in finals])
-        acc = np.mean([f.train_accuracy for f in finals])
+        loss = np.mean([f["train_loss"] for f in finals])
+        acc = np.mean([f["train_accuracy"] for f in finals])
         last = finals[-1]
-        print(f"  {method:26s} {loss:10.6f} {acc:9.4f} {last.logical_time:8d} {last.comm_bits:12d}  {ok}")
+        print(f"  {method:26s} {loss:10.6f} {acc:9.4f} {last['logical_time']:8d} {last['comm_bits']:12d}  {ok}")
 
 
 def main():
@@ -71,7 +77,7 @@ def main():
 
     # an input problem exits 1 with the lines `overlap-sgd run` prints for it
     for label, point in grid(load_config(args.config), args.sweep):
-        print_table(label, point, with_dataset(run_suite, point).runs)
+        print_table(label, with_dataset(run_suite, point))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ import yaml
 
 from .config import ExperimentConfig, blocking_file, path_issue, read_synthetic_spec, validate_config
 from .data import serialize_libsvm, synthetic_blobs
-from .errors import ConfigurationError, DatasetError
+from .errors import ConfigurationError, DatasetError, DivergenceError
 from .metrics import atomic_write_bytes
 from .runner import run_suite, theory_report
 
@@ -76,22 +76,23 @@ def load_config(path) -> ExperimentConfig:
 
 def with_dataset(action, config):
     """``action(config)``, with a dataset that fails to load, a rule that needs
-    it loaded (e.g. a libsvm file without 'dimension'), or an output that
-    cannot be written, as InputError."""
+    it loaded (e.g. a libsvm file without 'dimension'), data whose constants
+    are not finite, or an output that cannot be written, as InputError."""
     try:
         return action(config)
-    except (DatasetError, OSError) as exc:
+    except (DatasetError, DivergenceError, OSError) as exc:
         raise InputError(f"error: {exc}") from None
     except ConfigurationError as exc:
         raise InputError(f"invalid config: {exc}") from None
 
 
 def cmd_run(args) -> int:
-    result = with_dataset(run_suite, load_config(args.config))
-    for run in result.runs:
-        print(f"{run.method} seed={run.seed}: {run.status} -> {run.csv_path}")
-    print(f"manifest: {result.manifest_path}")
-    return 2 if result.any_diverged else 0
+    manifest_path = with_dataset(run_suite, load_config(args.config))
+    runs = json.loads(manifest_path.read_text(encoding="utf-8"))["runs"]
+    for run in runs:
+        print(f"{run['method']} seed={run['seed']}: {run['status']} -> {manifest_path.parent / run['csv']}")
+    print(f"manifest: {manifest_path}")
+    return 2 if any(run["status"].startswith("diverged") for run in runs) else 0
 
 
 def cmd_validate(args) -> int:

@@ -199,7 +199,7 @@ class _Fields:
 
     def bad(self, key: str, message: str) -> None:
         """Report a problem; returns None, which is what a bad field reads as."""
-        self.issues.append(ConfigIssue(self.prefix + key, message))
+        self.issues.append(ConfigIssue(f"{self.prefix}{key}", message))  # YAML keys need not be strings
 
     def get(self, key: str):
         return self.raw.get(key, self.defaults.get(key))

@@ -80,14 +80,12 @@ class RunRecorder:
         self.comm_coordinates = 0
 
     def _evaluate(self) -> MetricsRecord:
-        if self.config.eval_per_worker:
-            self.worker_rows.extend(self.per_worker_rows(self.models))
         mean_model = average(self.models)
         reg_value = self.config.regularizer.value(mean_model)
         grad = full_gradient(mean_model, self.train, self.config.regularizer)
         val_loss = dataset_loss(mean_model, self.val) if self.val.n_examples else float("nan")
         val_acc = dataset_accuracy(mean_model, self.val) if self.val.n_examples else float("nan")
-        return MetricsRecord(
+        record = MetricsRecord(
             round=self.completed_rounds,
             logical_time=self.logical_time,
             train_loss=dataset_loss(mean_model, self.train) + reg_value,
@@ -100,6 +98,9 @@ class RunRecorder:
             comm_coordinates=self.comm_coordinates,
             comm_bits=self.comm_coordinates * self.config.value_bit_width,
         )
+        if self.config.eval_per_worker:  # after the checks above, so a diverged run's rows match its records
+            self.worker_rows.extend(self.per_worker_rows(self.models))
+        return record
 
     def measure_initial(self) -> None:
         self.records.append(self._evaluate())

@@ -25,7 +25,7 @@ from .data import (
 )
 from .engine import round_mask, run_round
 from .errors import ConfigurationError, DivergenceError
-from .metrics import MetricsRecord, RunRecorder, atomic_write_bytes, write_metrics
+from .metrics import RunRecorder, atomic_write_bytes, write_metrics
 from .objective import LogisticOracle
 from .theory import (
     BoundParams,
@@ -40,29 +40,9 @@ from .theory import (
 )
 from .timing import TimingPlan, aggregates, build_plan
 
-__all__ = ["RunReport", "SuiteResult", "run_suite", "resolve_dataset", "theory_report"]
+__all__ = ["run_suite", "resolve_dataset", "theory_report"]
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class RunReport:
-    method: str
-    seed: int
-    csv_path: str
-    jsonl_path: str
-    status: str  # "ok", "diverged:round=<r>", or "skipped:<reason>"
-    records: tuple[MetricsRecord, ...]
-
-
-@dataclass(frozen=True)
-class SuiteResult:
-    manifest_path: str
-    runs: tuple[RunReport, ...]
-
-    @property
-    def any_diverged(self) -> bool:
-        return any(r.status.startswith("diverged") for r in self.runs)
 
 
 def resolve_dataset(config: ExperimentConfig) -> Dataset:
@@ -149,19 +129,19 @@ def _run_methods(
 
     Round ``r`` runs for every method still running before round ``r + 1``
     starts, so the round's mask, drawn once, and the oracle's batch cache
-    hand each of the round's draws to all of them.  A method that diverges
-    stops alone.  A partition that starves a worker skips every run.
+    hand each of the round's draws to all of them.  A method that diverges,
+    in round ``r`` or in the evaluation after it (or before round 0), stops
+    alone as ``diverged:round=<r>``.  A partition that starves a worker
+    skips every run.
     """
     runs = [
         RunRecorder(method, np.tile(artifacts.x0, (plan.n_workers, 1)), artifacts.train, artifacts.val, config)
         for method in config.methods
     ]
     empty_pools = [w for w, a in enumerate(artifacts.pools) if a.size == 0]
-    for run in runs:
-        if empty_pools:  # extreme partitions can starve a worker; record it and move on
+    if empty_pools:  # extreme partitions can starve a worker; record it and move on
+        for run in runs:
             run.status = f"skipped:workers-without-examples={empty_pools}"
-        elif config.rounds:
-            run.measure_initial()
     for r in range(config.rounds):
         live = [run for run in runs if run.status == "ok"]
         if not live:
@@ -169,21 +149,23 @@ def _run_methods(
         due = (r + 1) % config.eval_every == 0 or r == config.rounds - 1
         mask = round_mask(seed, r, artifacts.x0.size, mask_size)
         for run in live:
-            try:
+            try:  # a non-finite model found by a step or by an evaluation stops the run
+                if r == 0:
+                    run.measure_initial()
                 outcome = run_round(run.models, run.method, plan, mask, config.stepsize, artifacts.oracle, r)
+                if due:
+                    run.measure_round(outcome)
+                else:
+                    run.advance(outcome)
             except DivergenceError as exc:
                 logger.warning("%s seed %s: %s", run.method, seed, exc)
                 run.status = f"diverged:round={r}"
-                continue
-            if due:
-                run.measure_round(outcome)
-            else:
-                run.advance(outcome)
     return runs
 
 
-def run_suite(config: ExperimentConfig) -> SuiteResult:
-    """Run every (method, seed) pair under identical data artifacts.
+def run_suite(config: ExperimentConfig) -> Path:
+    """Run every (method, seed) pair under identical data artifacts; returns
+    the path of the manifest, which names every run's files and status.
 
     Each seed runs its methods round-major (see ``_run_methods``), so every
     keyed minibatch and mask is drawn once per seed however many methods
@@ -195,7 +177,7 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
     dataset, plan, mask_size = _resolve(config)
     out_dir = Path(config.output_dir)
 
-    reports: list[RunReport] = []
+    runs: list[dict] = []
     artifact_hashes: dict[str, dict] = {}
     for seed in config.seeds:
         artifacts = prepare_seed_artifacts(dataset, config, seed)
@@ -203,22 +185,12 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
         artifact_hashes[str(seed)] = artifacts.hashes
         for run in _run_methods(config, plan, mask_size, seed, artifacts):
             stem = f"{run.method}_seed{seed}"
-            csv_path = out_dir / f"{stem}.csv"
-            jsonl_path = out_dir / f"{stem}.jsonl"
-            write_metrics(run.records, csv_path, jsonl_path)
+            csv, jsonl = f"{stem}.csv", f"{stem}.jsonl"
+            write_metrics(run.records, out_dir / csv, out_dir / jsonl)
             if config.eval_per_worker and not run.status.startswith("skipped"):
                 payload = "".join(json.dumps(row) + "\n" for row in run.worker_rows)
                 atomic_write_bytes(out_dir / f"{stem}_workers.jsonl", payload.encode("utf-8"))
-            reports.append(
-                RunReport(
-                    method=run.method,
-                    seed=seed,
-                    csv_path=str(csv_path),
-                    jsonl_path=str(jsonl_path),
-                    status=run.status,
-                    records=tuple(run.records),
-                )
-            )
+            runs.append({"method": run.method, "seed": seed, "csv": csv, "jsonl": jsonl, "status": run.status})
             logger.info("finished %s seed %s (%s)", run.method, seed, run.status)
 
     manifest = {
@@ -234,22 +206,13 @@ def run_suite(config: ExperimentConfig) -> SuiteResult:
             "round_seconds": plan.round_seconds,
         },
         "artifacts": artifact_hashes,
-        "runs": [
-            {
-                "method": r.method,
-                "seed": r.seed,
-                "csv": Path(r.csv_path).name,
-                "jsonl": Path(r.jsonl_path).name,
-                "status": r.status,
-            }
-            for r in reports
-        ],
+        "runs": runs,
     }
     manifest_path = out_dir / "manifest.json"
     atomic_write_bytes(
         manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8")
     )
-    return SuiteResult(manifest_path=str(manifest_path), runs=tuple(reports))
+    return manifest_path
 
 
 def theory_report(config: ExperimentConfig) -> dict:

@@ -1,7 +1,12 @@
+import json
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from overlap_sgd.data import Dataset, partition_shared, synthetic_blobs
+from overlap_sgd.metrics import MetricsRecord
 from overlap_sgd.objective import LogisticOracle, QuadraticOracle, RegularizerParams
 
 
@@ -50,3 +55,17 @@ def base_config_dict(**overrides) -> dict:
     }
     raw.update(overrides)
     return raw
+
+
+def manifest_runs(manifest_path) -> list[SimpleNamespace]:
+    """The runs a manifest names, in its order: ``method``, ``seed`` and
+    ``status`` as written, ``csv`` and ``jsonl`` as paths beside the manifest,
+    and ``records`` read back from the JSONL."""
+    directory = Path(manifest_path).parent
+    runs = []
+    for entry in json.loads(Path(manifest_path).read_text(encoding="utf-8"))["runs"]:
+        run = SimpleNamespace(**{**entry, "csv": directory / entry["csv"], "jsonl": directory / entry["jsonl"]})
+        lines = run.jsonl.read_text(encoding="utf-8").splitlines()
+        run.records = [MetricsRecord(**json.loads(line)) for line in lines]
+        runs.append(run)
+    return runs

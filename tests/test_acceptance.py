@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from conftest import make_logistic_oracle, make_quadratic_oracle
+from conftest import make_logistic_oracle, make_quadratic_oracle, manifest_runs
 from overlap_sgd.cli import main
 from overlap_sgd.config import rand_k_size, validate_config
 from overlap_sgd.core import RngStream, average, project_mask, sample_rand_k
@@ -58,9 +58,9 @@ def ordering_config(tmp_path, methods, compute_periods=3, comm_seconds=6, tag="r
     return config
 
 
-def mean_final_losses(result):
+def mean_final_losses(manifest_path):
     by_method = {}
-    for run in result.runs:
+    for run in manifest_runs(manifest_path):
         assert run.status == "ok"
         by_method.setdefault(run.method, []).append(run.records[-1].train_loss)
     return {m: float(np.mean(v)) for m, v in by_method.items()}
@@ -332,8 +332,8 @@ def test_criterion_10_communication_accounting(tmp_path):
     res_dense = run_suite(tiny_config(0.3, "p030"))
     k_sparse, k_dense = rand_k_size(0.01, 100), rand_k_size(0.3, 100)
 
-    def final(result, method):
-        return [r for r in result.runs if r.method == method][0].records[-1]
+    def final(manifest_path, method):
+        return [r for r in manifest_runs(manifest_path) if r.method == method][0].records[-1]
 
     f_sparse = final(res_sparse, "overlap_delay_corrected")
     f_dense = final(res_dense, "overlap_delay_corrected")

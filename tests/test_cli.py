@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import base_config_dict
+from conftest import base_config_dict, manifest_runs
 from overlap_sgd.cli import _read_yaml, main
 from overlap_sgd.config import (
     ConfigIssue,
@@ -21,6 +21,7 @@ from overlap_sgd.config import (
     validate_config,
 )
 from overlap_sgd.data import load_libsvm, serialize_libsvm, synthetic_blobs
+from overlap_sgd.errors import DivergenceError
 from overlap_sgd.metrics import render_csv
 from overlap_sgd.runner import run_suite
 
@@ -104,6 +105,14 @@ class TestValidateConfig:
         config, issues = validate_config(raw)
         assert config is None
         assert any(i.field == "lerning_rate" for i in issues)
+        # a YAML key need not be a string: `1: 2`, `null: 2` or `true: 2`, at the root or in a nested block
+        synthetic = base_config_dict()["dataset"]["synthetic"]
+        for key in (1, None, True):
+            for raw, field in (
+                ({**base_config_dict(), key: 2}, f"{key}"),
+                (base_config_dict(dataset={"synthetic": {**synthetic, key: 2}}), f"dataset.synthetic.{key}"),
+            ):
+                assert [str(i) for i in validate_config(raw)[1]] == [f"{field}: unknown configuration key"]
 
     def test_min_examples_only_for_dirichlet(self):
         for key, value in (("min_examples", 5), ("alpha", 0.1)):
@@ -264,8 +273,7 @@ class TestValidateConfig:
         )
         config, issues = validate_config(raw)
         assert not issues, issues
-        result = run_suite(config)
-        assert [r.status for r in result.runs] == ["ok"]
+        assert [r.status for r in manifest_runs(run_suite(config))] == ["ok"]
 
     def test_fedavg_rejects_partial_mask_at_fixed_dimension(self):
         raw = base_config_dict(methods=["fedavg_full"], sparsity=0.9)
@@ -364,6 +372,56 @@ class TestRunCommand:
         assert any(r["status"].startswith("diverged") for r in manifest["runs"])
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "failing_call, status, n_records",
+        # round 0 evaluates each method's initial model and then its model after the round, one
+        # method after another (calls 1-6); round 1 evaluates each method once more (calls 7-9)
+        [(3, "diverged:round=0", 0), (8, "diverged:round=1", 2)],
+        ids=["initial", "after-round-1"],
+    )
+    def test_a_divergence_found_by_an_evaluation_stops_that_run_alone(
+        self, tmp_path, capsys, monkeypatch, failing_call, status, n_records
+    ):
+        import overlap_sgd.metrics as metrics_mod
+
+        methods = ["local_sparse", "overlap_overwrite", "overlap_delay_corrected"]
+        clean = write_config(tmp_path, methods=methods, eval_per_worker=True, output_dir=str(tmp_path / "clean"))
+        assert main(["run", str(clean)]) == 0
+        clean_runs = manifest_runs(tmp_path / "clean" / "manifest.json")
+        full_gradient, calls = metrics_mod.full_gradient, []
+
+        def diverges_on_one_call(*args):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise DivergenceError("non-finite values in full gradient")
+            return full_gradient(*args)
+
+        monkeypatch.setattr(metrics_mod, "full_gradient", diverges_on_one_call)
+        assert main(["run", str(write_config(tmp_path, methods=methods, eval_per_worker=True))]) == 2
+        runs = manifest_runs(tmp_path / "out" / "manifest.json")
+        assert [(r.method, r.seed) for r in runs] == [(r.method, r.seed) for r in clean_runs]
+        for run, alone in zip(runs, clean_runs):
+            if run.method == "overlap_overwrite":
+                assert (run.status, run.records) == (status, alone.records[:n_records])
+                sidecar = run.csv.with_name("overlap_overwrite_seed0_workers.jsonl")
+                assert len(sidecar.read_text(encoding="utf-8").splitlines()) == 2 * n_records
+            else:
+                assert (run.status, run.records) == (alone.status, alone.records)
+        assert f"overlap_overwrite seed=0: {status} -> " in capsys.readouterr().out
+
+    def test_prints_one_line_per_manifest_run_in_manifest_order(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, methods=["overlap_overwrite", "local_sparse"], seeds=[2, 0])
+        assert main(["run", str(cfg)]) == 0
+        out_dir = tmp_path / "out"
+        runs = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["runs"]
+        assert [(r["method"], r["seed"]) for r in runs] == [
+            ("overlap_overwrite", 2), ("local_sparse", 2), ("overlap_overwrite", 0), ("local_sparse", 0)
+        ]
+        assert capsys.readouterr().out.splitlines() == [
+            *(f"{r['method']} seed={r['seed']}: ok -> {out_dir / r['csv']}" for r in runs),
+            f"manifest: {out_dir / 'manifest.json'}",
+        ]
+
     @pytest.mark.filterwarnings("ignore:worker .* received zero examples")
     def test_starved_worker_skips_seed_without_failing_suite(self, tmp_path, capsys):
         # 3 examples over 4 workers: some pool is empty by pigeonhole
@@ -392,10 +450,8 @@ class TestRunCommand:
         cfg_a, issues_a = validate_config(raw_a)
         cfg_b, issues_b = validate_config(raw_b)
         assert not issues_a and not issues_b
-        res_a = run_suite(cfg_a)
-        res_b = run_suite(cfg_b)
-        hashes_a = json.loads(Path(res_a.manifest_path).read_text())["artifacts"]
-        hashes_b = json.loads(Path(res_b.manifest_path).read_text())["artifacts"]
+        hashes_a = json.loads(run_suite(cfg_a).read_text())["artifacts"]
+        hashes_b = json.loads(run_suite(cfg_b).read_text())["artifacts"]
         assert hashes_a == hashes_b
 
     def test_per_worker_sidecar(self, tmp_path, capsys):
@@ -841,6 +897,17 @@ class TestOtherCommands:
         ]
         assert captured.out == ""
 
+    def test_theory_on_data_with_a_non_finite_gradient_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        import overlap_sgd.theory as theory_mod
+
+        def diverges(*args):
+            raise DivergenceError("non-finite values in full gradient")
+
+        monkeypatch.setattr(theory_mod, "full_gradient", diverges)
+        assert main(["theory", str(write_config(tmp_path))]) == 1
+        captured = capsys.readouterr()
+        assert (captured.err.splitlines(), captured.out) == (["error: non-finite values in full gradient"], "")
+
     def test_theory_command_emits_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path, stepsize=0.001)
         assert main(["theory", str(cfg)]) == 0
@@ -876,6 +943,7 @@ class TestOtherCommands:
             ("dim: abc", "invalid spec: dim: must be a positive integer"),
             ("dim: 0", "invalid spec: dim: must be a positive integer"),
             ("separtion: 3", "invalid spec: separtion: unknown configuration key"),
+            ("1: 3", "invalid spec: 1: unknown configuration key"),
         ],
     )
     def test_gen_data_reports_a_bad_spec_in_one_line(self, tmp_path, capsys, line, message):

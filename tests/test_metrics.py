@@ -7,7 +7,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from conftest import base_config_dict
+from conftest import base_config_dict, manifest_runs
 from overlap_sgd.config import validate_config
 from overlap_sgd.core import average
 from overlap_sgd.metrics import (
@@ -27,7 +27,7 @@ def suite_records(**overrides) -> list[MetricsRecord]:
     with tempfile.TemporaryDirectory() as out:
         config, issues = validate_config(base_config_dict(output_dir=out, **overrides))
         assert not issues
-        (run,) = run_suite(config).runs
+        (run,) = manifest_runs(run_suite(config))
     assert run.status == "ok"
     return list(run.records)
 

@@ -1,11 +1,10 @@
 import json
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
 import overlap_sgd.runner as runner_mod
-from conftest import base_config_dict
+from conftest import base_config_dict, manifest_runs
 from overlap_sgd.config import validate_config
 from overlap_sgd.core import RngStream
 from overlap_sgd.errors import DivergenceError
@@ -57,15 +56,15 @@ def test_suite_draws_each_minibatch_and_mask_once(tmp_path, drawn_keys):
 
 
 def test_a_suite_diverged_in_round_0_draws_one_mask_per_seed(tmp_path, drawn_keys):
-    result = run_suite(make_config(tmp_path, "diverged", stepsize=1e150))
-    assert {r.status for r in result.runs} == {"diverged:round=0"}
+    runs = manifest_runs(run_suite(make_config(tmp_path, "diverged", stepsize=1e150)))
+    assert {r.status for r in runs} == {"diverged:round=0"}
     masks = Counter(k for k in drawn_keys if k[1][0] == "mask")
     assert masks == {(seed, ("mask", 0)): 1 for seed in (1, 2)}
 
 
 def test_each_method_writes_what_it_writes_alone(tmp_path):
-    together = run_suite(make_config(tmp_path, "all", eval_per_worker=True))
-    assert {r.status for r in together.runs} == {"ok"}
+    together = manifest_runs(run_suite(make_config(tmp_path, "all", eval_per_worker=True)))
+    assert {r.status for r in together} == {"ok"}
     for method in METHODS:
         run_suite(make_config(tmp_path, method, methods=[method], eval_per_worker=True))
         for seed in (1, 2):
@@ -82,10 +81,10 @@ def test_a_diverged_method_stops_alone(tmp_path, monkeypatch):
             raise DivergenceError("worker 0 diverged in round 1", round_index=1, worker=0)
         return run_round(start, method, plan, mask, stepsize, oracle, round_index)
 
-    clean = run_suite(make_config(tmp_path, "clean"))
+    clean = manifest_runs(run_suite(make_config(tmp_path, "clean")))
     monkeypatch.setattr(runner_mod, "run_round", overwrite_diverges_in_round_1)
-    result = run_suite(make_config(tmp_path, "all"))
-    for a, b in zip(result.runs, clean.runs):
+    runs = manifest_runs(run_suite(make_config(tmp_path, "all")))
+    for a, b in zip(runs, clean):
         if a.method == "overlap_overwrite":
             assert (a.status, a.records) == ("diverged:round=1", b.records[:2])
         else:
@@ -120,14 +119,14 @@ def test_the_per_worker_sidecar_follows_each_run_status(tmp_path, monkeypatch):
     }
     for name, (overrides, statuses, n_records) in suites.items():
         config = make_config(tmp_path, name, eval_per_worker=True, **overrides)
-        runs = run_suite(config).runs
+        runs = manifest_runs(run_suite(config))
         assert ([r.status for r in runs], [len(r.records) for r in runs]) == (statuses, n_records), name
         for run in runs:
-            sidecar = Path(run.csv_path).with_name(f"{run.method}_seed{run.seed}_workers.jsonl")
+            sidecar = run.csv.with_name(f"{run.method}_seed{run.seed}_workers.jsonl")
             if run.status.startswith("skipped"):
                 # a header-only CSV, an empty JSONL and no sidecar
-                assert Path(run.csv_path).read_text(encoding="utf-8") == render_csv([])
-                assert Path(run.jsonl_path).read_text(encoding="utf-8") == ""
+                assert run.csv.read_text(encoding="utf-8") == render_csv([])
+                assert run.jsonl.read_text(encoding="utf-8") == ""
                 assert not sidecar.exists()
                 continue
             rows = [json.loads(line) for line in sidecar.read_text(encoding="utf-8").splitlines()]

@@ -1,6 +1,7 @@
 """Every script runs on a tiny config and on its manifest; the comparison
 script's sweeps write one replayable suite per grid point."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -63,6 +64,17 @@ def test_script_runs_on_a_config_and_on_its_manifest(tmp_path, script):
     replay = run_script(script, tmp_path / "out" / "manifest.json", tmp_path)
     assert replay.returncode == 0, replay.stderr
     assert replay.stdout == first.stdout
+
+
+def test_print_table_reads_a_written_suite_without_running_it(tmp_path, monkeypatch, capsys):
+    first = run_script(COMPARISON, write_config(tmp_path), tmp_path)
+    assert first.returncode == 0, first.stderr
+    spec = importlib.util.spec_from_file_location("overlap_comparison", COMPARISON)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "run_suite", None)  # nothing may run a suite
+    script.print_table("test-run", tmp_path / "out" / "manifest.json")
+    assert capsys.readouterr().out == first.stdout
 
 
 @pytest.mark.parametrize(

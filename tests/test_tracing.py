@@ -3,7 +3,7 @@ bypasses a wrapped name would leave its per-layer metric at 0."""
 
 from pathlib import Path
 
-from conftest import base_config_dict
+from conftest import base_config_dict, manifest_runs
 from overlap_sgd.config import validate_config
 from overlap_sgd.runner import run_suite
 
@@ -46,6 +46,6 @@ def test_every_traced_layer_records_spans(tmp_path):
     assert {s.name for s in layers.spans} == {name for *_, name in spans["TARGETS"]} | {spans["ROOT_SPAN"]}
     assert {s.name for s in targets.spans} == {name for *_, name in own_names}
     metrics = spans["layer_metrics"](layers.spans)
-    runs = [run for result in results for run in result.runs]
-    written = sum(len(Path(run.jsonl_path).read_text(encoding="utf-8").splitlines()) for run in runs)
+    runs = [run for manifest_path in results for run in manifest_runs(manifest_path)]
+    written = sum(len(run.jsonl.read_text(encoding="utf-8").splitlines()) for run in runs)
     assert metrics["metrics.evaluate_calls"] == written == sum(len(run.records) for run in runs) > 0
