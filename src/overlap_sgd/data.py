@@ -139,7 +139,10 @@ def parse_libsvm(text: str, dimension: int | None = None) -> Dataset:
     if d < 1:
         raise DatasetError("dataset has no features")
 
-    features = np.zeros((len(rows), d), dtype=np.float64)
+    try:
+        features = np.zeros((len(rows), d), dtype=np.float64)
+    except (ValueError, MemoryError):  # "array is too big" / "Unable to allocate"
+        raise DatasetError(f"{len(rows)} examples of {d} features are too large to hold densely") from None
     for r, entries in enumerate(rows):
         for idx, val in entries:
             features[r, idx - 1] = val
@@ -209,16 +212,31 @@ class NormalizationStats:
     stdev: np.ndarray
 
 
+def _check_standardizable(values: np.ndarray, what: str) -> None:
+    """DatasetError naming the first feature whose ``values`` are not all finite."""
+    bad = ~np.isfinite(values).reshape(-1, values.shape[-1]).all(axis=0)
+    if bad.any():
+        raise DatasetError(f"feature {int(np.argmax(bad)) + 1} cannot be standardized: {what} overflows")
+
+
 def compute_normalization(train: Dataset) -> NormalizationStats:
-    mean = train.features.mean(axis=0)
-    stdev = train.features.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.features.mean(axis=0)
+        stdev = train.features.std(axis=0)
+    _check_standardizable(mean, "its training mean")
+    _check_standardizable(stdev, "its training stdev")
     stdev = np.maximum(stdev, STDEV_FLOOR)
     return NormalizationStats(mean=mean, stdev=stdev)
 
 
 def apply_normalization(dataset: Dataset, stats: NormalizationStats) -> Dataset:
-    feats = (dataset.features - stats.mean) / stats.stdev
-    return Dataset(feats, dataset.labels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        feats = (dataset.features - stats.mean) / stats.stdev
+    try:
+        return Dataset(feats, dataset.labels)
+    except ConfigurationError:  # a value too far out for the training stdev
+        _check_standardizable(feats, "a standardized value")
+        raise
 
 
 def partition_shared(n_examples: int, n_workers: int) -> tuple[np.ndarray, ...]:

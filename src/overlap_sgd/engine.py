@@ -51,8 +51,7 @@ OVERLAP_METHODS = frozenset({Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORR
 @dataclass(frozen=True)
 class RoundOutcome:
     """Everything one round produced; model arrays are ``(n, d)`` and may
-    share memory with each other (for ``sync_sgd`` all three are one array),
-    so callers treat them as read-only.
+    share memory with each other, so callers treat them as read-only.
 
     next_models   merged per-worker models starting the next round
     sent          models after the pre-communication steps (what gets
@@ -196,38 +195,27 @@ def run_round(
     if problems:
         raise ConfigurationError("; ".join(problems))
 
-    if method is Method.SYNC_SGD:
-        # one gradient per worker at the common point, averaged, one global step
-        common = start[0]
-        if np.any(start != common):
-            raise ConfigurationError("sync_sgd requires identical worker models")
-        avg_grad_sum = average([oracle.gradient(common, i, round_index, 0) for i in range(n)])
-        merged = common - stepsize * avg_grad_sum
-        _guard(merged, round_index, worker=-1)
-        sent = latest = next_models = np.tile(merged, (n, 1))
-        steps = (1,) * n
-    else:
-        grad_sum = np.zeros(dim)
-        sent = start.copy()
+    grad_sum = np.zeros(dim)
+    sent = start.copy()
+    for i in range(n):
+        grad_sum += local_steps(sent[i], plan.pre_steps[i], stepsize, oracle, i, round_index)
+    sent_avg = average(sent)
+    if method in OVERLAP_METHODS:
+        latest = sent.copy()
         for i in range(n):
-            grad_sum += local_steps(sent[i], plan.pre_steps[i], stepsize, oracle, i, round_index)
-        sent_avg = average(sent)
-        if method in OVERLAP_METHODS:
-            latest = sent.copy()
-            for i in range(n):
-                grad_sum += local_steps(
-                    latest[i], plan.overlap_steps[i], stepsize, oracle, i, round_index, plan.pre_steps[i]
-                )
-            steps = plan.total_steps
-        else:
-            latest = sent
-            steps = plan.pre_steps
-        avg_grad_sum = grad_sum / n
-        if method is Method.OVERLAP_DELAY_CORRECTED:
-            next_models = merge_delay_corrected(latest, sent, sent_avg, mask)
-        else:
-            # fedavg_full, local_sparse (latest is sent), overlap_overwrite
-            next_models = merge_overwrite(latest, project_mask(sent_avg, mask), mask)
+            grad_sum += local_steps(
+                latest[i], plan.overlap_steps[i], stepsize, oracle, i, round_index, plan.pre_steps[i]
+            )
+        steps = plan.total_steps
+    else:
+        latest = sent
+        steps = plan.pre_steps
+    avg_grad_sum = grad_sum / n
+    if method is Method.OVERLAP_DELAY_CORRECTED:
+        next_models = merge_delay_corrected(latest, sent, sent_avg, mask)
+    else:
+        # sync_sgd, fedavg_full, local_sparse (latest is sent), overlap_overwrite
+        next_models = merge_overwrite(latest, project_mask(sent_avg, mask), mask)
 
     return RoundOutcome(
         next_models=next_models,

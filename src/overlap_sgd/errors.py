@@ -6,7 +6,8 @@ class ConfigurationError(ValueError):
 
 
 class DatasetError(ConfigurationError):
-    """A dataset file the config names could not be loaded: missing, unreadable or malformed."""
+    """A dataset that cannot be used: a file the config names that is missing, unreadable,
+    malformed or too large to hold densely, or data whose standardization overflows."""
 
 
 class DivergenceError(RuntimeError):

@@ -30,6 +30,9 @@ __all__ = [
     "initial_gap_upper_bound",
 ]
 
+# Log-spaced points per axis of the (alpha, beta) search in tune_bound_params.
+BOUND_GRID_POINTS = 40
+
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -190,12 +193,7 @@ def round_complexity(
     return int(math.ceil(rounds))
 
 
-def tune_bound_params(
-    k: int,
-    d: int,
-    agg: TimingAggregates,
-    grid: int = 40,
-) -> BoundParams:
+def tune_bound_params(k: int, d: int, agg: TimingAggregates) -> BoundParams:
     """Grid-search (alpha, beta) minimizing the staleness weight subject to
     contraction < 1.  With a full mask any choice works; (1, 1) is returned."""
     if k == d:
@@ -207,7 +205,7 @@ def tune_bound_params(
     best_val = math.inf
     # a mask so sparse that (1 + 1e-4)**2 >= budget starts where (low, low) is admissible
     low = 1e-4 if (1.0 + 1e-4) ** 2 < budget else (budget - 1.0) / 3
-    candidates = np.exp(np.linspace(math.log(low), math.log(budget - 1.0), grid))
+    candidates = np.exp(np.linspace(math.log(low), math.log(budget - 1.0), BOUND_GRID_POINTS))
     for alpha in candidates:
         for beta in candidates:
             if (1.0 + alpha) * (1.0 + beta) >= budget:

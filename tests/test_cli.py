@@ -791,6 +791,51 @@ class TestDatasetFileErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "theory"])
+    def test_a_feature_index_too_large_to_hold_densely_is_one_error_line(self, tmp_path, capsys, command):
+        # 2**62 columns fail before any allocation, whatever the overcommit setting
+        data_path = tmp_path / "wide.libsvm"
+        data_path.write_text(f"+1 1:0.5 {2**62}:1\n-1 1:0.2\n", encoding="utf-8")
+        cfg = write_config(tmp_path, dataset={"path": str(data_path)}, methods=["local_sparse"], sparsity=1.0)
+        assert main([command, str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: could not load dataset {data_path}: 2 examples of {2**62} features are too large to hold densely"
+        ]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "theory"])
+    @pytest.mark.parametrize(
+        "huge_rows, seed, problem",
+        [
+            # +-1e307 with the label's sign: the training variance overflows
+            ([f"{s:+d} 1:{s}e307" for s in (-1, 1) * 50], 0, "its training stdev overflows"),
+            # seed 5 puts the one non-zero value of feature 1 in the validation
+            # split, where dividing by the floored training stdev overflows
+            (["+1 1:1e308"], 5, "a standardized value overflows"),
+        ],
+        ids=["train-stdev", "validation-value"],
+    )
+    def test_standardization_that_overflows_is_one_error_line(
+        self, tmp_path, capsys, command, huge_rows, seed, problem
+    ):
+        # warnings are errors in this suite, so an overflow warning fails the test
+        normal_rows = [f"{s:+d} 2:{0.01 * i!r}" for i, s in enumerate((-1, 1) * 100)]
+        data_path = tmp_path / "huge.libsvm"
+        data_path.write_text("\n".join((huge_rows + normal_rows)[:200]) + "\n", encoding="utf-8")
+        cfg = write_config(
+            tmp_path, dataset={"path": str(data_path)}, methods=["local_sparse"], sparsity=1.0,
+            val_fraction=0.5, seeds=[seed],
+        )
+        assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main([command, str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: feature 1 cannot be standardized: {problem}"]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "theory"])
     @pytest.mark.parametrize(
         "error",
         [OSError(5, "Input/output error"), PermissionError(13, "Permission denied")],

@@ -364,20 +364,23 @@ class TestRunRound:
             np.testing.assert_array_equal(traj, ref), method
 
     def test_minibatch_equivalence_small(self):
+        # sync_sgd is the one-step blocking round: bit-equal to fedavg_full,
+        # and within rounding of the delay-corrected merge
         blobs = synthetic_blobs(dim=5, n_examples=30, separation=1.0, seed=2)
         oracle = make_logistic_oracle(blobs, n_workers=2, batch_size=4, seed=21)
         plan = build_plan((2, 2), 1, 0)
-        sync_models = [np.zeros(5)] * 2
-        dc_models = [np.zeros(5)] * 2
+        methods = (Method.SYNC_SGD, Method.FEDAVG_FULL, Method.OVERLAP_DELAY_CORRECTED)
+        models = {m: np.zeros((2, 5)) for m in methods}
         for r in range(10):
             mask = round_mask(21, r, 5, 5)
-            out_sync = run_round(np.stack(sync_models), Method.SYNC_SGD, plan, mask, 0.1, oracle, r)
-            out_dc = run_round(np.stack(dc_models), Method.OVERLAP_DELAY_CORRECTED, plan, mask, 0.1, oracle, r)
-            sync_models = [m.copy() for m in out_sync.next_models]
-            dc_models = [m.copy() for m in out_dc.next_models]
-            dev = max(
-                np.abs(a - b).max() for a, b in zip(sync_models, dc_models)
-            )
+            outs = {m: run_round(models[m], m, plan, mask, 0.1, oracle, r) for m in methods}
+            sync, start = outs[Method.SYNC_SGD], models[Method.SYNC_SGD]
+            assert sync.latest is sync.sent
+            for i in range(2):
+                np.testing.assert_array_equal(sync.sent[i], start[i] - 0.1 * oracle.gradient(start[i], i, r, 0))
+            models = {m: out.next_models.copy() for m, out in outs.items()}
+            np.testing.assert_array_equal(models[Method.FEDAVG_FULL], models[Method.SYNC_SGD])
+            dev = np.abs(models[Method.OVERLAP_DELAY_CORRECTED] - models[Method.SYNC_SGD]).max()
             assert dev <= 1e-12
 
     def test_single_worker_merge_rules_via_run_round(self):
@@ -423,20 +426,14 @@ class TestRunRound:
         with pytest.raises(ConfigurationError, match="mask dimension 5 does not match model dimension 4"):
             run_round(np.zeros((2, 4)), Method.LOCAL_SPARSE, plan, round_mask(0, 0, 5, 2), 0.1, oracle, 0)
 
-    def test_sync_step_divergence_names_no_worker(self):
-        # the one global step leaves the guard's range: worker -1 is the sync step
+    def test_sync_step_divergence_names_the_first_worker(self):
+        # sync_sgd steps each worker like every other method, so the guard
+        # names the first worker whose one step leaves its range
         oracle = make_quadratic_oracle(dim=3, noise=0.0, seed=0, curvature=1e3)
         with pytest.raises(DivergenceError) as exc:
             plan = build_plan((1, 1), 1, 0)
             run_round(np.full((2, 3), 1e99), Method.SYNC_SGD, plan, round_mask(0, 7, 3, 3), 1.0, oracle, 7)
-        assert (exc.value.worker, exc.value.round_index) == (-1, 7)
-
-    def test_sync_requires_identical_states(self):
-        oracle = make_quadratic_oracle(dim=3, noise=0.0, seed=0)
-        plan = build_plan((1, 1), 1, 0)
-        start = np.stack([np.zeros(3), np.ones(3)])
-        with pytest.raises(ConfigurationError, match="identical"):
-            run_round(start, Method.SYNC_SGD, plan, round_mask(0, 0, 3, 3), 0.1, oracle, 0)
+        assert (exc.value.worker, exc.value.round_index) == (0, 7)
 
     def test_method_plan_incompatibilities(self):
         # run_round rejects them before round 0 takes a step

@@ -107,3 +107,18 @@ def _module_state(path: Path) -> list[str]:
 def test_no_module_level_state(path):
     # every draw depends only on its stream key, and every call only on its arguments
     assert _module_state(path) == []
+
+
+MAX_LINE = 120
+
+
+def test_no_line_is_longer_than_the_limit():
+    # a line-count target cannot then be met by joining lines
+    paths = sorted((ROOT / "src" / "overlap_sgd").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    long_lines = [
+        f"{path.name}:{n} ({len(line)} chars)"
+        for path in paths
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if len(line) > MAX_LINE
+    ]
+    assert long_lines == []

@@ -27,7 +27,7 @@ from overlap_sgd.config import validate_config
 from overlap_sgd.runner import run_suite, theory_report
 
 # Recorded with NumPy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas), Python 3.11.
-GOLDEN_DIGEST = "b18153233171733db3d3fa13fcbdd76680f1e176e55a0ca8844c92add29b1293"
+GOLDEN_DIGEST = "b9829aeccb9143c99ada262ccacd0d7da3156b9deb5d99ce496c0a432e9d895f"
 
 _COMMON = {
     "normalize": True,
