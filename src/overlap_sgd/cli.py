@@ -61,6 +61,8 @@ def _read_yaml(path, kind: str):
         message = f"could not read {path}: {exc}"
     except yaml.YAMLError as exc:
         message = f"could not parse {path}: {exc}"
+    except RecursionError:  # the parser recurses once per nesting level
+        message = f"could not parse {path}: nested too deeply"
     raise InputError(f"error: {message}")
 
 
@@ -120,11 +122,11 @@ def cmd_gen_data(args) -> int:
     out = Path(out)
     if (blocker := blocking_file(out.parent)) is not None:
         raise InputError(f"error: not a directory: {blocker}")
-    dataset = synthetic_blobs(spec.dim, spec.n_examples, spec.separation, spec.seed)
-    out.parent.mkdir(parents=True, exist_ok=True)
     try:
+        dataset = synthetic_blobs(spec.dim, spec.n_examples, spec.separation, spec.seed)
+        out.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_bytes(out, serialize_libsvm(dataset).encode("utf-8"))
-    except OSError as exc:
+    except (DatasetError, OSError) as exc:
         raise InputError(f"error: {exc}") from None
     print(f"wrote {dataset.n_examples} examples (dim {dataset.dim}) to {out}")
     return 0

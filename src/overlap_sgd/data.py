@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import gzip
 import math
-import warnings
 import zlib
 from dataclasses import dataclass
 
@@ -27,7 +26,6 @@ __all__ = [
     "split_train_val",
     "validation_size",
     "check_min_examples",
-    "subset",
     "compute_normalization",
     "apply_normalization",
     "partition_shared",
@@ -43,24 +41,14 @@ STDEV_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class Dataset:
-    """Dense feature matrix with binary labels in {-1, +1}."""
+    """Finite float64 features of shape (n, d) and float64 labels of shape (n,) in {-1, +1}.
+
+    Not checked here: ``parse_libsvm`` rejects data that breaks this where it enters, and
+    ``synthetic_blobs``, the split and the standardization keep it by construction.
+    """
 
     features: np.ndarray
     labels: np.ndarray
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        labs = np.asarray(self.labels, dtype=np.float64)
-        if feats.ndim != 2:
-            raise ConfigurationError(f"features must be 2-D, got shape {feats.shape}")
-        if labs.shape != (feats.shape[0],):
-            raise ConfigurationError("labels must be 1-D with one entry per example")
-        if not np.all(np.isin(labs, (-1.0, 1.0))):
-            raise ConfigurationError("labels must be -1 or +1")
-        if not np.all(np.isfinite(feats)):
-            raise ConfigurationError("features contain non-finite values")
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
 
     @property
     def n_examples(self) -> int:
@@ -71,17 +59,12 @@ class Dataset:
         return self.features.shape[1]
 
 
-def subset(dataset: Dataset, indices) -> Dataset:
-    idx = np.asarray(indices, dtype=np.int64)
-    return Dataset(dataset.features[idx], dataset.labels[idx])
-
-
 def _map_labels(raw: list[float]) -> np.ndarray:
     distinct = sorted(set(raw))
     if set(distinct) <= {-1.0, 1.0}:
         return np.asarray(raw, dtype=np.float64)
     if len(distinct) != 2:
-        raise ConfigurationError(
+        raise DatasetError(
             f"labels must form a binary set, got {len(distinct)} distinct values: {distinct[:5]}"
         )
     lo, hi = distinct
@@ -146,10 +129,10 @@ def parse_libsvm(text: str, dimension: int | None = None) -> Dataset:
     for r, entries in enumerate(rows):
         for idx, val in entries:
             features[r, idx - 1] = val
-    try:
-        return Dataset(features, _map_labels(raw_labels))
-    except ConfigurationError as exc:  # the labels or the values, not the config
-        raise DatasetError(str(exc)) from None
+    labels = _map_labels(raw_labels)
+    if not np.isfinite(features).all():
+        raise DatasetError("features contain non-finite values")
+    return Dataset(features, labels)
 
 
 def load_libsvm(path, dimension: int | None = None) -> Dataset:
@@ -201,7 +184,7 @@ def split_train_val(dataset: Dataset, val_fraction: float, seed: int) -> tuple[D
     perm = RngStream(seed, ("split",)).generator().permutation(n)
     val_idx = np.sort(perm[:n_val])
     train_idx = np.sort(perm[n_val:])
-    return subset(dataset, train_idx), subset(dataset, val_idx)
+    return tuple(Dataset(dataset.features[idx], dataset.labels[idx]) for idx in (train_idx, val_idx))
 
 
 @dataclass(frozen=True)
@@ -231,12 +214,10 @@ def compute_normalization(train: Dataset) -> NormalizationStats:
 
 def apply_normalization(dataset: Dataset, stats: NormalizationStats) -> Dataset:
     with np.errstate(over="ignore", invalid="ignore"):
-        feats = (dataset.features - stats.mean) / stats.stdev
-    try:
-        return Dataset(feats, dataset.labels)
-    except ConfigurationError:  # a value too far out for the training stdev
-        _check_standardizable(feats, "a standardized value")
-        raise
+        feats = dataset.features - stats.mean
+        feats /= stats.stdev
+    _check_standardizable(feats, "a standardized value")
+    return Dataset(feats, dataset.labels)
 
 
 def partition_shared(n_examples: int, n_workers: int) -> tuple[np.ndarray, ...]:
@@ -279,7 +260,7 @@ def partition_dirichlet(
     largest remainder.  Disjoint cover of the training set.
 
     By default a worker may end up with zero examples under extreme alpha
-    (flagged with a warning; its oracle then errors if used).  With
+    (the runner then records the seed's runs as skipped).  With
     ``min_examples > 0`` the draw is repeated on the same stream until every
     worker holds at least that many examples.
     """
@@ -307,11 +288,7 @@ def partition_dirichlet(
             f"could not satisfy min_examples={min_examples} within 1000 redraws "
             f"(alpha={alpha} is too extreme for this class balance)"
         )
-    assignments = tuple(np.sort(np.concatenate(b)) if b else np.empty(0, np.int64) for b in buckets)
-    for w, a in enumerate(assignments):
-        if a.size == 0:
-            warnings.warn(f"worker {w} received zero examples under dirichlet alpha={alpha}")
-    return assignments
+    return tuple(np.sort(np.concatenate(b)) if b else np.empty(0, np.int64) for b in buckets)
 
 
 def synthetic_blobs(dim: int, n_examples: int, separation: float = 2.0, seed: int = 0) -> Dataset:
@@ -323,9 +300,12 @@ def synthetic_blobs(dim: int, n_examples: int, separation: float = 2.0, seed: in
     if dim < 1 or n_examples < 1:
         raise ConfigurationError("synthetic dataset needs dim >= 1 and n_examples >= 1")
     gen = RngStream(seed, ("synthetic",)).generator()
-    direction = gen.standard_normal(dim)
-    direction /= np.linalg.norm(direction)
-    labels = gen.integers(0, 2, size=n_examples) * 2 - 1
-    features = gen.standard_normal((n_examples, dim))
-    features += (separation / 2.0) * labels[:, None] * direction[None, :]
+    try:
+        direction = gen.standard_normal(dim)
+        direction /= np.linalg.norm(direction)
+        labels = gen.integers(0, 2, size=n_examples) * 2 - 1
+        features = gen.standard_normal((n_examples, dim))
+        features += (separation / 2.0) * labels[:, None] * direction[None, :]
+    except (ValueError, MemoryError):  # "array is too big" / "Unable to allocate"
+        raise DatasetError(f"{n_examples} examples of {dim} features are too large to hold densely") from None
     return Dataset(features, labels.astype(np.float64))

@@ -6,8 +6,8 @@ class ConfigurationError(ValueError):
 
 
 class DatasetError(ConfigurationError):
-    """A dataset that cannot be used: a file the config names that is missing, unreadable,
-    malformed or too large to hold densely, or data whose standardization overflows."""
+    """A dataset that cannot be used: a file the config names that is missing, unreadable or
+    malformed, data too large to hold densely, or data whose standardization overflows."""
 
 
 class DivergenceError(RuntimeError):

@@ -69,7 +69,7 @@ def _sha256_arrays(*arrays: np.ndarray) -> str:
         a = np.ascontiguousarray(a)
         h.update(str(a.dtype).encode())
         h.update(str(a.shape).encode())
-        h.update(a.tobytes())
+        h.update(a)
     return h.hexdigest()
 
 
@@ -90,7 +90,7 @@ def prepare_seed_artifacts(dataset: Dataset, config: ExperimentConfig, seed: int
     if config.normalize:
         stats = compute_normalization(train)
         train = apply_normalization(train, stats)
-        val = apply_normalization(val, stats) if val.n_examples else val
+        val = apply_normalization(val, stats)
     spec = config.partition
     if spec.mode == "shared":
         pools = partition_shared(train.n_examples, config.n_workers)

@@ -422,7 +422,6 @@ class TestRunCommand:
             f"manifest: {out_dir / 'manifest.json'}",
         ]
 
-    @pytest.mark.filterwarnings("ignore:worker .* received zero examples")
     def test_starved_worker_skips_seed_without_failing_suite(self, tmp_path, capsys):
         # 3 examples over 4 workers: some pool is empty by pigeonhole
         cfg = write_config(
@@ -777,8 +776,11 @@ class TestDatasetFileErrors:
             ("1 1:0.5\n2 1:1.0\n3 2:1.0\n", "labels must form a binary set, got 3 distinct values: [1.0, 2.0, 3.0]"),
             ("+1 1:0.5\n-1 1:nan\n", "features contain non-finite values"),
             ("+1\n-1\n", "dataset has no features"),
+            ("+1 1:0.5\n-1 1:inf\n", "features contain non-finite values"),
+            ("+1 1:0.5\n-1 1:-inf\n", "features contain non-finite values"),
+            ("+1 1:0.5\n-1 1:1e400\n", "features contain non-finite values"),
         ],
-        ids=["non-binary-labels", "nan-feature", "labels-only"],
+        ids=["non-binary-labels", "nan-feature", "labels-only", "inf-feature", "minus-inf-feature", "1e400-feature"],
     )
     def test_bad_dataset_content_is_one_error_line(self, tmp_path, capsys, command, text, problem):
         data_path = tmp_path / "bad.libsvm"
@@ -800,6 +802,26 @@ class TestDatasetFileErrors:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
             f"error: could not load dataset {data_path}: 2 examples of {2**62} features are too large to hold densely"
+        ]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "theory", "gen-data"])
+    @pytest.mark.parametrize("n_examples, dim", [(2**62, 3), (40, 2**62)], ids=["examples", "features"])
+    def test_a_synthetic_dataset_too_large_to_hold_densely_is_one_error_line(
+        self, tmp_path, capsys, command, n_examples, dim
+    ):
+        # 2**62 rows or columns fail before any allocation, whatever the overcommit setting
+        spec = {"dim": dim, "n_examples": n_examples, "separation": 1.0, "seed": 0}
+        if command == "gen-data":
+            path = tmp_path / "blobs.yaml"
+            path.write_text(yaml.safe_dump({**spec, "out": str(tmp_path / "out" / "blobs.libsvm")}), encoding="utf-8")
+        else:
+            path = write_config(tmp_path, dataset={"synthetic": spec}, methods=["local_sparse"], sparsity=1.0)
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {n_examples} examples of {dim} features are too large to hold densely"
         ]
         assert captured.out == ""
         assert not (tmp_path / "out").exists()

@@ -2,7 +2,6 @@ import gzip
 
 import numpy as np
 import pytest
-import warnings
 
 from overlap_sgd.data import (
     Dataset,
@@ -54,7 +53,7 @@ class TestParseLibsvm:
             parse_libsvm("+1 0:1\n")
 
     def test_non_binary_labels(self):
-        with pytest.raises(ConfigurationError, match="binary"):
+        with pytest.raises(DatasetError, match="binary"):
             parse_libsvm("1 1:1\n2 1:1\n3 1:1\n")
 
     def test_dimension_override_too_small(self):
@@ -123,6 +122,20 @@ class TestNormalization:
         out = apply_normalization(data, compute_normalization(data))
         np.testing.assert_array_equal(out.features[:, 0], np.zeros(8))
 
+    @pytest.mark.parametrize("val_fraction", [0.0, 0.25])
+    def test_standardizes_a_copy_bit_for_bit(self, tiny_blobs, val_fraction):
+        # val_fraction 0 leaves a (0, d) validation split, which passes through
+        train, val = split_train_val(tiny_blobs, val_fraction, seed=3)
+        stats = compute_normalization(train)
+        for part in (train, val):
+            before = part.features.copy()
+            out = apply_normalization(part, stats)
+            assert part.features.tobytes() == before.tobytes()
+            expected = (before - stats.mean) / stats.stdev
+            assert (out.features.shape, out.features.tobytes()) == (expected.shape, expected.tobytes())
+            np.testing.assert_array_equal(out.labels, part.labels)
+        assert val.n_examples == (0 if val_fraction == 0.0 else 15)
+
     def test_validation_reuses_train_stats(self, tiny_blobs):
         train, val = split_train_val(tiny_blobs, 0.2, seed=3)
         stats = compute_normalization(train)
@@ -145,7 +158,6 @@ class TestPartitions:
         assert joined.size == 23
         np.testing.assert_array_equal(np.sort(joined), np.arange(23))
 
-    @pytest.mark.filterwarnings("ignore:worker .* received zero examples")
     def test_dirichlet_covers_disjointly(self, tiny_blobs):
         pools = partition_dirichlet(tiny_blobs, 4, alpha=0.5, seed=8)
         joined = np.concatenate(pools)
@@ -163,9 +175,7 @@ class TestPartitions:
         skewed_workers = 0
         total_workers = 0
         for seed in range(5):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                pools = partition_dirichlet(data, 4, alpha=0.03, seed=seed)
+            pools = partition_dirichlet(data, 4, alpha=0.03, seed=seed)
             for a in pools:
                 if a.size == 0:
                     continue
@@ -176,10 +186,13 @@ class TestPartitions:
                     skewed_workers += 1
         assert skewed_workers > total_workers / 2
 
-    def test_zero_example_worker_warns(self):
+    def test_zero_example_worker_gets_an_empty_pool(self):
+        # 5 examples over 20 workers: most pools are empty, and the runner, not the partition, reports it
         data = synthetic_blobs(dim=2, n_examples=5, seed=0)
-        with pytest.warns(UserWarning, match="zero examples"):
-            partition_dirichlet(data, 20, alpha=0.5, seed=0)
+        pools = partition_dirichlet(data, 20, alpha=0.5, seed=0)
+        assert len(pools) == 20 and any(a.size == 0 for a in pools)
+        assert [a.dtype for a in pools] == [np.dtype(np.int64)] * 20
+        np.testing.assert_array_equal(np.sort(np.concatenate(pools)), np.arange(5))
 
     def test_min_examples_resamples_until_satisfied(self):
         data = synthetic_blobs(dim=2, n_examples=2000, seed=10)

@@ -122,3 +122,17 @@ def test_no_line_is_longer_than_the_limit():
         if len(line) > MAX_LINE
     ]
     assert long_lines == []
+
+
+def _dataset_constructions(path: Path) -> list[str]:
+    """Each call in ``path`` that builds a ``Dataset``, as ``file:line``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return [f"{path.name}:{node.lineno}" for node in calls if ast.unparse(node.func).split(".")[-1] == "Dataset"]
+
+
+def test_only_data_builds_datasets():
+    # Dataset checks nothing itself: its invariants hold because data.py builds every one
+    paths = [p for p in sorted((ROOT / "src" / "overlap_sgd").glob("*.py")) if p.name != "data.py"]
+    assert [hit for path in paths for hit in _dataset_constructions(path)] == []
+    assert _dataset_constructions(ROOT / "src" / "overlap_sgd" / "data.py") != []

@@ -113,7 +113,6 @@ def run_golden_suites() -> None:
         run_suite(config)
 
 
-@pytest.mark.filterwarnings("ignore:worker .* received zero examples")
 def test_golden_suite_outputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_golden_suites()

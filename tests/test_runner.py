@@ -9,7 +9,7 @@ from overlap_sgd.config import validate_config
 from overlap_sgd.core import RngStream
 from overlap_sgd.errors import DivergenceError
 from overlap_sgd.metrics import render_csv
-from overlap_sgd.runner import run_suite, theory_report
+from overlap_sgd.runner import prepare_seed_artifacts, resolve_dataset, run_suite, theory_report
 from overlap_sgd.timing import build_plan
 
 METHODS = ["local_sparse", "overlap_overwrite", "overlap_delay_corrected"]
@@ -21,6 +21,18 @@ def make_config(tmp_path, name, **overrides):
     config, issues = validate_config(raw)
     assert not issues
     return config
+
+
+@pytest.mark.parametrize("val_fraction", [0.0, 0.1])
+def test_seed_artifacts_leave_the_shared_dataset_unchanged(tmp_path, val_fraction):
+    # one resolved dataset serves every seed, so standardizing a split must not write through to it
+    config = make_config(tmp_path, "shared", val_fraction=val_fraction)
+    dataset = resolve_dataset(config)
+    features, labels = dataset.features.copy(), dataset.labels.copy()
+    for seed in config.seeds:
+        artifacts = prepare_seed_artifacts(dataset, config, seed)
+        assert artifacts.train.features.mean(axis=0) == pytest.approx(0.0, abs=1e-9)
+        assert (dataset.features.tobytes(), dataset.labels.tobytes()) == (features.tobytes(), labels.tobytes())
 
 
 @pytest.fixture
@@ -91,7 +103,6 @@ def test_a_diverged_method_stops_alone(tmp_path, monkeypatch):
             assert (a.status, a.records) == (b.status, b.records)
 
 
-@pytest.mark.filterwarnings("ignore:worker .* received zero examples")
 def test_the_per_worker_sidecar_follows_each_run_status(tmp_path, monkeypatch):
     run_round = runner_mod.run_round
 

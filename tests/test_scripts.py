@@ -143,6 +143,10 @@ def bad_input(tmp_path: Path, case: str) -> Path:
         path = tmp_path / "config.yaml"
         path.write_text("methods: [local_sparse\n", encoding="utf-8")
         return path
+    if case == "yaml-nested-too-deep":
+        path = tmp_path / "config.yaml"
+        path.write_text("a: " + "[" * 5000 + "]" * 5000 + "\n", encoding="utf-8")
+        return path
     if case == "not-utf8-config":
         path = tmp_path / "config.yaml"
         path.write_bytes(b"name: caf\xe9\n")
@@ -165,6 +169,7 @@ def bad_input(tmp_path: Path, case: str) -> Path:
     [
         ("missing-config", "error: config file not found: "),
         ("yaml-error", "error: could not parse "),
+        ("yaml-nested-too-deep", "error: could not parse "),
         ("not-utf8-config", "error: could not read "),
         ("config-is-directory", "error: could not read "),
         ("bad-dataset", "error: could not load dataset "),
