@@ -41,21 +41,26 @@ class Mask:
     """A set of distinct coordinate indices out of ``d``.
 
     ``indices`` is a strictly increasing, read-only ``int64`` array (any
-    integer sequence is accepted and copied); projecting onto a mask keeps
-    the listed coordinates and zeroes the rest.
+    integer sequence is accepted and copied; floats are rejected, not
+    truncated); projecting onto a mask keeps the listed coordinates and
+    zeroes the rest.
     """
 
     indices: np.ndarray
     d: int
 
     def __post_init__(self):
-        idx = np.array(self.indices, dtype=np.int64)
+        idx = np.asarray(self.indices)
         if idx.ndim != 1 or not 1 <= idx.size <= self.d:
             raise ConfigurationError(f"mask indices have shape {idx.shape}, expected (k,) with 1 <= k <= {self.d}")
+        if idx.dtype.kind not in "iu":
+            raise ConfigurationError(f"mask indices must be integers, got {idx.dtype}")
+        # checked in the given dtype, so a uint64 index past int64 is out of range, not wrapped negative
         if (idx[1:] <= idx[:-1]).any():
             raise ConfigurationError("mask indices must be strictly increasing")
         if idx[0] < 0 or idx[-1] >= self.d:
             raise ConfigurationError(f"mask indices out of range [0, {self.d})")
+        idx = idx.astype(np.int64)
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 

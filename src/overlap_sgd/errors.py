@@ -11,9 +11,12 @@ class DatasetError(ConfigurationError):
 
 
 class DivergenceError(RuntimeError):
-    """A simulated trajectory produced non-finite or astronomically large values."""
+    """A simulated trajectory produced non-finite or astronomically large values.
 
-    def __init__(self, message: str, round_index: int | None = None, worker: int | None = None):
+    ``method`` names the method whose model diverged, where several stepped together."""
+
+    def __init__(self, message: str, round_index: int | None = None, worker: int | None = None, method=None):
         super().__init__(message)
         self.round_index = round_index
         self.worker = worker
+        self.method = method

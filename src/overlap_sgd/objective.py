@@ -8,7 +8,6 @@ tests).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +38,27 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
+def _rowwise(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``matrix @ v`` for one vector, or for each row of a stack.
+
+    One matrix-vector product per row: a single matrix-matrix product would
+    not give the bits of the products taken one model at a time.  Each row's
+    product is written straight into the result, as stacking separate
+    products measurably slowed wide models (d=100000) with page faults.
+    """
+    if v.ndim == 1:
+        return matrix @ v
+    out = np.empty((len(v), matrix.shape[0]))
+    for row, dest in zip(v, out):
+        np.matmul(matrix, row, out=dest)
+    return out
+
+
 def _logistic_gradient(features: np.ndarray, labels: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Gradient of the mean logistic loss over the rows of ``features``."""
-    weights = labels * _sigmoid(-(labels * (features @ w)))
-    return -(features.T @ weights) / labels.size
+    """Gradient of the mean logistic loss over the rows of ``features``, at one
+    ``(d,)`` model or at each row of an ``(m, d)`` stack."""
+    weights = labels * _sigmoid(-(labels * _rowwise(features, w)))
+    return -_rowwise(features.T, weights) / labels.size
 
 
 @dataclass(frozen=True)
@@ -117,13 +133,9 @@ class LogisticOracle:
     each (worker, round, step) triple consumes its own substream of
     ``root_seed``, so cross-method runs with matched keys see identical
     samples.  The regularizer gradient is added in full to every batch
-    gradient (the penalty is data-independent).
-
-    ``batch_rows`` keeps the most recently drawn row indices in an LRU cache
-    of ``round_keys`` entries: set that to the number of distinct
-    (worker, step) keys one round of the plan draws, and methods that run
-    the same round one after another draw each batch once, while the cache
-    never holds more than one round; with ``round_keys == 0`` it keeps nothing.
+    gradient (the penalty is data-independent).  ``gradient`` takes one
+    ``(d,)`` model or an ``(m, d)`` stack: the stack shares one draw and one
+    gather of the batch, and each row gets the bits it gets alone.
     """
 
     dataset: Dataset
@@ -131,7 +143,6 @@ class LogisticOracle:
     regularizer: RegularizerParams
     worker_pools: tuple[np.ndarray, ...]
     root_seed: int
-    round_keys: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -139,20 +150,14 @@ class LogisticOracle:
         if self.dataset.n_examples == 0:
             raise ConfigurationError("oracle over an empty dataset")
         pools = tuple(np.asarray(p, dtype=np.int64) for p in self.worker_pools)
-        root_seed, batch_size = self.root_seed, self.batch_size
         object.__setattr__(self, "worker_pools", pools)
-        # a closure, not a bound method: caching self would keep the oracle in a reference cycle
-        @functools.lru_cache(maxsize=self.round_keys)
-        def batch_rows(worker: int, round_index: int, step: int) -> np.ndarray:
-            gen = RngStream(root_seed, ("sample", worker, round_index, step)).generator()
-            return pools[worker][gen.integers(0, pools[worker].size, size=batch_size)]
-
-        object.__setattr__(self, "batch_rows", batch_rows)
 
     def gradient(self, w: np.ndarray, worker: int, round_index: int, step: int) -> np.ndarray:
-        if self.worker_pools[worker].size == 0:
+        pool = self.worker_pools[worker]
+        if pool.size == 0:
             raise ConfigurationError(f"worker {worker} has no examples to sample from")
-        rows = self.batch_rows(worker, round_index, step)
+        gen = RngStream(self.root_seed, ("sample", worker, round_index, step)).generator()
+        rows = pool[gen.integers(0, pool.size, size=self.batch_size)]
         grad = _logistic_gradient(self.dataset.features[rows], self.dataset.labels[rows], w)
         if self.regularizer.enabled:
             grad = grad + self.regularizer.gradient(w)
@@ -164,8 +169,9 @@ class QuadraticOracle:
     """Gradient of 0.5 * sum_j a_j w_j^2 plus Gaussian noise, keyed for the engine.
 
     Uses the same (sample, worker, round, step) key scheme as the logistic
-    oracle.  Closed forms: smoothness L = max(a_diag), optimum value 0,
-    per-draw noise second moment sigma^2 * d.
+    oracle, and adds its one noise draw to every row of an ``(m, d)`` stack.
+    Closed forms: smoothness L = max(a_diag), optimum value 0, per-draw noise
+    second moment sigma^2 * d.
     """
 
     a_diag: np.ndarray
@@ -179,10 +185,10 @@ class QuadraticOracle:
         object.__setattr__(self, "a_diag", arr)
 
     def gradient(self, w: np.ndarray, worker: int, round_index: int, step: int) -> np.ndarray:
-        if self.a_diag.shape != w.shape:
+        if self.a_diag.shape != w.shape[-1:]:
             raise ConfigurationError(f"dimension mismatch: {self.a_diag.shape} vs {w.shape}")
         grad = self.a_diag * w
         if self.noise_sigma > 0:
             rng = RngStream(self.root_seed, ("sample", worker, round_index, step))
-            grad = grad + self.noise_sigma * rng.generator().standard_normal(w.size)
+            grad = grad + self.noise_sigma * rng.generator().standard_normal(self.a_diag.size)
         return grad

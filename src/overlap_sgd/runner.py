@@ -82,7 +82,7 @@ class SeedArtifacts:
     pools: tuple[np.ndarray, ...]  # per-worker example indices into train
     x0: np.ndarray
     hashes: dict
-    oracle: LogisticOracle  # keyed by (worker, round, step), so every method shares it and its batch cache
+    oracle: LogisticOracle  # keyed by (worker, round, step), so every method shares it
 
 
 def prepare_seed_artifacts(dataset: Dataset, config: ExperimentConfig, seed: int) -> SeedArtifacts:
@@ -117,7 +117,6 @@ def prepare_seed_artifacts(dataset: Dataset, config: ExperimentConfig, seed: int
         regularizer=config.regularizer,
         worker_pools=pools,
         root_seed=seed,
-        round_keys=sum(build_plan(config.step_times, config.compute_periods, config.comm_seconds).total_steps),
     )
     return SeedArtifacts(train=train, val=val, pools=pools, x0=x0, hashes=hashes, oracle=oracle)
 
@@ -128,11 +127,11 @@ def _run_methods(
     """Every method of ``config`` on one seed, round-major.
 
     Round ``r`` runs for every method still running before round ``r + 1``
-    starts, so the round's mask, drawn once, and the oracle's batch cache
-    hand each of the round's draws to all of them.  A method that diverges,
-    in round ``r`` or in the evaluation after it (or before round 0), stops
-    alone as ``diverged:round=<r>``.  A partition that starves a worker
-    skips every run.
+    starts, with the round's mask drawn once and every method stepped in
+    one ``run_round`` call, so each of the round's draws serves all of
+    them.  A method that diverges, in round ``r`` or in the evaluation after
+    it (or before round 0), stops alone as ``diverged:round=<r>``.  A
+    partition that starves a worker skips every run.
     """
     runs = [
         RunRecorder(method, np.tile(artifacts.x0, (plan.n_workers, 1)), artifacts.train, artifacts.val, config)
@@ -146,21 +145,40 @@ def _run_methods(
         live = [run for run in runs if run.status == "ok"]
         if not live:
             break
-        due = (r + 1) % config.eval_every == 0 or r == config.rounds - 1
         mask = round_mask(seed, r, artifacts.x0.size, mask_size)
-        for run in live:
-            try:  # a non-finite model found by a step or by an evaluation stops the run
-                if r == 0:
-                    run.measure_initial()
-                outcome = run_round(run.models, run.method, plan, mask, config.stepsize, artifacts.oracle, r)
-                if due:
-                    run.measure_round(outcome)
-                else:
-                    run.advance(outcome)
-            except DivergenceError as exc:
-                logger.warning("%s seed %s: %s", run.method, seed, exc)
-                run.status = f"diverged:round={r}"
+        _play_round(live, r, mask, config, plan, artifacts.oracle, seed)
     return runs
+
+
+def _play_round(
+    live: list[RunRecorder], r: int, mask, config: ExperimentConfig, plan: TimingPlan, oracle, seed: int
+) -> None:
+    """Round ``r`` of the live runs, which then measure it in their order; its
+    outcomes are dropped on return, before the next round starts."""
+    results = {}
+    starts = {run.method: run.models for run in live}
+    while starts:  # the starts are untouched and every draw is keyed, so the rest replay the round alone
+        try:
+            results.update(run_round(starts, plan, mask, config.stepsize, oracle, r))
+            break
+        except DivergenceError as exc:
+            results[exc.method] = exc
+            del starts[exc.method]
+    due = (r + 1) % config.eval_every == 0 or r == config.rounds - 1
+    for run in live:
+        try:  # a non-finite model found by a step or by an evaluation stops the run
+            if r == 0:
+                run.measure_initial()
+            outcome = results.pop(run.method)
+            if isinstance(outcome, DivergenceError):
+                raise outcome
+            if due:
+                run.measure_round(outcome)
+            else:
+                run.advance(outcome)
+        except DivergenceError as exc:
+            logger.warning("%s seed %s: %s", run.method, seed, exc)
+            run.status = f"diverged:round={r}"
 
 
 def run_suite(config: ExperimentConfig) -> Path:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from overlap_sgd.data import Dataset, partition_shared, synthetic_blobs
+from overlap_sgd.engine import run_round
 from overlap_sgd.metrics import MetricsRecord
 from overlap_sgd.objective import LogisticOracle, QuadraticOracle, RegularizerParams
 
@@ -32,6 +33,11 @@ def make_logistic_oracle(dataset, n_workers, batch_size, seed, strength=0.0, sca
 
 def make_quadratic_oracle(dim, noise=0.0, seed=0, curvature=1.0):
     return QuadraticOracle(a_diag=np.full(dim, curvature), noise_sigma=noise, root_seed=seed)
+
+
+def one_round(start, method, plan, mask, stepsize, oracle, round_index):
+    """The outcome of one round of ``method`` alone, from its ``(n, d)`` start models."""
+    return run_round({method: start}, plan, mask, stepsize, oracle, round_index)[method]
 
 
 def base_config_dict(**overrides) -> dict:

@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from conftest import make_logistic_oracle, make_quadratic_oracle, manifest_runs
+from conftest import make_logistic_oracle, make_quadratic_oracle, manifest_runs, one_round
 from overlap_sgd.cli import main
 from overlap_sgd.config import rand_k_size, validate_config
 from overlap_sgd.core import RngStream, average, project_mask, sample_rand_k
 from overlap_sgd.data import synthetic_blobs
-from overlap_sgd.engine import Method, merge_delay_corrected, round_mask, run_round
+from overlap_sgd.engine import Method, merge_delay_corrected, round_mask
 from overlap_sgd.errors import ConfigurationError
 from overlap_sgd.objective import RegularizerParams, dataset_loss, full_gradient
 from overlap_sgd.runner import run_suite
@@ -90,7 +90,7 @@ def test_criterion_01_average_evolution_identity():
         for r in range(2):
             mean_before = average(models)
             mask = round_mask(trial, r, d, k)
-            out = run_round(np.stack(models), Method.OVERLAP_DELAY_CORRECTED, plan, mask, eta, oracle, r)
+            out = one_round(np.stack(models), Method.OVERLAP_DELAY_CORRECTED, plan, mask, eta, oracle, r)
             mean_after = average(list(out.next_models))
             resid = np.linalg.norm(mean_after - (mean_before - eta * out.avg_grad_sum))
             tol = 1e-10 * (1.0 + np.linalg.norm(mean_before))
@@ -117,7 +117,7 @@ def test_criterion_02_mask_expectation_identity():
         oracle = make_quadratic_oracle(dim=d, noise=0.6, seed=trial + 1, curvature=1.0)
         models = [rng.standard_normal(d) for _ in range(n)]
         mask = round_mask(trial + 1, 0, d, k)
-        out = run_round(np.stack(models), Method.OVERLAP_DELAY_CORRECTED, plan, mask, 0.1, oracle, 0)
+        out = one_round(np.stack(models), Method.OVERLAP_DELAY_CORRECTED, plan, mask, 0.1, oracle, 0)
         sent = np.stack(out.sent)
         latest = np.stack(out.latest)
         sent_avg = average(list(out.sent))
@@ -169,7 +169,7 @@ def test_criterion_03_minibatch_equivalence():
     for r in range(rounds):
         mask = round_mask(31, r, d, d)
         for m in methods:
-            out = run_round(np.stack(models[m]), m, plan, mask, 0.05, oracle, r)
+            out = one_round(np.stack(models[m]), m, plan, mask, 0.05, oracle, r)
             models[m] = [v.copy() for v in out.next_models]
         ref = np.stack(models[Method.SYNC_SGD])
         for m in methods:

@@ -39,18 +39,29 @@ class TestMask:
     @pytest.mark.parametrize(
         "indices, d",
         [
-            ([1, 0], 2),      # unsorted
-            ([1, 1], 2),      # duplicate
-            ([3], 1),         # past the end
-            ([-1, 1], 2),     # negative
-            ([], 3),          # empty
-            ([0, 1, 2], 2),   # more indices than d
-            ([[0, 1]], 2),    # not one-dimensional
+            (np.array([1, 0], dtype=np.int64), 2),      # unsorted
+            (np.array([1, 1], dtype=np.int64), 2),      # duplicate
+            (np.array([3], dtype=np.int64), 1),         # past the end
+            (np.array([-1, 1], dtype=np.int64), 2),     # negative
+            (np.array([], dtype=np.int64), 3),          # empty
+            (np.array([0, 1, 2], dtype=np.int64), 2),   # more indices than d
+            (np.array([[0, 1]], dtype=np.int64), 2),    # not one-dimensional
+            (np.array([0.5, 1.7]), 3),                  # not integers: never truncated to [0, 1]
+            (np.array([0, 2**63], dtype=np.uint64), 3),  # too large for int64: never wrapped negative
         ],
     )
     def test_invalid_ndarray_indices(self, indices, d):
         with pytest.raises(ConfigurationError):
-            Mask(np.array(indices, dtype=np.int64), d)
+            Mask(indices, d)
+
+    def test_non_integer_and_oversized_indices_say_what_is_wrong(self):
+        with pytest.raises(ConfigurationError, match="must be integers, got float64"):
+            Mask([0.5, 1.7], 3)
+        with pytest.raises(ConfigurationError, match="must be integers, got bool"):
+            Mask([True], 3)
+        with pytest.raises(ConfigurationError, match=r"out of range \[0, 3\)"):
+            Mask(np.array([0, 2**63], dtype=np.uint64), 3)
+        np.testing.assert_array_equal(Mask(np.array([0, 2], dtype=np.uint64), 3).indices, [0, 2])
 
     def test_indices_are_a_read_only_int64_copy(self):
         given_idx = np.array([0, 2], dtype=np.int32)

@@ -1,16 +1,18 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_logistic_oracle, make_quadratic_oracle
+from conftest import make_logistic_oracle, make_quadratic_oracle, one_round
 from overlap_sgd.core import Mask, RngStream, average, project_mask, sample_rand_k
 from overlap_sgd.data import synthetic_blobs
 from overlap_sgd.engine import (
     DIVERGENCE_LIMIT,
     Method,
+    RoundOutcome,
     _guard,
     local_steps,
     merge_delay_corrected,
@@ -55,6 +57,17 @@ class TestRunLocalSteps:
         local_steps(stack[1], 3, 0.05, tiny_oracle, worker=1)
         np.testing.assert_array_equal(stack[1], alone)
         np.testing.assert_array_equal(stack[0], np.ones(8))
+
+    @pytest.mark.parametrize("logistic", [True, False])
+    def test_a_stack_steps_as_its_rows_do(self, tiny_oracle, logistic):
+        oracle = tiny_oracle if logistic else make_quadratic_oracle(dim=8, noise=0.4, seed=3)
+        stack = np.random.default_rng(5).standard_normal((3, 8))
+        rows = stack.copy()
+        sums = local_steps(stack, 4, 0.05, oracle, worker=1, round_index=2, first_step=1)
+        for j in range(3):
+            row_sum = local_steps(rows[j], 4, 0.05, oracle, worker=1, round_index=2, first_step=1)
+            assert stack[j].tobytes() == rows[j].tobytes()
+            assert sums[j].tobytes() == row_sum.tobytes()
 
     def test_rejects_bad_arguments(self, tiny_oracle):
         with pytest.raises(ConfigurationError):
@@ -208,7 +221,7 @@ class TestMergeProperties:
         plan = build_plan(taus, 1, math.lcm(*taus))
         start = RngStream(seed, ("start-property",)).generator().standard_normal((n, d))
         oracle = make_quadratic_oracle(dim=d, noise=0.3, seed=seed)
-        out = run_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, round_mask(seed, 0, d, k), 0.05, oracle, 0)
+        out = one_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, round_mask(seed, 0, d, k), 0.05, oracle, 0)
         latest_mean = average(out.latest)
         resid = np.linalg.norm(average(out.next_models) - latest_mean)
         assert resid <= 1e-12 * (1.0 + np.linalg.norm(latest_mean))
@@ -241,7 +254,7 @@ class TestMergeProperties:
             oracle = make_quadratic_oracle(dim=d, noise=0.5, seed=seed)
         start = RngStream(seed, ("start-property",)).generator().standard_normal((n, d))
         mask = round_mask(seed, 0, d, k)
-        out = run_round(start, method, plan, mask, 0.05, oracle, 0)
+        out = one_round(start, method, plan, mask, 0.05, oracle, 0)
 
         def close(actual, expected):
             return np.linalg.norm(actual - expected) <= 1e-10 * (1.0 + np.linalg.norm(expected))
@@ -253,6 +266,80 @@ class TestMergeProperties:
         else:
             on_mask = np.isin(np.arange(d), mask.indices)
             assert close(average(out.next_models), np.where(on_mask, average(out.sent), latest))
+
+
+def assert_same_outcome(got, alone):
+    for field in fields(RoundOutcome):
+        a, b = getattr(got, field.name), getattr(alone, field.name)
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+        elif isinstance(a, Mask):
+            assert (a.d, a.indices.tobytes()) == (b.d, b.indices.tobytes())
+        else:
+            assert a == b, field.name
+    assert (got.latest is got.sent) == (alone.latest is alone.sent)
+
+
+SPARSE_METHODS = (Method.LOCAL_SPARSE, Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED)
+
+
+class TestLockstep:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=fleet_shapes(),
+        seed=st.integers(min_value=0, max_value=2**32),
+        step_times=st.lists(st.integers(min_value=1, max_value=3), min_size=6, max_size=6),
+        compute_periods=st.integers(min_value=1, max_value=2),
+        comm_bases=st.integers(min_value=0, max_value=2),
+        full_mask=st.booleans(),
+        methods=st.permutations(list(Method)),
+        count=st.integers(min_value=1, max_value=len(Method)),
+        oracle_kind=st.sampled_from(["logistic", "regularized", "quadratic"]),
+    )
+    @example(
+        shape=(2, 4, 4), seed=0, step_times=[1] * 6, compute_periods=1, comm_bases=0, full_mask=True,
+        methods=list(Method)[::-1], count=len(Method), oracle_kind="logistic",
+    )
+    def test_each_outcome_is_the_one_its_method_gets_alone(
+        self, shape, seed, step_times, compute_periods, comm_bases, full_mask, methods, count, oracle_kind
+    ):
+        n, d, k = shape
+        k = d if full_mask else k
+        taus = step_times[:n]
+        plan = build_plan(taus, compute_periods, comm_bases * math.lcm(*taus))
+        allowed = [m for m in methods if not method_plan_problems(m, plan, k, d)][:count]
+        if oracle_kind == "quadratic":
+            oracle = make_quadratic_oracle(dim=d, noise=0.5, seed=seed)
+        else:
+            blobs = synthetic_blobs(d, 30, 1.2, seed)
+            strength = 0.3 if oracle_kind == "regularized" else 0.0
+            oracle = make_logistic_oracle(blobs, n_workers=n, batch_size=4, seed=seed, strength=strength)
+        gen = RngStream(seed, ("lockstep-starts",)).generator()
+        starts = {m: gen.standard_normal((n, d)) for m in allowed}
+        before = {m: start.copy() for m, start in starts.items()}
+        mask = round_mask(seed, 3, d, k)
+        together = run_round(starts, plan, mask, 0.05, oracle, 3)
+        assert list(together) == allowed
+        for m in allowed:
+            assert starts[m].tobytes() == before[m].tobytes()
+            assert_same_outcome(together[m], one_round(starts[m], m, plan, mask, 0.05, oracle, 3))
+
+    @pytest.mark.parametrize("diverging", SPARSE_METHODS)
+    def test_a_diverging_method_is_named(self, diverging):
+        # each step multiplies a model by -99; worker 1's start at 1e99 crosses the limit on its first step
+        oracle = make_quadratic_oracle(dim=3, noise=0.0, seed=0, curvature=1e3)
+        plan = build_plan((1, 2), 1, 2)
+        starts = {m: np.ones((2, 3)) for m in SPARSE_METHODS}
+        starts[diverging] = np.array([[1.0, 1.0, 1.0], [1.0, 1e99, 1.0]])
+        with pytest.raises(DivergenceError) as info:
+            run_round(starts, plan, round_mask(0, 3, 3, 2), 0.1, oracle, 3)
+        assert (info.value.method, info.value.worker, info.value.round_index) == (diverging, 1, 3)
+        del starts[diverging]
+        assert list(run_round(starts, plan, round_mask(0, 3, 3, 2), 0.1, oracle, 3)) == list(starts)
+
+    def test_rejects_an_empty_round(self):
+        with pytest.raises(ConfigurationError, match="at least one method"):
+            run_round({}, build_plan((1,), 1, 0), round_mask(0, 0, 2, 1), 0.1, make_quadratic_oracle(dim=2), 0)
 
 
 class TestRunRound:
@@ -267,7 +354,7 @@ class TestRunRound:
         ]
         for method, plan, mask_size, start in cases:
             before = start.copy()
-            out = run_round(start, method, plan, round_mask(2, 0, 5, mask_size), 0.05, oracle, 0)
+            out = one_round(start, method, plan, round_mask(2, 0, 5, mask_size), 0.05, oracle, 0)
             np.testing.assert_array_equal(start, before)
             assert out.next_models.shape == out.sent.shape == out.latest.shape == (2, 5)
 
@@ -275,13 +362,13 @@ class TestRunRound:
         oracle = make_quadratic_oracle(dim=4)
         plan = build_plan((1, 2), 1, 0)
         with pytest.raises(ConfigurationError, match="2 workers"):
-            run_round(np.ones((3, 4)), Method.LOCAL_SPARSE, plan, round_mask(0, 0, 4, 2), 0.1, oracle, 0)
+            one_round(np.ones((3, 4)), Method.LOCAL_SPARSE, plan, round_mask(0, 0, 4, 2), 0.1, oracle, 0)
 
     def test_mean_of_merged_equals_mean_of_latest(self):
         oracle = make_quadratic_oracle(dim=12, noise=0.3, seed=4)
         plan = build_plan((1, 2, 4), 1, 4)
         start = np.stack([np.ones(12)] * 3)
-        out = run_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, round_mask(4, 0, 12, 5), 0.05, oracle, 0)
+        out = one_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, round_mask(4, 0, 12, 5), 0.05, oracle, 0)
         merged_mean = average(list(out.next_models))
         latest_mean = average(list(out.latest))
         resid = np.linalg.norm(merged_mean - latest_mean)
@@ -293,7 +380,7 @@ class TestRunRound:
         models = [np.full(6, 2.0)] * 2
         for r in range(5):
             start = np.stack(models)
-            out = run_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, round_mask(8, r, 6, 2), 0.04, oracle, r)
+            out = one_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, round_mask(8, r, 6, 2), 0.04, oracle, r)
             mean_before = average(models)
             mean_after = average(list(out.next_models))
             predicted = mean_before - 0.04 * out.avg_grad_sum
@@ -317,7 +404,7 @@ class TestRunRound:
             total = np.zeros(2, dtype=int)
             for r in range(3):
                 start = np.stack(models)
-                out = run_round(start, method, plan, round_mask(2, r, 4, mask_size), 0.05, oracle, r)
+                out = one_round(start, method, plan, round_mask(2, r, 4, mask_size), 0.05, oracle, r)
                 total += np.array(out.steps)
                 models = [m.copy() for m in out.next_models]
             np.testing.assert_array_equal(total, 3 * np.array(expected))
@@ -326,7 +413,7 @@ class TestRunRound:
         oracle = make_quadratic_oracle(dim=4, noise=0.2, seed=6)
         plan = build_plan((1, 2), 1, 2)
         start = np.stack([np.ones(4)] * 2)
-        out = run_round(start, Method.LOCAL_SPARSE, plan, round_mask(6, 0, 4, 2), 0.05, oracle, 0)
+        out = one_round(start, Method.LOCAL_SPARSE, plan, round_mask(6, 0, 4, 2), 0.05, oracle, 0)
         assert disagreement(out.latest - out.sent) == 0.0
         assert disagreement(out.sent - start) > 0.0
 
@@ -335,7 +422,7 @@ class TestRunRound:
         plan = build_plan((1, 2), 3, 4)
         for method in (Method.LOCAL_SPARSE, Method.OVERLAP_OVERWRITE):
             start = np.stack([np.ones(4)] * 2)
-            out = run_round(start, method, plan, round_mask(0, 0, 4, 2), 0.05, oracle, 0)
+            out = one_round(start, method, plan, round_mask(0, 0, 4, 2), 0.05, oracle, 0)
             assert out.duration == plan.round_seconds == 10
 
     def test_baseline_coincidence_no_delay_full_mask(self):
@@ -355,7 +442,7 @@ class TestRunRound:
             snaps = []
             for r in range(4):
                 start = np.stack(models)
-                out = run_round(start, method, plan, round_mask(17, r, 6, 6), 0.1, oracle, r)
+                out = one_round(start, method, plan, round_mask(17, r, 6, 6), 0.1, oracle, r)
                 models = [m.copy() for m in out.next_models]
                 snaps.append(np.stack(models))
             trajectories[method] = np.stack(snaps)
@@ -373,7 +460,7 @@ class TestRunRound:
         models = {m: np.zeros((2, 5)) for m in methods}
         for r in range(10):
             mask = round_mask(21, r, 5, 5)
-            outs = {m: run_round(models[m], m, plan, mask, 0.1, oracle, r) for m in methods}
+            outs = {m: one_round(models[m], m, plan, mask, 0.1, oracle, r) for m in methods}
             sync, start = outs[Method.SYNC_SGD], models[Method.SYNC_SGD]
             assert sync.latest is sync.sent
             for i in range(2):
@@ -390,7 +477,7 @@ class TestRunRound:
         plan = build_plan((2,), 1, 2)
         outs = {}
         for method in (Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED):
-            outs[method] = run_round(np.stack([np.ones(6)]), method, plan, round_mask(14, 0, 6, 2), 0.1, oracle, 0)
+            outs[method] = one_round(np.stack([np.ones(6)]), method, plan, round_mask(14, 0, 6, 2), 0.1, oracle, 0)
         ow, dc = outs[Method.OVERLAP_OVERWRITE], outs[Method.OVERLAP_DELAY_CORRECTED]
         np.testing.assert_array_equal(ow.mask.indices, dc.mask.indices)
         np.testing.assert_array_equal(ow.latest[0], dc.latest[0])
@@ -416,7 +503,7 @@ class TestRunRound:
         mask = round_mask(9, 4, 10, 3)
         monkeypatch.setattr(RngStream, "generator", lambda stream: keys.append(stream.key) or generator(stream))
         for method in (Method.LOCAL_SPARSE, Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED):
-            out = run_round(np.ones((2, 10)), method, build_plan((1, 1), 1, 1), mask, 0.05, oracle, 4)
+            out = one_round(np.ones((2, 10)), method, build_plan((1, 1), 1, 1), mask, 0.05, oracle, 4)
             assert out.mask is mask
         assert sorted(set(keys)) == [("sample", w, 4, t) for w in range(2) for t in range(2)]
 
@@ -424,7 +511,7 @@ class TestRunRound:
         oracle = make_quadratic_oracle(dim=4)
         plan = build_plan((1, 2), 1, 0)
         with pytest.raises(ConfigurationError, match="mask dimension 5 does not match model dimension 4"):
-            run_round(np.zeros((2, 4)), Method.LOCAL_SPARSE, plan, round_mask(0, 0, 5, 2), 0.1, oracle, 0)
+            one_round(np.zeros((2, 4)), Method.LOCAL_SPARSE, plan, round_mask(0, 0, 5, 2), 0.1, oracle, 0)
 
     def test_sync_step_divergence_names_the_first_worker(self):
         # sync_sgd steps each worker like every other method, so the guard
@@ -432,7 +519,7 @@ class TestRunRound:
         oracle = make_quadratic_oracle(dim=3, noise=0.0, seed=0, curvature=1e3)
         with pytest.raises(DivergenceError) as exc:
             plan = build_plan((1, 1), 1, 0)
-            run_round(np.full((2, 3), 1e99), Method.SYNC_SGD, plan, round_mask(0, 7, 3, 3), 1.0, oracle, 7)
+            one_round(np.full((2, 3), 1e99), Method.SYNC_SGD, plan, round_mask(0, 7, 3, 3), 1.0, oracle, 7)
         assert (exc.value.worker, exc.value.round_index) == (0, 7)
 
     def test_method_plan_incompatibilities(self):
@@ -441,12 +528,12 @@ class TestRunRound:
         start = np.zeros((2, 4))
         plan_uneq = build_plan((1, 2), 1, 0)
         with pytest.raises(ConfigurationError, match="sync_sgd requires"):
-            run_round(start, Method.SYNC_SGD, plan_uneq, round_mask(0, 0, 4, 4), 0.1, oracle, 0)
+            one_round(start, Method.SYNC_SGD, plan_uneq, round_mask(0, 0, 4, 4), 0.1, oracle, 0)
         plan_eq = build_plan((1, 1), 1, 0)
         with pytest.raises(ConfigurationError, match="full mask"):
-            run_round(start, Method.SYNC_SGD, plan_eq, round_mask(0, 0, 4, 2), 0.1, oracle, 0)
+            one_round(start, Method.SYNC_SGD, plan_eq, round_mask(0, 0, 4, 2), 0.1, oracle, 0)
         with pytest.raises(ConfigurationError, match="fedavg_full requires"):
-            run_round(start, Method.FEDAVG_FULL, plan_uneq, round_mask(0, 0, 4, 2), 0.1, oracle, 0)
+            one_round(start, Method.FEDAVG_FULL, plan_uneq, round_mask(0, 0, 4, 2), 0.1, oracle, 0)
 
     def test_method_plan_problems_lists_every_rule(self):
         plan = build_plan((1, 2), 2, 2)
@@ -473,17 +560,27 @@ class TestRunRound:
         mask = sample_rand_k(d, k, RngStream(seed, ("mask", 4)).generator())
         idx = list(mask.indices)
         sent_ref, latest_ref = [], []
+        pre_sums, overlap_sums = [np.zeros(d) for _ in range(n)], [np.zeros(d) for _ in range(n)]
         for i in range(n):
             w = x0[i].copy()
             for t in range(plan.pre_steps[i]):
                 g = oracle.a_diag * w + 0.3 * RngStream(seed, ("sample", i, 4, t)).generator().standard_normal(d)
                 w = w - eta * g
+                pre_sums[i] += g
             sent_ref.append(w.copy())
             for t in range(plan.pre_steps[i], plan.total_steps[i]):
                 g = oracle.a_diag * w + 0.3 * RngStream(seed, ("sample", i, 4, t)).generator().standard_normal(d)
                 w = w - eta * g
+                overlap_sums[i] += g
             latest_ref.append(w.copy())
         sent_avg = (sent_ref[0].copy() + sent_ref[1]) / n
+        # one accumulator folds each worker's pre-communication sum in worker order, then each overlap sum
+        blocking_sum = np.zeros(d) + pre_sums[0] + pre_sums[1]
+        avg_grad_sums = {
+            Method.LOCAL_SPARSE: blocking_sum / n,
+            Method.OVERLAP_OVERWRITE: (blocking_sum + overlap_sums[0] + overlap_sums[1]) / n,
+        }
+        avg_grad_sums[Method.OVERLAP_DELAY_CORRECTED] = avg_grad_sums[Method.OVERLAP_OVERWRITE]
 
         expected = {}
         merged = [z.copy() for z in latest_ref]
@@ -500,8 +597,9 @@ class TestRunRound:
         expected[Method.LOCAL_SPARSE] = merged
 
         for method, want in expected.items():
-            out = run_round(np.stack(x0), method, plan, round_mask(seed, 4, d, k), eta, oracle, round_index=4)
+            out = one_round(np.stack(x0), method, plan, round_mask(seed, 4, d, k), eta, oracle, round_index=4)
             np.testing.assert_array_equal(out.mask.indices, mask.indices)
+            assert out.avg_grad_sum.tobytes() == avg_grad_sums[method].tobytes()
             for i in range(n):
                 np.testing.assert_array_equal(out.sent[i], sent_ref[i])
                 np.testing.assert_array_equal(out.next_models[i], want[i])
@@ -514,7 +612,7 @@ class TestRunRound:
         gen = RngStream(12, ("init",)).generator()
         models = [gen.standard_normal(8) for _ in range(2)]
         start = np.stack(models)
-        out = run_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, round_mask(12, 0, 8, 3), 0.1, oracle, 0)
+        out = one_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, round_mask(12, 0, 8, 3), 0.1, oracle, 0)
         sent = list(out.sent)
         latest = list(out.latest)
         sent_avg = average(sent)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_logistic_oracle
+from overlap_sgd.core import RngStream
 from overlap_sgd.data import Dataset, synthetic_blobs
 from overlap_sgd.errors import ConfigurationError
 from overlap_sgd.objective import (
@@ -171,17 +172,15 @@ class TestStochasticGradient:
             oracle.gradient(np.zeros(tiny_blobs.dim), 0, 0, 0)
 
     def test_a_caching_oracle_is_freed_with_its_last_reference(self, tiny_blobs):
-        # the batch cache must not hold the oracle, or each seed's train set outlives it until a GC pass
+        # the oracle must not sit in a reference cycle, or each seed's train set outlives it until a GC pass
         oracle = LogisticOracle(
             dataset=tiny_blobs,
             batch_size=4,
             regularizer=RegularizerParams(),
             worker_pools=(np.arange(tiny_blobs.n_examples),),
             root_seed=0,
-            round_keys=3,
         )
         oracle.gradient(np.zeros(tiny_blobs.dim), 0, 0, 0)
-        assert oracle.batch_rows.cache_info().currsize == 1
         freed = weakref.ref(oracle)
         gc.disable()
         try:
@@ -189,6 +188,37 @@ class TestStochasticGradient:
             assert freed() is None
         finally:
             gc.enable()
+
+
+@pytest.fixture
+def opened_keys(monkeypatch):
+    """The key of every stream opened while the test runs."""
+    keys = []
+    generator = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator", lambda stream: keys.append(stream.key) or generator(stream))
+    return keys
+
+
+class TestStackedGradient:
+    @pytest.mark.parametrize("strength", [0.0, 0.4])
+    def test_a_logistic_stack_equals_its_rows_and_opens_one_stream(self, tiny_blobs, opened_keys, strength):
+        oracle = make_logistic_oracle(tiny_blobs, n_workers=2, batch_size=8, seed=3, strength=strength, scale=0.7)
+        stack = np.random.default_rng(1).standard_normal((3, tiny_blobs.dim))
+        stacked = oracle.gradient(stack, 1, 2, 5)
+        assert opened_keys == [("sample", 1, 2, 5)]
+        assert stacked.shape == stack.shape
+        for row, got in zip(stack, stacked):
+            assert got.tobytes() == oracle.gradient(row, 1, 2, 5).tobytes()
+
+    def test_a_quadratic_stack_adds_its_one_draw_to_every_row(self, opened_keys):
+        oracle = QuadraticOracle(a_diag=np.linspace(0.5, 2.0, 5), noise_sigma=0.3, root_seed=4)
+        stack = np.random.default_rng(2).standard_normal((4, 5))
+        stacked = oracle.gradient(stack, 0, 1, 2)
+        assert opened_keys == [("sample", 0, 1, 2)]
+        for row, got in zip(stack, stacked):
+            assert got.tobytes() == oracle.gradient(row, 0, 1, 2).tobytes()
+        with pytest.raises(ConfigurationError, match="dimension mismatch"):
+            oracle.gradient(np.ones((2, 4)), 0, 0, 0)
 
 
 class TestQuadraticOracle:

@@ -65,6 +65,7 @@ def test_suite_draws_each_minibatch_and_mask_once(tmp_path, drawn_keys):
         for t in range(steps)
     }
     assert masks == {(seed, ("mask", r)): 1 for seed in config.seeds for r in rounds}
+    assert sum(samples.values()) == len(config.seeds) * config.rounds * sum(plan.total_steps)
 
 
 def test_a_suite_diverged_in_round_0_draws_one_mask_per_seed(tmp_path, drawn_keys):
@@ -88,10 +89,10 @@ def test_each_method_writes_what_it_writes_alone(tmp_path):
 def test_a_diverged_method_stops_alone(tmp_path, monkeypatch):
     run_round = runner_mod.run_round
 
-    def overwrite_diverges_in_round_1(start, method, plan, mask, stepsize, oracle, round_index):
-        if method == "overlap_overwrite" and round_index == 1:
-            raise DivergenceError("worker 0 diverged in round 1", round_index=1, worker=0)
-        return run_round(start, method, plan, mask, stepsize, oracle, round_index)
+    def overwrite_diverges_in_round_1(starts, plan, mask, stepsize, oracle, round_index):
+        if "overlap_overwrite" in starts and round_index == 1:
+            raise DivergenceError("worker 0 diverged in round 1", round_index=1, worker=0, method="overlap_overwrite")
+        return run_round(starts, plan, mask, stepsize, oracle, round_index)
 
     clean = manifest_runs(run_suite(make_config(tmp_path, "clean")))
     monkeypatch.setattr(runner_mod, "run_round", overwrite_diverges_in_round_1)
@@ -106,10 +107,10 @@ def test_a_diverged_method_stops_alone(tmp_path, monkeypatch):
 def test_the_per_worker_sidecar_follows_each_run_status(tmp_path, monkeypatch):
     run_round = runner_mod.run_round
 
-    def overwrite_diverges_in_round_1(start, method, plan, mask, stepsize, oracle, round_index):
-        if method == "overlap_overwrite" and round_index == 1:
-            raise DivergenceError("worker 0 diverged in round 1", round_index=1, worker=0)
-        return run_round(start, method, plan, mask, stepsize, oracle, round_index)
+    def overwrite_diverges_in_round_1(starts, plan, mask, stepsize, oracle, round_index):
+        if "overlap_overwrite" in starts and round_index == 1:
+            raise DivergenceError("worker 0 diverged in round 1", round_index=1, worker=0, method="overlap_overwrite")
+        return run_round(starts, plan, mask, stepsize, oracle, round_index)
 
     monkeypatch.setattr(runner_mod, "run_round", overwrite_diverges_in_round_1)
     # 3 examples over 4 workers: some pool is empty by pigeonhole, so every seed is skipped
@@ -147,20 +148,9 @@ def test_the_per_worker_sidecar_follows_each_run_status(tmp_path, monkeypatch):
             assert all(list(row) == ["round", "worker", "train_loss", "train_accuracy"] for row in rows)
 
 
-def test_theory_draws_leave_the_memo_within_one_round(tmp_path, monkeypatch):
-    oracles = []
-    estimate = runner_mod.estimate_gradient_stats
-
-    def keeping_oracle(oracle, *args, **kwargs):
-        oracles.append(oracle)
-        return estimate(oracle, *args, **kwargs)
-
-    monkeypatch.setattr(runner_mod, "estimate_gradient_stats", keeping_oracle)
-    config = make_config(tmp_path, "theory", theory={"estimate_draws": 2000})
+def test_theory_opens_each_estimate_draw_once(tmp_path, drawn_keys):
+    config = make_config(tmp_path, "theory", theory={"estimate_draws": 300})
     theory_report(config)
-    (oracle,) = oracles
-    plan = build_plan(config.step_times, config.compute_periods, config.comm_seconds)
-    assert oracle.round_keys == sum(plan.total_steps) < 2000
-    # 2000 keys, each drawn once; the cache keeps one round's worth of them
-    info = oracle.batch_rows.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 2000, oracle.round_keys)
+    samples = Counter(k for k in drawn_keys if k[1][0] == "sample")
+    # estimate_gradient_stats draws at worker 0 in the reserved round -1, one key per draw
+    assert samples == {(config.seeds[0], ("sample", 0, -1, s)): 1 for s in range(300)}
