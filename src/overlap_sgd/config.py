@@ -338,7 +338,8 @@ def data_issues(config: ExperimentConfig, plan: TimingPlan, dim: int, n: int | N
     """The rules that need the data's shape: each method's plan rules at the
     config's mask size, the contraction of a pinned alpha/beta pair, and,
     when the example count ``n`` is known, a training split that is not empty
-    and can give every worker ``partition.min_examples``."""
+    and can give every worker ``partition.min_examples``, and a batch that
+    holds no more examples than the dataset or the default batch does."""
     mask_size = rand_k_size(config.sparsity, dim)
     issues = [
         ConfigIssue("methods", problem)
@@ -347,6 +348,10 @@ def data_issues(config: ExperimentConfig, plan: TimingPlan, dim: int, n: int | N
     ]
     if config.theory.alpha is not None:
         _checked(issues, "theory", BoundParams, config.theory.alpha, config.theory.beta, mask_size, dim)
+    default_batch = ExperimentConfig.batch_size  # each step gathers batch_size rows; the default fits any data
+    if n is not None and config.batch_size > max(n, default_batch):
+        message = f"{config.batch_size} exceeds both the dataset's {n} examples and the default {default_batch}"
+        issues.append(ConfigIssue("batch_size", message))
     n_val = None if n is None else _checked(issues, "val_fraction", validation_size, n, config.val_fraction)
     if n_val is not None:
         min_examples = config.partition.min_examples

@@ -7,7 +7,8 @@ class ConfigurationError(ValueError):
 
 class DatasetError(ConfigurationError):
     """A dataset that cannot be used: a file the config names that is missing, unreadable or
-    malformed, data too large to hold densely, or data whose standardization overflows."""
+    malformed, data too large to hold densely, data whose standardization overflows, or a
+    partition that leaves the worker ``theory`` samples without examples."""
 
 
 class DivergenceError(RuntimeError):

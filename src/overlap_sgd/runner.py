@@ -24,7 +24,7 @@ from .data import (
     synthetic_blobs,
 )
 from .engine import round_mask, run_round
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DatasetError, DivergenceError
 from .metrics import RunRecorder, atomic_write_bytes, write_metrics
 from .objective import LogisticOracle
 from .theory import (
@@ -121,6 +121,12 @@ def prepare_seed_artifacts(dataset: Dataset, config: ExperimentConfig, seed: int
     return SeedArtifacts(train=train, val=val, pools=pools, x0=x0, hashes=hashes, oracle=oracle)
 
 
+def _starvation(pools: tuple[np.ndarray, ...]) -> str | None:
+    """The workers a partition leaves without examples, in a run's status wording; None if there are none."""
+    empty = [w for w, a in enumerate(pools) if a.size == 0]
+    return f"workers-without-examples={empty}" if empty else None
+
+
 def _run_methods(
     config: ExperimentConfig, plan: TimingPlan, mask_size: int, seed: int, artifacts: SeedArtifacts
 ) -> list[RunRecorder]:
@@ -137,10 +143,10 @@ def _run_methods(
         RunRecorder(method, np.tile(artifacts.x0, (plan.n_workers, 1)), artifacts.train, artifacts.val, config)
         for method in config.methods
     ]
-    empty_pools = [w for w, a in enumerate(artifacts.pools) if a.size == 0]
-    if empty_pools:  # extreme partitions can starve a worker; record it and move on
+    starved = _starvation(artifacts.pools)
+    if starved:  # extreme partitions can starve a worker; record it and move on
         for run in runs:
-            run.status = f"skipped:workers-without-examples={empty_pools}"
+            run.status = f"skipped:{starved}"
     for r in range(config.rounds):
         live = [run for run in runs if run.status == "ok"]
         if not live:
@@ -243,6 +249,8 @@ def theory_report(config: ExperimentConfig) -> dict:
     dataset, plan, mask_size = _resolve(config)
     agg = aggregates(plan)
     artifacts = prepare_seed_artifacts(dataset, config, config.seeds[0])
+    if artifacts.pools[0].size == 0:  # the gradient estimates below sample worker 0
+        raise DatasetError(f"theory samples worker 0, but seed {config.seeds[0]} has {_starvation(artifacts.pools)}")
     reg = config.regularizer
     smooth = logistic_smoothness(artifacts.train, reg)
     noise_var, grad_bound = estimate_gradient_stats(

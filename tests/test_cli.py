@@ -584,6 +584,7 @@ class TestConfigFileErrors:
                 {"partition": {"mode": "dirichlet", "alpha": 0.5, "min_examples": 10}, "step_times": [1, 1, 1, 1]},
                 "min_examples=10 is unsatisfiable with 36 examples over 4 workers",
             ),
+            ({"batch_size": 257}, "257 exceeds both the dataset's 40 examples and the default 256"),
         ],
         ids=[
             "sync-partial-mask",
@@ -591,6 +592,7 @@ class TestConfigFileErrors:
             "no-training-example",
             "no-training-example-raw",
             "unsatisfiable-min-examples",
+            "batch-beyond-the-data",
         ],
     )
     def test_run_and_theory_check_the_same_rules_once_d_is_loaded(self, tmp_path, capsys, overrides, message):
@@ -643,6 +645,27 @@ class TestConfigFileErrors:
             assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+
+    @pytest.mark.parametrize("batch_size", [2**62, 10**12])
+    def test_a_batch_larger_than_the_dataset_and_the_default_is_a_config_error(self, tmp_path, capsys, batch_size):
+        # n is fixed by the config, so validate sees the rule too; neither batch can be gathered
+        blobs = {"dim": 6, "n_examples": 80, "separation": 2.0, "seed": 7}
+        cfg = write_config(tmp_path, dataset={"synthetic": blobs}, batch_size=batch_size)
+        for command in ("validate", "run", "theory"):
+            assert main([command, str(cfg)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                f"invalid config: batch_size: {batch_size} exceeds both the dataset's 80 examples and the default 256"
+            ]
+            assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n_examples, largest", [(40, 256), (300, 300)])
+    def test_a_batch_may_hold_the_dataset_or_the_default(self, n_examples, largest):
+        dataset = {"synthetic": {"dim": 6, "n_examples": n_examples}}
+        assert validate_config(base_config_dict(dataset=dataset, batch_size=largest))[1] == []
+        _, issues = validate_config(base_config_dict(dataset=dataset, batch_size=largest + 1))
+        assert [issue.field for issue in issues] == ["batch_size"]
 
     def test_dirichlet_redraw_failure_leaves_no_output_dir(self, tmp_path, capsys):
         # 180 training examples could give 4 workers 20 each, so validate passes, but
@@ -974,6 +997,34 @@ class TestOtherCommands:
         assert main(["theory", str(write_config(tmp_path))]) == 1
         captured = capsys.readouterr()
         assert (captured.err.splitlines(), captured.out) == (["error: non-finite values in full gradient"], "")
+
+    @pytest.mark.parametrize("seed, pools", [(2, [0, 72, 0, 0]), (1, [33, 0, 0, 39])])
+    def test_theory_names_the_seed_that_leaves_worker_0_without_examples(self, tmp_path, capsys, seed, pools):
+        # alpha this small piles each class on one worker; theory estimates its constants from worker 0's draws
+        cfg = write_config(
+            tmp_path,
+            dataset={"synthetic": {"dim": 6, "n_examples": 80, "separation": 2.0, "seed": 7}},
+            partition={"mode": "dirichlet", "alpha": 0.001},
+            step_times=[1, 2, 3, 6],
+            comm_seconds=6,
+            seeds=[seed],
+        )
+        starved = [w for w, size in enumerate(pools) if size == 0]
+        assert main(["validate", str(cfg)]) == 0
+        assert main(["run", str(cfg)]) == 0
+        statuses = {run.status for run in manifest_runs(tmp_path / "out" / "manifest.json")}
+        assert statuses == {f"skipped:workers-without-examples={starved}"}
+        capsys.readouterr()
+        if pools[0]:
+            assert main(["theory", str(cfg)]) == 0
+            assert json.loads(capsys.readouterr().out)["constants"]["noise_var_estimate"] > 0
+        else:
+            assert main(["theory", str(cfg)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                f"error: theory samples worker 0, but seed {seed} has workers-without-examples={starved}"
+            ]
+            assert captured.out == ""
 
     def test_theory_command_emits_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path, stepsize=0.001)

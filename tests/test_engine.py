@@ -278,6 +278,9 @@ def assert_same_outcome(got, alone):
         else:
             assert a == b, field.name
     assert (got.latest is got.sent) == (alone.latest is alone.sent)
+    for outcome in (got, alone):  # views of the round's shared arrays are read-only; the merged models are not
+        flags = (outcome.sent.flags.writeable, outcome.latest.flags.writeable, outcome.next_models.flags.writeable)
+        assert flags == (False, False, True)
 
 
 SPARSE_METHODS = (Method.LOCAL_SPARSE, Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED)
@@ -331,6 +334,21 @@ class TestLockstep:
         plan = build_plan((1, 2), 1, 2)
         starts = {m: np.ones((2, 3)) for m in SPARSE_METHODS}
         starts[diverging] = np.array([[1.0, 1.0, 1.0], [1.0, 1e99, 1.0]])
+        with pytest.raises(DivergenceError) as info:
+            run_round(starts, plan, round_mask(0, 3, 3, 2), 0.1, oracle, 3)
+        assert (info.value.method, info.value.worker, info.value.round_index) == (diverging, 1, 3)
+        del starts[diverging]
+        assert list(run_round(starts, plan, round_mask(0, 3, 3, 2), 0.1, oracle, 3)) == list(starts)
+
+    @pytest.mark.parametrize("diverging", [Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED])
+    def test_a_method_diverging_in_its_overlap_steps_is_named(self, diverging):
+        # each step multiplies a model by -99: worker 1's row at 1e96 stays in range through its two
+        # pre-communication steps (9.8e99) and leaves it on its one overlap step
+        oracle = make_quadratic_oracle(dim=3, noise=0.0, seed=0, curvature=1e3)
+        plan = build_plan((1, 1), 2, 1)
+        big = np.array([[1.0, 1.0, 1.0], [1.0, 1e96, 1.0]])
+        starts = {m: np.ones((2, 3)) for m in SPARSE_METHODS}
+        starts[diverging] = starts[Method.LOCAL_SPARSE] = big
         with pytest.raises(DivergenceError) as info:
             run_round(starts, plan, round_mask(0, 3, 3, 2), 0.1, oracle, 3)
         assert (info.value.method, info.value.worker, info.value.round_index) == (diverging, 1, 3)

@@ -75,11 +75,25 @@ def test_a_suite_diverged_in_round_0_draws_one_mask_per_seed(tmp_path, drawn_key
     assert masks == {(seed, ("mask", 0)): 1 for seed in (1, 2)}
 
 
-def test_each_method_writes_what_it_writes_alone(tmp_path):
-    together = manifest_runs(run_suite(make_config(tmp_path, "all", eval_per_worker=True)))
+FULL_MASK = {"sparsity": 1.0, "methods": ["fedavg_full", *METHODS]}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        # blocking and overlap methods in one round: two of the four step on after the pre-communication steps
+        FULL_MASK,
+        # every method, sync_sgd too, on an equal-step plan with no communication window
+        {**FULL_MASK, "methods": ["sync_sgd", *FULL_MASK["methods"]], "step_times": [1, 1], "comm_seconds": 0},
+    ],
+    ids=["sparse", "full-mask", "every-method"],
+)
+def test_each_method_writes_what_it_writes_alone(tmp_path, overrides):
+    together = manifest_runs(run_suite(make_config(tmp_path, "all", eval_per_worker=True, **overrides)))
     assert {r.status for r in together} == {"ok"}
-    for method in METHODS:
-        run_suite(make_config(tmp_path, method, methods=[method], eval_per_worker=True))
+    for method in overrides.get("methods", METHODS):
+        run_suite(make_config(tmp_path, method, eval_per_worker=True, **{**overrides, "methods": [method]}))
         for seed in (1, 2):
             for suffix in (".csv", ".jsonl", "_workers.jsonl"):
                 name = f"{method}_seed{seed}{suffix}"
