@@ -77,13 +77,8 @@ class RoundOutcome:
     avg_grad_sum: np.ndarray
 
 
-def _diverged_rows(w: np.ndarray) -> np.ndarray:
-    # a NaN anywhere makes its row's max NaN, and NaN <= limit is false
-    return ~(np.abs(w).max(axis=-1) <= DIVERGENCE_LIMIT)
-
-
 def _guard(w: np.ndarray, round_index: int, worker: int) -> None:
-    if _diverged_rows(w).any():
+    if not np.abs(w).max() <= DIVERGENCE_LIMIT:  # a NaN makes the max NaN, which fails the test
         raise DivergenceError(
             f"worker {worker} diverged in round {round_index}",
             round_index=round_index,
@@ -192,8 +187,9 @@ def run_round(
     the methods step in lockstep: one worker-major ``(n, m, d)`` array holds
     every model, overlap methods first, and worker ``i``'s ``(m, d)`` block
     takes each keyed gradient once.  Every outcome is bit for bit the one its
-    method gets alone.  A ``DivergenceError`` names the method whose step left
-    the range first in its ``method``; the round may be run again without it.
+    method gets alone.  A ``DivergenceError`` names the worker and round of
+    the first step that left the range, not the method; running each method's
+    round alone finds which ones diverge.
     """
     if not starts:
         raise ConfigurationError("a round needs at least one method")
@@ -214,17 +210,13 @@ def run_round(
     # gradients: every worker's pre-communication steps, then every overlap step
     grad_sum = np.zeros((len(order), dim))
     sent = latest = np.stack([starts[key] for key in order], axis=1)
-    try:
-        for i, block in enumerate(sent):
-            grad_sum += local_steps(block, plan.pre_steps[i], stepsize, oracle, i, round_index)
-        if q:  # the overlap rows keep stepping while the message is in flight
-            latest = sent[:, :q].copy()
-            for i, block in enumerate(latest):
-                first = plan.pre_steps[i]
-                grad_sum[:q] += local_steps(block, plan.overlap_steps[i], stepsize, oracle, i, round_index, first)
-    except DivergenceError as exc:
-        exc.method = order[int(np.argmax(_diverged_rows(block)))]
-        raise
+    for i, block in enumerate(sent):
+        grad_sum += local_steps(block, plan.pre_steps[i], stepsize, oracle, i, round_index)
+    if q:  # the overlap rows keep stepping while the message is in flight
+        latest = sent[:, :q].copy()
+        for i, block in enumerate(latest):
+            first = plan.pre_steps[i]
+            grad_sum[:q] += local_steps(block, plan.overlap_steps[i], stepsize, oracle, i, round_index, first)
     sent.flags.writeable = latest.flags.writeable = False  # the outcomes' views inherit this
 
     outcomes = {}

@@ -8,6 +8,7 @@ tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,12 @@ class RegularizerParams:
             raise ConfigurationError(f"regularizer strength must be >= 0, got {self.strength}")
         if self.scale <= 0:
             raise ConfigurationError(f"regularizer scale must be > 0, got {self.scale}")
+        sq = self.scale * self.scale
+        # the penalty divides by scale**2 and by (scale**2)**2, and its curvature bound is 2 * strength / scale**2
+        if self.enabled and not (0 < sq * sq < math.inf and math.isfinite(2.0 * self.strength / sq)):
+            raise ConfigurationError(
+                f"strength {self.strength} with scale {self.scale} puts the penalty's arithmetic out of float range"
+            )
 
     @property
     def enabled(self) -> bool:

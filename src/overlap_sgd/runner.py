@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .data import (
     synthetic_blobs,
 )
 from .engine import round_mask, run_round
-from .errors import ConfigurationError, DatasetError, DivergenceError
+from .errors import ConfigurationError, DivergenceError
 from .metrics import RunRecorder, atomic_write_bytes, write_metrics
 from .objective import LogisticOracle
 from .theory import (
@@ -121,12 +121,6 @@ def prepare_seed_artifacts(dataset: Dataset, config: ExperimentConfig, seed: int
     return SeedArtifacts(train=train, val=val, pools=pools, x0=x0, hashes=hashes, oracle=oracle)
 
 
-def _starvation(pools: tuple[np.ndarray, ...]) -> str | None:
-    """The workers a partition leaves without examples, in a run's status wording; None if there are none."""
-    empty = [w for w, a in enumerate(pools) if a.size == 0]
-    return f"workers-without-examples={empty}" if empty else None
-
-
 def _run_methods(
     config: ExperimentConfig, plan: TimingPlan, mask_size: int, seed: int, artifacts: SeedArtifacts
 ) -> list[RunRecorder]:
@@ -143,10 +137,10 @@ def _run_methods(
         RunRecorder(method, np.tile(artifacts.x0, (plan.n_workers, 1)), artifacts.train, artifacts.val, config)
         for method in config.methods
     ]
-    starved = _starvation(artifacts.pools)
-    if starved:  # extreme partitions can starve a worker; record it and move on
+    empty = [w for w, pool in enumerate(artifacts.pools) if pool.size == 0]
+    if empty:  # extreme partitions can starve a worker; record it and move on
         for run in runs:
-            run.status = f"skipped:{starved}"
+            run.status = f"skipped:workers-without-examples={empty}"
     for r in range(config.rounds):
         live = [run for run in runs if run.status == "ok"]
         if not live:
@@ -160,24 +154,25 @@ def _play_round(
     live: list[RunRecorder], r: int, mask, config: ExperimentConfig, plan: TimingPlan, oracle, seed: int
 ) -> None:
     """Round ``r`` of the live runs, which then measure it in their order; its
-    outcomes are dropped on return, before the next round starts."""
-    results = {}
-    starts = {run.method: run.models for run in live}
-    while starts:  # the starts are untouched and every draw is keyed, so the rest replay the round alone
-        try:
-            results.update(run_round(starts, plan, mask, config.stepsize, oracle, r))
-            break
-        except DivergenceError as exc:
-            results[exc.method] = exc
-            del starts[exc.method]
+    outcomes are dropped on return, before the next round starts.
+
+    If the round diverges, each run replays it alone: the starts are untouched
+    and every draw is keyed, so each run gets the outcome, or meets the error,
+    it gets alone."""
+
+    def play(runs):
+        return run_round({run.method: run.models for run in runs}, plan, mask, config.stepsize, oracle, r)
+
+    try:
+        outcomes = play(live)
+    except DivergenceError:
+        outcomes = {}
     due = (r + 1) % config.eval_every == 0 or r == config.rounds - 1
     for run in live:
         try:  # a non-finite model found by a step or by an evaluation stops the run
             if r == 0:
                 run.measure_initial()
-            outcome = results.pop(run.method)
-            if isinstance(outcome, DivergenceError):
-                raise outcome
+            outcome = (outcomes or play([run]))[run.method]
             if due:
                 run.measure_round(outcome)
             else:
@@ -249,12 +244,12 @@ def theory_report(config: ExperimentConfig) -> dict:
     dataset, plan, mask_size = _resolve(config)
     agg = aggregates(plan)
     artifacts = prepare_seed_artifacts(dataset, config, config.seeds[0])
-    if artifacts.pools[0].size == 0:  # the gradient estimates below sample worker 0
-        raise DatasetError(f"theory samples worker 0, but seed {config.seeds[0]} has {_starvation(artifacts.pools)}")
     reg = config.regularizer
     smooth = logistic_smoothness(artifacts.train, reg)
+    # each draw is compared with the full training gradient, so it samples the whole training split
+    whole = replace(artifacts.oracle, worker_pools=(np.arange(artifacts.train.n_examples),))
     noise_var, grad_bound = estimate_gradient_stats(
-        artifacts.oracle, artifacts.train, reg, artifacts.x0, n_draws=config.theory.estimate_draws
+        whole, artifacts.train, reg, artifacts.x0, n_draws=config.theory.estimate_draws
     )
     gap = initial_gap_upper_bound(artifacts.train, reg, artifacts.x0)
     consts = ProblemConstants(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_finite
 from .errors import ConfigurationError
 from .objective import RegularizerParams, dataset_loss, full_gradient
 from .timing import TimingAggregates
@@ -221,8 +222,10 @@ def tune_bound_params(k: int, d: int, agg: TimingAggregates) -> BoundParams:
 
 def logistic_smoothness(dataset: Dataset, reg: RegularizerParams) -> float:
     """Upper bound: max_i ||x_i||^2 / 4 plus the regularizer curvature bound."""
-    row_sq = np.sum(dataset.features**2, axis=1)
-    return float(row_sq.max()) / 4.0 + reg.curvature_bound()
+    with np.errstate(over="ignore"):  # data whose squares overflow is reported below, once
+        smooth = float(np.sum(dataset.features**2, axis=1).max()) / 4.0 + reg.curvature_bound()
+    check_finite(smooth, "smoothness bound")
+    return smooth
 
 
 def estimate_gradient_stats(

@@ -660,6 +660,23 @@ class TestConfigFileErrors:
             assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("strength, scale", [(0.5, 1.0e200), (0.5, 1.0e-200), (1.0e308, 1.0)])
+    def test_a_regularizer_whose_arithmetic_leaves_float_range_is_a_config_error(
+        self, tmp_path, capsys, strength, scale
+    ):
+        # scale**2 overflowed or underflowed in the penalty, or 2 * strength overflowed in its curvature bound
+        blobs = {"dim": 6, "n_examples": 80, "separation": 2.0, "seed": 7}
+        cfg = write_config(tmp_path, dataset={"synthetic": blobs}, regularizer={"strength": strength, "scale": scale})
+        for command in ("validate", "run", "theory"):
+            assert main([command, str(cfg)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                f"invalid config: regularizer: strength {strength} with scale {scale} puts the penalty's"
+                " arithmetic out of float range"
+            ]
+            assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("n_examples, largest", [(40, 256), (300, 300)])
     def test_a_batch_may_hold_the_dataset_or_the_default(self, n_examples, largest):
         dataset = {"synthetic": {"dim": 6, "n_examples": n_examples}}
@@ -999,32 +1016,36 @@ class TestOtherCommands:
         assert (captured.err.splitlines(), captured.out) == (["error: non-finite values in full gradient"], "")
 
     @pytest.mark.parametrize("seed, pools", [(2, [0, 72, 0, 0]), (1, [33, 0, 0, 39])])
-    def test_theory_names_the_seed_that_leaves_worker_0_without_examples(self, tmp_path, capsys, seed, pools):
-        # alpha this small piles each class on one worker; theory estimates its constants from worker 0's draws
-        cfg = write_config(
-            tmp_path,
-            dataset={"synthetic": {"dim": 6, "n_examples": 80, "separation": 2.0, "seed": 7}},
-            partition={"mode": "dirichlet", "alpha": 0.001},
-            step_times=[1, 2, 3, 6],
-            comm_seconds=6,
-            seeds=[seed],
-        )
+    def test_theory_constants_do_not_depend_on_the_partition(self, tmp_path, capsys, seed, pools):
+        # alpha this small piles each class on one worker, or none on worker 0; the estimate draws come
+        # from the whole training split, so every partition of it gives the same constants
+        common = {
+            "dataset": {"synthetic": {"dim": 6, "n_examples": 80, "separation": 2.0, "seed": 7}},
+            "step_times": [1, 2, 3, 6],
+            "comm_seconds": 6,
+            "seeds": [seed],
+        }
+        cfg = write_config(tmp_path, partition={"mode": "dirichlet", "alpha": 0.001}, **common)
         starved = [w for w, size in enumerate(pools) if size == 0]
-        assert main(["validate", str(cfg)]) == 0
         assert main(["run", str(cfg)]) == 0
         statuses = {run.status for run in manifest_runs(tmp_path / "out" / "manifest.json")}
         assert statuses == {f"skipped:workers-without-examples={starved}"}
         capsys.readouterr()
-        if pools[0]:
-            assert main(["theory", str(cfg)]) == 0
-            assert json.loads(capsys.readouterr().out)["constants"]["noise_var_estimate"] > 0
-        else:
-            assert main(["theory", str(cfg)]) == 1
-            captured = capsys.readouterr()
-            assert captured.err.splitlines() == [
-                f"error: theory samples worker 0, but seed {seed} has workers-without-examples={starved}"
-            ]
-            assert captured.out == ""
+        constants = []
+        for partition in ({"mode": "dirichlet", "alpha": 0.001}, {"mode": "shard"}, {"mode": "shared"}):
+            assert main(["theory", str(write_config(tmp_path, partition=partition, **common))]) == 0
+            constants.append(json.loads(capsys.readouterr().out)["constants"])
+        assert constants[0] == constants[1] == constants[2] and constants[0]["noise_var_estimate"] > 0
+
+    def test_theory_on_data_whose_smoothness_bound_overflows_is_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "huge.libsvm"
+        data.write_text("1 1:1e308 2:1e308\n-1 1:-1e308 2:1\n1 1:2 2:3\n-1 1:1 2:1\n", encoding="utf-8")
+        cfg = write_config(
+            tmp_path, dataset={"path": str(data), "dimension": 2}, normalize=False, val_fraction=0.0, batch_size=2
+        )
+        assert main(["theory", str(cfg)]) == 1  # warnings are errors under pytest, so none was emitted
+        captured = capsys.readouterr()
+        assert (captured.err.splitlines(), captured.out) == (["error: non-finite values in smoothness bound"], "")
 
     def test_theory_command_emits_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path, stepsize=0.001)

@@ -286,6 +286,17 @@ def assert_same_outcome(got, alone):
 SPARSE_METHODS = (Method.LOCAL_SPARSE, Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED)
 
 
+def assert_diverges_in_lockstep_and_alone(starts, diverging, plan):
+    """The lockstep round and ``diverging``'s round alone raise at the same step; the rest run together."""
+    oracle, mask = make_quadratic_oracle(dim=3, curvature=1e3), round_mask(0, 3, 3, 2)
+    for round_starts in (starts, {diverging: starts[diverging]}):
+        with pytest.raises(DivergenceError) as info:
+            run_round(round_starts, plan, mask, 0.1, oracle, 3)
+        assert (info.value.worker, info.value.round_index) == (1, 3)
+    rest = {m: start for m, start in starts.items() if m != diverging}
+    assert list(run_round(rest, plan, mask, 0.1, oracle, 3)) == list(rest)
+
+
 class TestLockstep:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -328,32 +339,20 @@ class TestLockstep:
             assert_same_outcome(together[m], one_round(starts[m], m, plan, mask, 0.05, oracle, 3))
 
     @pytest.mark.parametrize("diverging", SPARSE_METHODS)
-    def test_a_diverging_method_is_named(self, diverging):
+    def test_a_diverging_method_raises_in_lockstep_and_alone(self, diverging):
         # each step multiplies a model by -99; worker 1's start at 1e99 crosses the limit on its first step
-        oracle = make_quadratic_oracle(dim=3, noise=0.0, seed=0, curvature=1e3)
-        plan = build_plan((1, 2), 1, 2)
         starts = {m: np.ones((2, 3)) for m in SPARSE_METHODS}
         starts[diverging] = np.array([[1.0, 1.0, 1.0], [1.0, 1e99, 1.0]])
-        with pytest.raises(DivergenceError) as info:
-            run_round(starts, plan, round_mask(0, 3, 3, 2), 0.1, oracle, 3)
-        assert (info.value.method, info.value.worker, info.value.round_index) == (diverging, 1, 3)
-        del starts[diverging]
-        assert list(run_round(starts, plan, round_mask(0, 3, 3, 2), 0.1, oracle, 3)) == list(starts)
+        assert_diverges_in_lockstep_and_alone(starts, diverging, build_plan((1, 2), 1, 2))
 
     @pytest.mark.parametrize("diverging", [Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED])
-    def test_a_method_diverging_in_its_overlap_steps_is_named(self, diverging):
+    def test_a_method_diverging_in_its_overlap_steps_raises_in_lockstep_and_alone(self, diverging):
         # each step multiplies a model by -99: worker 1's row at 1e96 stays in range through its two
         # pre-communication steps (9.8e99) and leaves it on its one overlap step
-        oracle = make_quadratic_oracle(dim=3, noise=0.0, seed=0, curvature=1e3)
-        plan = build_plan((1, 1), 2, 1)
         big = np.array([[1.0, 1.0, 1.0], [1.0, 1e96, 1.0]])
         starts = {m: np.ones((2, 3)) for m in SPARSE_METHODS}
         starts[diverging] = starts[Method.LOCAL_SPARSE] = big
-        with pytest.raises(DivergenceError) as info:
-            run_round(starts, plan, round_mask(0, 3, 3, 2), 0.1, oracle, 3)
-        assert (info.value.method, info.value.worker, info.value.round_index) == (diverging, 1, 3)
-        del starts[diverging]
-        assert list(run_round(starts, plan, round_mask(0, 3, 3, 2), 0.1, oracle, 3)) == list(starts)
+        assert_diverges_in_lockstep_and_alone(starts, diverging, build_plan((1, 1), 2, 1))
 
     def test_rejects_an_empty_round(self):
         with pytest.raises(ConfigurationError, match="at least one method"):

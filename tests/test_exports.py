@@ -136,3 +136,18 @@ def test_only_data_builds_datasets():
     paths = [p for p in sorted((ROOT / "src" / "overlap_sgd").glob("*.py")) if p.name != "data.py"]
     assert [hit for path in paths for hit in _dataset_constructions(path)] == []
     assert _dataset_constructions(ROOT / "src" / "overlap_sgd" / "data.py") != []
+
+
+def _divergence_handlers(path: Path) -> list[str]:
+    """Each ``except`` clause in ``path`` that names ``DivergenceError``, alone or in a tuple, as ``file:line``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    handlers = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and node.type is not None]
+    named = [h for h in handlers if any(getattr(n, "id", None) == "DivergenceError" for n in ast.walk(h.type))]
+    return [f"{path.name}:{h.lineno}" for h in named]
+
+
+def test_only_the_runner_and_the_cli_handle_divergence():
+    # the engine only raises; the runner replays a diverged round run by run, and the CLI reports the rest
+    paths = sorted((ROOT / "src" / "overlap_sgd").glob("*.py"))
+    handlers = [hit for path in paths for hit in _divergence_handlers(path)]
+    assert {hit.split(":")[0] for hit in handlers} == {"runner.py", "cli.py"}

@@ -141,7 +141,7 @@ def test_golden_suite_outputs_under_python_O(tmp_path):
 
 
 # Recorded with NumPy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas), Python 3.11.
-THEORY_DIGEST = "47fc15d9134ab9b0c6c671b38ef15ac323a7a8f127ad4a6ce80182d2adf3b13e"
+THEORY_DIGEST = "15f51f6d1b45d2ff476fe7428da4ef9600f9a22bd23da3ada7cccedd4621e974"
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 

@@ -1,14 +1,18 @@
 import json
+import logging
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import overlap_sgd.runner as runner_mod
-from conftest import base_config_dict, manifest_runs
+from conftest import base_config_dict, make_quadratic_oracle, manifest_runs, one_round
 from overlap_sgd.config import validate_config
 from overlap_sgd.core import RngStream
+from overlap_sgd.data import synthetic_blobs
+from overlap_sgd.engine import round_mask
 from overlap_sgd.errors import DivergenceError
-from overlap_sgd.metrics import render_csv
+from overlap_sgd.metrics import RunRecorder, render_csv
 from overlap_sgd.runner import prepare_seed_artifacts, resolve_dataset, run_suite, theory_report
 from overlap_sgd.timing import build_plan
 
@@ -105,7 +109,7 @@ def test_a_diverged_method_stops_alone(tmp_path, monkeypatch):
 
     def overwrite_diverges_in_round_1(starts, plan, mask, stepsize, oracle, round_index):
         if "overlap_overwrite" in starts and round_index == 1:
-            raise DivergenceError("worker 0 diverged in round 1", round_index=1, worker=0, method="overlap_overwrite")
+            raise DivergenceError("worker 0 diverged in round 1", round_index=1, worker=0)
         return run_round(starts, plan, mask, stepsize, oracle, round_index)
 
     clean = manifest_runs(run_suite(make_config(tmp_path, "clean")))
@@ -118,12 +122,33 @@ def test_a_diverged_method_stops_alone(tmp_path, monkeypatch):
             assert (a.status, a.records) == (b.status, b.records)
 
 
+@pytest.mark.parametrize("diverging", ["overlap_overwrite", "overlap_delay_corrected"])
+def test_a_run_that_diverges_in_its_overlap_steps_stops_alone(tmp_path, caplog, diverging):
+    # each step multiplies a model by -99: worker 1's row at 1e96 stays in range through its two
+    # pre-communication steps (9.8e99), so local_sparse runs on, and leaves it on its one overlap step
+    oracle = make_quadratic_oracle(dim=3, curvature=1e3)
+    plan, mask = build_plan((1, 1), 2, 1), round_mask(0, 3, 3, 2)
+    config = make_config(tmp_path, "unused", stepsize=0.1, rounds=10, eval_every=5)  # round 3 is not evaluated
+    big = np.array([[1.0, 1.0, 1.0], [1.0, 1e96, 1.0]])
+    data = synthetic_blobs(3, 10, 1.0, 0)
+    starts = {m: big if m in ("local_sparse", diverging) else np.ones((2, 3)) for m in METHODS}
+    live = [RunRecorder(m, start, data, data, config) for m, start in starts.items()]
+    alone = {m: one_round(start, m, plan, mask, 0.1, oracle, 3) for m, start in starts.items() if m != diverging}
+    caplog.set_level(logging.WARNING, logger="overlap_sgd.runner")
+    runner_mod._play_round(live, 3, mask, config, plan, oracle, 0)
+    assert [run.status for run in live] == ["diverged:round=3" if run.method == diverging else "ok" for run in live]
+    assert caplog.messages == [f"{diverging} seed 0: worker 1 diverged in round 3"]
+    for run in live:
+        if run.method != diverging:
+            assert run.models.tobytes() == alone[run.method].next_models.tobytes()
+
+
 def test_the_per_worker_sidecar_follows_each_run_status(tmp_path, monkeypatch):
     run_round = runner_mod.run_round
 
     def overwrite_diverges_in_round_1(starts, plan, mask, stepsize, oracle, round_index):
         if "overlap_overwrite" in starts and round_index == 1:
-            raise DivergenceError("worker 0 diverged in round 1", round_index=1, worker=0, method="overlap_overwrite")
+            raise DivergenceError("worker 0 diverged in round 1", round_index=1, worker=0)
         return run_round(starts, plan, mask, stepsize, oracle, round_index)
 
     monkeypatch.setattr(runner_mod, "run_round", overwrite_diverges_in_round_1)
