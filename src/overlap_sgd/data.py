@@ -43,8 +43,8 @@ STDEV_FLOOR = 1e-12
 class Dataset:
     """Finite float64 features of shape (n, d) and float64 labels of shape (n,) in {-1, +1}.
 
-    Not checked here: ``parse_libsvm`` rejects data that breaks this where it enters, and
-    ``synthetic_blobs``, the split and the standardization keep it by construction.
+    Not checked here: ``parse_libsvm`` rejects data that breaks this where it enters; it and ``synthetic_blobs`` return
+    it read-only, and the split (a copy) and the in-place standardization keep it by construction.
     """
 
     features: np.ndarray
@@ -132,6 +132,7 @@ def parse_libsvm(text: str, dimension: int | None = None) -> Dataset:
     labels = _map_labels(raw_labels)
     if not np.isfinite(features).all():
         raise DatasetError("features contain non-finite values")
+    features.flags.writeable = labels.flags.writeable = False
     return Dataset(features, labels)
 
 
@@ -197,27 +198,34 @@ class NormalizationStats:
 
 def _check_standardizable(values: np.ndarray, what: str) -> None:
     """DatasetError naming the first feature whose ``values`` are not all finite."""
-    bad = ~np.isfinite(values).reshape(-1, values.shape[-1]).all(axis=0)
+    bad = ~np.isfinite(values).reshape(-1, np.shape(values)[-1]).all(axis=0)
     if bad.any():
         raise DatasetError(f"feature {int(np.argmax(bad)) + 1} cannot be standardized: {what} overflows")
 
 
 def compute_normalization(train: Dataset) -> NormalizationStats:
+    x, (n, d) = train.features, train.features.shape
+    var, width = np.empty(d), max(2, (1 << 17) // max(n, 1))  # (n, width) blocks of about 1 MiB
+    starts = range(0, max(d - 1, 1), width)  # one column alone would sum pairwise, so a 1-column tail joins
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = train.features.mean(axis=0)
-        stdev = train.features.std(axis=0)
+        mean = x.mean(axis=0)
+        for a, b in zip(starts, [*starts[1:], d]):  # NumPy's _var, block by block
+            sq = x[:, a:b] - mean[a:b]
+            np.add.reduce(np.multiply(sq, sq, out=sq), axis=0, out=var[a:b])
+        stdev = np.sqrt(np.divide(var, n, out=var), out=var)
     _check_standardizable(mean, "its training mean")
     _check_standardizable(stdev, "its training stdev")
-    stdev = np.maximum(stdev, STDEV_FLOOR)
-    return NormalizationStats(mean=mean, stdev=stdev)
+    return NormalizationStats(mean=mean, stdev=np.maximum(stdev, STDEV_FLOOR, out=stdev))
 
 
 def apply_normalization(dataset: Dataset, stats: NormalizationStats) -> Dataset:
-    with np.errstate(over="ignore", invalid="ignore"):
-        feats = dataset.features - stats.mean
+    """Standardize ``dataset.features`` in place and return ``dataset``: a split's own copy, never the raw data."""
+    feats = dataset.features
+    with np.errstate(over="ignore", invalid="ignore"):  # monotone steps on finite values: no NaN, so extremes tell
+        feats -= stats.mean
         feats /= stats.stdev
-    _check_standardizable(feats, "a standardized value")
-    return Dataset(feats, dataset.labels)
+    _check_standardizable((feats.min(axis=0, initial=0.0), feats.max(axis=0, initial=0.0)), "a standardized value")
+    return dataset
 
 
 def partition_shared(n_examples: int, n_workers: int) -> tuple[np.ndarray, ...]:
@@ -302,10 +310,12 @@ def synthetic_blobs(dim: int, n_examples: int, separation: float = 2.0, seed: in
     gen = RngStream(seed, ("synthetic",)).generator()
     try:
         direction = gen.standard_normal(dim)
-        direction /= np.linalg.norm(direction)
-        labels = gen.integers(0, 2, size=n_examples) * 2 - 1
+        shift = direction / np.linalg.norm(direction) * (separation / 2.0)
+        labels = (gen.integers(0, 2, size=n_examples) * 2 - 1).astype(np.float64)
         features = gen.standard_normal((n_examples, dim))
-        features += (separation / 2.0) * labels[:, None] * direction[None, :]
+        np.add(features, shift, out=features, where=(labels > 0)[:, None])  # in place; negating the shift is exact
+        np.subtract(features, shift, out=features, where=(labels < 0)[:, None])
     except (ValueError, MemoryError):  # "array is too big" / "Unable to allocate"
         raise DatasetError(f"{n_examples} examples of {dim} features are too large to hold densely") from None
-    return Dataset(features, labels.astype(np.float64))
+    features.flags.writeable = labels.flags.writeable = False
+    return Dataset(features, labels)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .config import ExperimentConfig
-from .core import average
+from .core import average, check_finite
 from .data import Dataset
 from .engine import RoundOutcome
 from .objective import dataset_accuracy, dataset_loss, full_gradient
@@ -83,6 +83,8 @@ class RunRecorder:
         mean_model = average(self.models)
         reg_value = self.config.regularizer.value(mean_model)
         grad = full_gradient(mean_model, self.train, self.config.regularizer)
+        with np.errstate(over="ignore"):  # a finite gradient's norm may overflow, and then the run diverges
+            check_finite(grad_norm := float(np.linalg.norm(grad)), "full gradient norm")
         val_loss = dataset_loss(mean_model, self.val) if self.val.n_examples else float("nan")
         val_acc = dataset_accuracy(mean_model, self.val) if self.val.n_examples else float("nan")
         record = MetricsRecord(
@@ -92,7 +94,7 @@ class RunRecorder:
             val_loss=val_loss,
             train_accuracy=dataset_accuracy(mean_model, self.train),
             val_accuracy=val_acc,
-            grad_norm=float(np.linalg.norm(grad)),
+            grad_norm=grad_norm,
             disagreement_x=disagreement(self.models, mean_model),
             processed_examples=self.processed_examples,
             comm_coordinates=self.comm_coordinates,

@@ -89,8 +89,7 @@ def prepare_seed_artifacts(dataset: Dataset, config: ExperimentConfig, seed: int
     train, val = split_train_val(dataset, config.val_fraction, seed)
     if config.normalize:
         stats = compute_normalization(train)
-        train = apply_normalization(train, stats)
-        val = apply_normalization(val, stats)
+        train, val = (apply_normalization(part, stats) for part in (train, val))  # each split in place
     spec = config.partition
     if spec.mode == "shared":
         pools = partition_shared(train.n_examples, config.n_workers)
@@ -195,11 +194,14 @@ def run_suite(config: ExperimentConfig) -> Path:
     """
     dataset, plan, mask_size = _resolve(config)
     out_dir = Path(config.output_dir)
+    dim, n_examples = dataset.dim, dataset.n_examples
 
     runs: list[dict] = []
     artifact_hashes: dict[str, dict] = {}
-    for seed in config.seeds:
+    for i, seed in enumerate(config.seeds):
         artifacts = prepare_seed_artifacts(dataset, config, seed)
+        if i == len(config.seeds) - 1:
+            del dataset  # every split is taken
         out_dir.mkdir(parents=True, exist_ok=True)
         artifact_hashes[str(seed)] = artifacts.hashes
         for run in _run_methods(config, plan, mask_size, seed, artifacts):
@@ -211,12 +213,13 @@ def run_suite(config: ExperimentConfig) -> Path:
                 atomic_write_bytes(out_dir / f"{stem}_workers.jsonl", payload.encode("utf-8"))
             runs.append({"method": run.method, "seed": seed, "csv": csv, "jsonl": jsonl, "status": run.status})
             logger.info("finished %s seed %s (%s)", run.method, seed, run.status)
+        del artifacts, run  # this seed's data goes before the next split is taken
 
     manifest = {
         "config": config.to_dict(),
         "derived": {
-            "dim": dataset.dim,
-            "n_examples": dataset.n_examples,
+            "dim": dim,
+            "n_examples": n_examples,
             "mask_size": mask_size,
             "base_period": plan.base_period,
             "pre_steps": list(plan.pre_steps),

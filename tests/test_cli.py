@@ -1047,6 +1047,20 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert (captured.err.splitlines(), captured.out) == (["error: non-finite values in smoothness bound"], "")
 
+    def test_a_gradient_norm_that_overflows_ends_the_run_without_an_infinite_row(self, tmp_path, caplog):
+        # the same data: the initial full gradient is finite, but its norm overflows
+        data = tmp_path / "huge.libsvm"
+        data.write_text("1 1:1e308 2:1e308\n-1 1:-1e308 2:1\n1 1:2 2:3\n-1 1:1 2:1\n", encoding="utf-8")
+        cfg = write_config(
+            tmp_path, dataset={"path": str(data), "dimension": 2}, normalize=False, val_fraction=0.0, batch_size=2
+        )
+        assert main(["run", str(cfg)]) == 2  # warnings are errors under pytest, so none was emitted
+        (run,) = manifest_runs(tmp_path / "out" / "manifest.json")
+        assert (run.status, run.records) == ("diverged:round=0", [])
+        assert "Infinity" not in run.jsonl.read_text(encoding="utf-8")
+        assert "inf" not in run.csv.read_text(encoding="utf-8")
+        assert "seed 0: non-finite values in full gradient norm" in caplog.text
+
     def test_theory_command_emits_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path, stepsize=0.001)
         assert main(["theory", str(cfg)]) == 0

@@ -1,9 +1,14 @@
 import gzip
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from overlap_sgd.core import RngStream
 from overlap_sgd.data import (
+    STDEV_FLOOR,
     Dataset,
     apply_normalization,
     compute_normalization,
@@ -108,10 +113,39 @@ class TestSplit:
         assert val.n_examples == 29
 
 
+def column_values():
+    """Finite floats across a wide dynamic range, with zeros of both signs."""
+    return st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+        st.floats(-1e150, 1e150, allow_nan=False, allow_infinity=False),
+        st.floats(-1e-150, 1e-150, allow_nan=False, allow_infinity=False),
+    )
+
+
+@st.composite
+def feature_matrices(draw):
+    n, d = draw(st.integers(1, 300)), draw(st.integers(1, 60))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-100, 100, size=d) + rng.standard_normal(d)
+    for j in draw(st.lists(st.integers(0, d - 1), max_size=4)):
+        x[:, j] = draw(column_values())  # a constant column: zeros of either sign, or any one value
+    for j in draw(st.lists(st.integers(0, d - 1), max_size=4)):
+        x[draw(st.integers(0, n - 1)), j] = draw(column_values())
+    return x
+
+
+def assert_numpy_stats(features):
+    stats = compute_normalization(Dataset(features, np.ones(len(features))))
+    expected_stdev = np.maximum(features.std(axis=0), STDEV_FLOOR)
+    assert stats.mean.tobytes() == features.mean(axis=0).tobytes()
+    assert stats.stdev.tobytes() == expected_stdev.tobytes()
+
+
 class TestNormalization:
     def test_train_stats(self, tiny_blobs):
-        stats = compute_normalization(tiny_blobs)
-        out = apply_normalization(tiny_blobs, stats)
+        train = Dataset(tiny_blobs.features.copy(), tiny_blobs.labels)
+        out = apply_normalization(train, compute_normalization(train))
         np.testing.assert_allclose(out.features.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(out.features.std(axis=0), 1.0, atol=1e-9)
 
@@ -123,18 +157,59 @@ class TestNormalization:
         np.testing.assert_array_equal(out.features[:, 0], np.zeros(8))
 
     @pytest.mark.parametrize("val_fraction", [0.0, 0.25])
-    def test_standardizes_a_copy_bit_for_bit(self, tiny_blobs, val_fraction):
+    def test_standardizes_in_place_bit_for_bit(self, tiny_blobs, val_fraction):
         # val_fraction 0 leaves a (0, d) validation split, which passes through
         train, val = split_train_val(tiny_blobs, val_fraction, seed=3)
         stats = compute_normalization(train)
         for part in (train, val):
-            before = part.features.copy()
+            features = part.features
+            before = features.copy()
             out = apply_normalization(part, stats)
-            assert part.features.tobytes() == before.tobytes()
+            assert out is part and out.features is features  # written in place
+            assert features.size == 0 or np.shares_memory(out.features, features)
             expected = (before - stats.mean) / stats.stdev
             assert (out.features.shape, out.features.tobytes()) == (expected.shape, expected.tobytes())
             np.testing.assert_array_equal(out.labels, part.labels)
         assert val.n_examples == (0 if val_fraction == 0.0 else 15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(feature_matrices())
+    def test_stats_are_bit_equal_to_numpy(self, features):
+        assert_numpy_stats(features)
+
+    @pytest.mark.parametrize(
+        "shape",
+        # blocks of 2 columns from n = 65537 on; at n = 64 a block holds 2048 columns
+        [(65537, 1), (65537, 2), (65537, 5), (65537, 7), (64, 2049), (64, 2 * 2048 + 1), (3, 100001)],
+        ids=str,
+    )
+    def test_stats_are_bit_equal_to_numpy_at_block_edges(self, shape):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        assert_numpy_stats(rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, size=shape[1]) + 3.0)
+
+    @pytest.mark.parametrize(
+        "column, problem",
+        [
+            (np.full(65537, 1e308), "its training mean overflows"),
+            (np.tile([-1e307, 1e307], 65537 // 2 + 1)[:65537], "its training stdev overflows"),
+        ],
+        ids=["mean", "stdev"],
+    )
+    def test_an_overflowing_column_is_named(self, column, problem):
+        # the fourth of five columns, in the second block of two-column blocks
+        features = np.random.default_rng(1).standard_normal((65537, 5))
+        features[:, 3] = column
+        features[:, 4] = column  # a later bad column is not the one named
+        with pytest.raises(DatasetError, match=f"^feature 4 cannot be standardized: {problem}$"):
+            compute_normalization(Dataset(features, np.ones(65537)))
+
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_an_overflowing_standardized_value_is_named(self, value):
+        # stdevs 1e-12 (floored), 1, 1e-12, 1e-12: feature 1 reaches 1e12, 2 stays 1e308, 3 and 4 overflow
+        train = Dataset(np.array([[0.0, 1.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]]), np.array([1.0, -1.0]))
+        val = Dataset(np.array([[0.0, 0.0, 0.0, 0.0], [1.0, value, value, value]]), np.array([1.0, -1.0]))
+        with pytest.raises(DatasetError, match="^feature 3 cannot be standardized: a standardized value overflows$"):
+            apply_normalization(val, compute_normalization(train))
 
     def test_validation_reuses_train_stats(self, tiny_blobs):
         train, val = split_train_val(tiny_blobs, 0.2, seed=3)
@@ -222,6 +297,28 @@ class TestSyntheticBlobs:
         data = synthetic_blobs(dim=7, n_examples=33, seed=1)
         assert data.features.shape == (33, 7)
         assert set(np.unique(data.labels)) <= {-1.0, 1.0}
+
+    @pytest.mark.parametrize("dim, n_examples, separation, seed", [(1, 1, 2.0, 0), (7, 33, 1.5, 1), (300, 257, 3.0, 9)])
+    def test_bits_match_the_shift_product(self, dim, n_examples, separation, seed):
+        gen = RngStream(seed, ("synthetic",)).generator()
+        direction = gen.standard_normal(dim)
+        direction /= np.linalg.norm(direction)
+        labels = gen.integers(0, 2, size=n_examples) * 2 - 1
+        features = gen.standard_normal((n_examples, dim))
+        features += (separation / 2.0) * labels[:, None] * direction[None, :]
+        data = synthetic_blobs(dim, n_examples, separation, seed)
+        digest = [hashlib.sha256(a.tobytes()).hexdigest() for a in (data.features, data.labels)]
+        assert digest == [hashlib.sha256(a.tobytes()).hexdigest() for a in (features, labels.astype(np.float64))]
+
+    @pytest.mark.parametrize("make", [lambda: synthetic_blobs(3, 4), lambda: parse_libsvm("1 1:2\n-1 2:3\n")])
+    def test_the_raw_data_is_read_only(self, make):
+        data = make()
+        for array in (data.features, data.labels):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        train, _ = split_train_val(data, 0.0, seed=0)
+        assert train.features.flags.writeable  # a split is a copy, standardized in place
 
     def test_deterministic(self):
         a = synthetic_blobs(dim=4, n_examples=10, seed=3)

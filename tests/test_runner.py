@@ -1,5 +1,7 @@
 import json
 import logging
+import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -37,6 +39,68 @@ def test_seed_artifacts_leave_the_shared_dataset_unchanged(tmp_path, val_fractio
         artifacts = prepare_seed_artifacts(dataset, config, seed)
         assert artifacts.train.features.mean(axis=0) == pytest.approx(0.0, abs=1e-9)
         assert (dataset.features.tobytes(), dataset.labels.tobytes()) == (features.tobytes(), labels.tobytes())
+    for array in (dataset.features, dataset.labels):  # and a write to it raises at once
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_the_raw_data_is_released_once_the_last_seed_is_split(tmp_path, monkeypatch):
+    refs, alive = [], []
+    resolve, run_methods = runner_mod._resolve, runner_mod._run_methods
+
+    def resolving(config):
+        dataset, plan, mask_size = resolve(config)
+        refs.append(weakref.ref(dataset))
+        return dataset, plan, mask_size
+
+    def running(*args):
+        alive.append(refs[0]() is not None)
+        return run_methods(*args)
+
+    monkeypatch.setattr(runner_mod, "_resolve", resolving)
+    monkeypatch.setattr(runner_mod, "_run_methods", running)
+    run_suite(make_config(tmp_path, "released"))
+    assert alive == [True, False]  # seeds 1 and 2
+
+
+class TestSetUpMemory:
+    """Set-up holds the raw data plus one seed's split: ``tracemalloc`` sees NumPy's
+    buffers, so each call's peak is counted in multiples of the raw features."""
+
+    SHAPE = {"dim": 400, "n_examples": 4000, "separation": 2.0, "seed": 5}
+
+    @staticmethod
+    def peak(call, *args):
+        tracemalloc.start()
+        try:
+            result = call(*args)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    def config(self, tmp_path, val_fraction, seeds=(1,)):
+        return make_config(
+            tmp_path, "memory", dataset={"synthetic": self.SHAPE}, val_fraction=val_fraction, seeds=list(seeds),
+            methods=["overlap_delay_corrected"], rounds=1, batch_size=8,
+        )
+
+    def test_the_blobs_are_shifted_in_place(self):
+        peak, data = self.peak(synthetic_blobs, *self.SHAPE.values())
+        assert peak <= 1.05 * data.features.nbytes
+
+    @pytest.mark.parametrize("val_fraction", [0.0, 0.25])
+    def test_a_seed_holds_one_split(self, tmp_path, val_fraction):
+        config = self.config(tmp_path, val_fraction)
+        dataset = resolve_dataset(config)
+        peak, _ = self.peak(prepare_seed_artifacts, dataset, config, 1)
+        assert peak <= 1.25 * dataset.features.nbytes
+
+    @pytest.mark.parametrize("seeds", [(1,), (1, 2)], ids=["one-seed", "two-seeds"])
+    @pytest.mark.parametrize("val_fraction", [0.0, 0.25])
+    def test_a_suite_holds_the_raw_data_and_one_split(self, tmp_path, val_fraction, seeds):
+        # a seed's split is released before the next one is taken
+        peak, _ = self.peak(run_suite, self.config(tmp_path, val_fraction, seeds))
+        assert peak <= 2.3 * self.SHAPE["dim"] * self.SHAPE["n_examples"] * 8
 
 
 @pytest.fixture
