@@ -84,8 +84,8 @@ def with_dataset(action, config):
         return action(config)
     except (DatasetError, DivergenceError, OSError) as exc:
         raise InputError(f"error: {exc}") from None
-    except ConfigurationError as exc:
-        raise InputError(f"invalid config: {exc}") from None
+    except ConfigurationError as exc:  # one line per rule, as validate prints them
+        raise InputError("\n".join(f"invalid config: {line}" for line in str(exc).splitlines())) from None
 
 
 def cmd_run(args) -> int:

@@ -144,24 +144,19 @@ def merge_overwrite(latest: np.ndarray, message: np.ndarray, s: Mask) -> np.ndar
 
 def method_plan_problems(method: Method, plan: TimingPlan, mask_size: int, dim: int) -> list[str]:
     """Every reason ``method`` cannot run on ``plan`` with a k-of-d mask."""
-    problems = []
-    if not 1 <= mask_size <= dim:
-        problems.append(f"mask size {mask_size} outside [1, {dim}]")
+    wants = []
     if method is Method.SYNC_SGD:
-        wants = []
         if len(set(plan.step_times)) != 1:
             wants.append("equal step_times")
         if plan.compute_periods != 1:
             wants.append("compute_periods == 1")
         if plan.comm_seconds != 0:
             wants.append("comm_seconds == 0")
-        if mask_size != dim:
-            wants.append(f"a full mask (k == d, got k={mask_size}, d={dim})")
-        if wants:
-            problems.append("sync_sgd requires " + ", ".join(wants))
-    elif method is Method.FEDAVG_FULL and mask_size != dim:
-        problems.append(f"fedavg_full requires a full mask (k == d, got k={mask_size}, d={dim})")
-    return problems
+    if method in (Method.SYNC_SGD, Method.FEDAVG_FULL) and mask_size != dim:
+        wants.append(f"a full mask (k == d, got k={mask_size}, d={dim})")
+    if not wants:
+        return []
+    return [f"{method.value} requires " + ", ".join(wants)]
 
 
 def round_mask(root_seed: int, round_index: int, dim: int, mask_size: int) -> Mask:

@@ -1,9 +1,9 @@
 """Per-round measurement and resource accounting.
 
-A run of R rounds yields R + 1 records: row r describes the state after r
-completed rounds (row 0 is the untouched initial state), so cumulative
-counters and closed-form checks line up exactly.  An empty run writes a
-header-only file.
+At ``eval_every: 1`` a run of R rounds yields R + 1 records: row r is the
+state after r completed rounds (row 0 is the untouched initial state), so
+cumulative counters and closed-form checks line up exactly.  A run with no
+record (``rounds: 0``, or a skipped run) writes a header-only file.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +59,7 @@ def _resolve(config: ExperimentConfig) -> tuple[Dataset, TimingPlan, int]:
     plan = build_plan(config.step_times, config.compute_periods, config.comm_seconds)
     issues = data_issues(config, plan, dataset.dim, dataset.n_examples)
     if issues:
-        raise ConfigurationError("; ".join(issue.message for issue in issues))
+        raise ConfigurationError("\n".join(str(issue) for issue in issues))
     return dataset, plan, rand_k_size(config.sparsity, dataset.dim)
 
 
@@ -85,11 +85,16 @@ class SeedArtifacts:
     oracle: LogisticOracle  # keyed by (worker, round, step), so every method shares it
 
 
-def prepare_seed_artifacts(dataset: Dataset, config: ExperimentConfig, seed: int) -> SeedArtifacts:
+def _seed_split(dataset: Dataset, config: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
     train, val = split_train_val(dataset, config.val_fraction, seed)
-    if config.normalize:
+    if config.normalize:  # both splits by train's statistics, each in place
         stats = compute_normalization(train)
-        train, val = (apply_normalization(part, stats) for part in (train, val))  # each split in place
+        train, val = (apply_normalization(part, stats) for part in (train, val))
+    return train, val
+
+
+def prepare_seed_artifacts(dataset: Dataset, config: ExperimentConfig, seed: int) -> SeedArtifacts:
+    train, val = _seed_split(dataset, config, seed)
     spec = config.partition
     if spec.mode == "shared":
         pools = partition_shared(train.n_examples, config.n_workers)
@@ -241,25 +246,23 @@ def theory_report(config: ExperimentConfig) -> dict:
     """Constants, bound terms, and complexities for a config, as one mapping.
 
     L is the closed-form logistic bound; the noise and second-moment
-    constants are Monte Carlo estimates at the zero initial model and are
-    labeled as such.
+    constants are Monte Carlo estimates at the zero initial model over the
+    first seed's training split, and are labeled as such.
     """
     dataset, plan, mask_size = _resolve(config)
     agg = aggregates(plan)
-    artifacts = prepare_seed_artifacts(dataset, config, config.seeds[0])
+    train, _ = _seed_split(dataset, config, config.seeds[0])
     reg = config.regularizer
-    smooth = logistic_smoothness(artifacts.train, reg)
+    x0 = np.zeros(train.dim)
+    smooth = logistic_smoothness(train, reg)
     # each draw is compared with the full training gradient, so it samples the whole training split
-    whole = replace(artifacts.oracle, worker_pools=(np.arange(artifacts.train.n_examples),))
-    noise_var, grad_bound = estimate_gradient_stats(
-        whole, artifacts.train, reg, artifacts.x0, n_draws=config.theory.estimate_draws
-    )
-    gap = initial_gap_upper_bound(artifacts.train, reg, artifacts.x0)
+    whole = LogisticOracle(train, config.batch_size, reg, (np.arange(train.n_examples),), config.seeds[0])
+    noise_var, grad_bound = estimate_gradient_stats(whole, train, reg, x0, n_draws=config.theory.estimate_draws)
     consts = ProblemConstants(
         smoothness=smooth,
         noise_var=noise_var,
         grad_bound=max(grad_bound, 1e-12),
-        initial_gap=gap,
+        initial_gap=initial_gap_upper_bound(train, reg, x0),
     )
 
     if config.theory.alpha is not None:  # validate_config requires both or neither
@@ -269,10 +272,7 @@ def theory_report(config: ExperimentConfig) -> dict:
 
     report: dict = {
         "constants": {
-            "smoothness_bound": consts.smoothness,
-            "noise_var_estimate": consts.noise_var,
-            "grad_bound_estimate": consts.grad_bound,
-            "initial_gap_estimate": consts.initial_gap,
+            **asdict(consts),
             "note": "smoothness is a closed-form upper bound; the rest are Monte Carlo estimates at x0",
         },
         # the Fraction aggregates print as floats, the integer ones as ints
@@ -281,12 +281,7 @@ def theory_report(config: ExperimentConfig) -> dict:
             "round_seconds": plan.round_seconds,
         },
         "bound_params": {
-            "alpha": bp.alpha,
-            "beta": bp.beta,
-            "mask_size": mask_size,
-            "dim": dataset.dim,
-            "density": bp.density,
-            "residual": bp.residual,
+            **asdict(bp),
             "contraction": bp.contraction,
             "pre_weight": bp.pre_weight,
             "overlap_weight": bp.overlap_weight,
@@ -306,6 +301,5 @@ def theory_report(config: ExperimentConfig) -> dict:
         "c_round": config.theory.c_round,
         "rounds": rounds_needed,
         "seconds": rounds_needed * plan.round_seconds,
-        "harmonic_step_time": float(agg.harmonic_step_time),
     }
     return report

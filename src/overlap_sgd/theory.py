@@ -39,8 +39,7 @@ BOUND_GRID_POINTS = 40
 class BoundParams:
     """Analysis parameters for a mask of size k out of d coordinates.
 
-    density    = k / d, the communicated fraction
-    residual   = 1 - density
+    residual   = 1 - k / d, the fraction of coordinates a round does not send
     contraction = residual * (1 + alpha) * (1 + beta); must be < 1
     pre_weight = residual * (1 + beta) * (1 + 1/alpha), multiplies the
                  squared pre-communication step counts
@@ -62,10 +61,6 @@ class BoundParams:
             raise ConfigurationError(
                 f"contraction {self.contraction:.6g} >= 1; decrease alpha/beta or residual"
             )
-
-    @property
-    def density(self) -> float:
-        return self.k / self.d
 
     @property
     def residual(self) -> float:

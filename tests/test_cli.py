@@ -24,6 +24,8 @@ from overlap_sgd.data import load_libsvm, serialize_libsvm, synthetic_blobs
 from overlap_sgd.errors import DivergenceError
 from overlap_sgd.metrics import render_csv
 from overlap_sgd.runner import run_suite
+from overlap_sgd.theory import BoundParams, ProblemConstants, RateBound
+from overlap_sgd.timing import TimingAggregates
 
 
 def write_config(tmp_path, **overrides) -> Path:
@@ -341,7 +343,7 @@ class TestRunCommand:
         assert main(["validate", str(cfg)]) == 0
         assert main(["run", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert "invalid config: fedavg_full requires a full mask" in err
+        assert "invalid config: methods: fedavg_full requires a full mask" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -567,24 +569,24 @@ class TestConfigFileErrors:
         [
             (
                 {"methods": ["sync_sgd"], "step_times": [1, 1], "comm_seconds": 0},
-                "sync_sgd requires a full mask (k == d, got k=3, d=6)",
+                "methods: sync_sgd requires a full mask (k == d, got k=3, d=6)",
             ),
             # d=6, k=3: contraction 0.5 * 6 * 6
-            ({"theory": {"alpha": 5.0, "beta": 5.0}}, "contraction 18 >= 1; decrease alpha/beta or residual"),
+            ({"theory": {"alpha": 5.0, "beta": 5.0}}, "theory: contraction 18 >= 1; decrease alpha/beta or residual"),
             # floor(40 * 0.99999999999) takes all 40 examples for validation
             *(
                 (
                     {"val_fraction": 0.99999999999, "normalize": normalize},
-                    "val_fraction 0.99999999999 leaves none of the 40 examples for training",
+                    "val_fraction: val_fraction 0.99999999999 leaves none of the 40 examples for training",
                 )
                 for normalize in (True, False)
             ),
             # 40 - floor(40 * 0.1) = 36 training examples cannot give 4 workers 10 each
             (
                 {"partition": {"mode": "dirichlet", "alpha": 0.5, "min_examples": 10}, "step_times": [1, 1, 1, 1]},
-                "min_examples=10 is unsatisfiable with 36 examples over 4 workers",
+                "partition.min_examples: min_examples=10 is unsatisfiable with 36 examples over 4 workers",
             ),
-            ({"batch_size": 257}, "257 exceeds both the dataset's 40 examples and the default 256"),
+            ({"batch_size": 257}, "batch_size: 257 exceeds both the dataset's 40 examples and the default 256"),
         ],
         ids=[
             "sync-partial-mask",
@@ -608,6 +610,25 @@ class TestConfigFileErrors:
             assert captured.err.splitlines() == [f"invalid config: {message}"]
             assert captured.out == ""
             assert not (tmp_path / "out").exists()
+
+
+    def test_run_and_theory_print_one_line_per_rule_once_d_is_loaded(self, tmp_path, capsys):
+        # the same data as a synthetic block, where validate sees both rules, prints the same lines
+        expected = [
+            "invalid config: methods: fedavg_full requires a full mask (k == d, got k=3, d=6)",
+            "invalid config: batch_size: 257 exceeds both the dataset's 40 examples and the default 256",
+        ]
+        data_path = tmp_path / "blobs.libsvm"
+        data_path.write_text(serialize_libsvm(synthetic_blobs(6, 40, 1.5, 0)), encoding="utf-8")
+        rules = {"methods": ["fedavg_full"], "sparsity": 0.5, "batch_size": 257}
+        blobs = {"synthetic": {"dim": 6, "n_examples": 40, "separation": 1.5, "seed": 0}}
+        for dataset, commands in (({"path": str(data_path)}, ("run", "theory")), (blobs, ("validate",))):
+            cfg = write_config(tmp_path, dataset=dataset, **rules)
+            for command in commands:
+                assert main([command, str(cfg)]) == 1
+                captured = capsys.readouterr()
+                assert (captured.err.splitlines(), captured.out) == (expected, "")
+                assert not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize("normalize", [True, False])
@@ -1035,7 +1056,50 @@ class TestOtherCommands:
         for partition in ({"mode": "dirichlet", "alpha": 0.001}, {"mode": "shard"}, {"mode": "shared"}):
             assert main(["theory", str(write_config(tmp_path, partition=partition, **common))]) == 0
             constants.append(json.loads(capsys.readouterr().out)["constants"])
-        assert constants[0] == constants[1] == constants[2] and constants[0]["noise_var_estimate"] > 0
+        assert constants[0] == constants[1] == constants[2] and constants[0]["noise_var"] > 0
+
+    def test_theory_draws_no_partition(self, tmp_path, capsys):
+        # alpha this small leaves a worker of seed 1 without examples in every redraw, so run stops at
+        # the partition, but theory reads only the training split and reports
+        cfg = write_config(
+            tmp_path,
+            dataset={"synthetic": {"dim": 6, "n_examples": 80, "separation": 2.0, "seed": 7}},
+            partition={"mode": "dirichlet", "alpha": 0.001, "min_examples": 1},
+            step_times=[1, 2, 3, 6],
+            comm_seconds=6,
+            seeds=[1],
+        )
+        assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "invalid config: could not satisfy min_examples=1 within 1000 redraws "
+            "(alpha=0.001 is too extreme for this class balance)"
+        ]
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        assert main(["theory", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and json.loads(captured.out)["complexity"]["rounds"] >= 1
+
+    @pytest.mark.parametrize("stepsize", [1.0e-6, 0.1], ids=["bound", "violation"])
+    def test_theory_blocks_are_their_dataclasses(self, tmp_path, capsys, stepsize):
+        # each block holds one dataclass under its own field names, plus the named extras
+        assert main(["theory", str(write_config(tmp_path, stepsize=stepsize))]) == 0
+        report = json.loads(capsys.readouterr().out)
+
+        def names(cls, *extra):
+            return {f.name for f in fields(cls)} | set(extra)
+
+        bounded = stepsize <= report.pop("max_stepsize")
+        assert {block: set(keys) for block, keys in report.items()} == {
+            "constants": names(ProblemConstants, "note"),
+            "timing": names(TimingAggregates, "round_seconds"),
+            "bound_params": names(BoundParams, "contraction", "pre_weight", "overlap_weight"),
+            "rate_bound": names(RateBound, "stepsize", "rounds") if bounded else {"stepsize", "violation"},
+            "complexity": {"epsilon", "c_round", "rounds", "seconds"},
+        }
+        assert bounded == (stepsize == 1.0e-6)
 
     def test_theory_on_data_whose_smoothness_bound_overflows_is_one_error_line(self, tmp_path, capsys):
         data = tmp_path / "huge.libsvm"

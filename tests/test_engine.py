@@ -560,7 +560,7 @@ class TestRunRound:
             assert want in problems[0]
         assert method_plan_problems(Method.FEDAVG_FULL, plan, 4, 4) == []
         assert "k == d" in method_plan_problems(Method.FEDAVG_FULL, plan, 3, 4)[0]
-        assert method_plan_problems(Method.LOCAL_SPARSE, plan, 5, 4) == ["mask size 5 outside [1, 4]"]
+        assert method_plan_problems(Method.SYNC_SGD, build_plan((1, 1), 1, 0), 4, 4) == []
         assert method_plan_problems(Method.OVERLAP_DELAY_CORRECTED, plan, 1, 4) == []
 
     def test_round_matches_straight_line_reference(self):

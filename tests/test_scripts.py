@@ -173,7 +173,7 @@ def bad_input(tmp_path: Path, case: str) -> Path:
         ("not-utf8-config", "error: could not read "),
         ("config-is-directory", "error: could not read "),
         ("bad-dataset", "error: could not load dataset "),
-        ("post-load-rule", "invalid config: fedavg_full requires a full mask"),
+        ("post-load-rule", "invalid config: methods: fedavg_full requires a full mask"),
     ],
 )
 def test_bad_input_fails_as_overlap_sgd_run_does(tmp_path, capsys, case, message):
