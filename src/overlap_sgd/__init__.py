@@ -18,6 +18,6 @@ from .metrics import MetricsRecord, RunRecorder
 from .objective import LogisticOracle, QuadraticOracle, RegularizerParams, full_gradient
 from .runner import run_suite, theory_report
 from .theory import BoundParams, ProblemConstants, rate_bound, round_complexity
-from .timing import TimingAggregates, TimingPlan, aggregates, build_plan
+from .timing import TimingPlan, build_plan
 
 __version__ = "0.1.0"

@@ -160,7 +160,3 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(exc, file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -101,7 +101,15 @@ class RunRecorder:
             comm_bits=self.comm_coordinates * self.config.value_bit_width,
         )
         if self.config.eval_per_worker:  # after the checks above, so a diverged run's rows match its records
-            self.worker_rows.extend(self.per_worker_rows(self.models))
+            for w, m in enumerate(self.models):
+                self.worker_rows.append(
+                    {
+                        "round": self.completed_rounds,
+                        "worker": w,
+                        "train_loss": dataset_loss(m, self.train) + self.config.regularizer.value(m),
+                        "train_accuracy": dataset_accuracy(m, self.train),
+                    }
+                )
         return record
 
     def measure_initial(self) -> None:
@@ -121,19 +129,6 @@ class RunRecorder:
         """Account for ``outcome`` and record the post-merge state."""
         self.advance(outcome)
         self.records.append(self._evaluate())
-
-    def per_worker_rows(self, models: np.ndarray) -> list[dict]:
-        rows = []
-        for w, m in enumerate(models):
-            rows.append(
-                {
-                    "round": self.completed_rounds,
-                    "worker": w,
-                    "train_loss": dataset_loss(m, self.train) + self.config.regularizer.value(m),
-                    "train_accuracy": dataset_accuracy(m, self.train),
-                }
-            )
-        return rows
 
 
 def _format_value(name: str, value) -> str:

@@ -27,11 +27,6 @@ __all__ = [
 ]
 
 
-def _softplus(t: np.ndarray) -> np.ndarray:
-    # log(1 + exp(t)), stable for |t| up to ~1e308
-    return np.logaddexp(0.0, t)
-
-
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     # 1 / (1 + exp(-t)) for t >= 0 and exp(t) / (1 + exp(t)) below, so exp never
     # overflows; minimum(t, -t) keeps a NaN's sign and payload, which -abs(t) would not
@@ -111,7 +106,8 @@ class RegularizerParams:
 def dataset_loss(w: np.ndarray, dataset: Dataset) -> float:
     """Mean logistic loss over the dataset (no regularizer)."""
     margins = dataset.labels * (dataset.features @ w)
-    return float(_softplus(-margins).mean())
+    # softplus(-margins) = log(1 + exp(-margins)), stable for |margins| up to ~1e308
+    return float(np.logaddexp(0.0, -margins).mean())
 
 
 def dataset_accuracy(w: np.ndarray, dataset: Dataset) -> float:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,19 +26,18 @@ from .data import (
 from .engine import round_mask, run_round
 from .errors import ConfigurationError, DivergenceError
 from .metrics import RunRecorder, atomic_write_bytes, write_metrics
-from .objective import LogisticOracle
+from .objective import LogisticOracle, dataset_loss
 from .theory import (
     BoundParams,
     ProblemConstants,
     estimate_gradient_stats,
-    initial_gap_upper_bound,
     logistic_smoothness,
     max_stepsize,
     rate_bound,
     round_complexity,
     tune_bound_params,
 )
-from .timing import TimingPlan, aggregates, build_plan
+from .timing import TimingPlan, build_plan
 
 __all__ = ["run_suite", "resolve_dataset", "theory_report"]
 
@@ -250,7 +249,6 @@ def theory_report(config: ExperimentConfig) -> dict:
     first seed's training split, and are labeled as such.
     """
     dataset, plan, mask_size = _resolve(config)
-    agg = aggregates(plan)
     train, _ = _seed_split(dataset, config, config.seeds[0])
     reg = config.regularizer
     x0 = np.zeros(train.dim)
@@ -262,22 +260,24 @@ def theory_report(config: ExperimentConfig) -> dict:
         smoothness=smooth,
         noise_var=noise_var,
         grad_bound=max(grad_bound, 1e-12),
-        initial_gap=initial_gap_upper_bound(train, reg, x0),
+        # f(x0) - 0 bounds the gap, as the logistic loss and the penalty are non-negative
+        initial_gap=dataset_loss(x0, train) + reg.value(x0),
     )
 
     if config.theory.alpha is not None:  # validate_config requires both or neither
         bp = BoundParams(alpha=config.theory.alpha, beta=config.theory.beta, k=mask_size, d=dataset.dim)
     else:
-        bp = tune_bound_params(mask_size, dataset.dim, agg)
+        bp = tune_bound_params(mask_size, dataset.dim, plan)
 
+    derived = {f.name: getattr(plan, f.name) for f in fields(plan) if not f.init}
     report: dict = {
         "constants": {
             **asdict(consts),
             "note": "smoothness is a closed-form upper bound; the rest are Monte Carlo estimates at x0",
         },
-        # the Fraction aggregates print as floats, the integer ones as ints
+        # the plan's derived aggregates: the Fractions print as floats, the integers as ints
         "timing": {
-            **{k: v if isinstance(v, int) else float(v) for k, v in asdict(agg).items()},
+            **{k: v if isinstance(v, int) else float(v) for k, v in derived.items()},
             "round_seconds": plan.round_seconds,
         },
         "bound_params": {
@@ -286,15 +286,15 @@ def theory_report(config: ExperimentConfig) -> dict:
             "pre_weight": bp.pre_weight,
             "overlap_weight": bp.overlap_weight,
         },
-        "max_stepsize": max_stepsize(consts, agg),
+        "max_stepsize": max_stepsize(consts, plan),
     }
     try:
-        rb = rate_bound(consts, agg, bp, config.stepsize, config.n_workers, config.rounds)
+        rb = rate_bound(consts, plan, bp, config.stepsize, config.n_workers, config.rounds)
         report["rate_bound"] = {"stepsize": config.stepsize, "rounds": config.rounds, **asdict(rb)}
     except ConfigurationError as exc:
         report["rate_bound"] = {"stepsize": config.stepsize, "violation": str(exc)}
     rounds_needed = round_complexity(
-        consts, agg, bp, config.theory.epsilon, config.n_workers, c_round=config.theory.c_round
+        consts, plan, bp, config.theory.epsilon, config.n_workers, c_round=config.theory.c_round
     )
     report["complexity"] = {
         "epsilon": config.theory.epsilon,

@@ -14,8 +14,8 @@ import numpy as np
 
 from .core import check_finite
 from .errors import ConfigurationError
-from .objective import RegularizerParams, dataset_loss, full_gradient
-from .timing import TimingAggregates
+from .objective import RegularizerParams, full_gradient
+from .timing import TimingPlan
 from .data import Dataset
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "tune_bound_params",
     "logistic_smoothness",
     "estimate_gradient_stats",
-    "initial_gap_upper_bound",
 ]
 
 # Log-spaced points per axis of the (alpha, beta) search in tune_bound_params.
@@ -78,9 +77,9 @@ class BoundParams:
     def overlap_weight(self) -> float:
         return 1.0 + self.residual / self.beta
 
-    def staleness_weight(self, agg: TimingAggregates) -> float:
+    def staleness_weight(self, plan: TimingPlan) -> float:
         """pre_weight * S_N + overlap_weight * S_Q, the squared step counts weighted."""
-        return self.pre_weight * agg.sum_sq_pre + self.overlap_weight * agg.sum_sq_overlap
+        return self.pre_weight * plan.sum_sq_pre + self.overlap_weight * plan.sum_sq_overlap
 
 
 @dataclass(frozen=True)
@@ -111,21 +110,21 @@ class RateBound:
     total: float
 
 
-def max_stepsize(consts: ProblemConstants, agg: TimingAggregates) -> float:
+def max_stepsize(consts: ProblemConstants, plan: TimingPlan) -> float:
     """Largest admissible stepsize, 1 / (8 L max_total)."""
-    return 1.0 / (8.0 * consts.smoothness * agg.max_total)
+    return 1.0 / (8.0 * consts.smoothness * plan.max_total)
 
 
 def rate_bound(
     consts: ProblemConstants,
-    agg: TimingAggregates,
+    plan: TimingPlan,
     bp: BoundParams,
     stepsize: float,
     n: int,
     rounds: int,
 ) -> RateBound:
     """The four-term bound on the average squared gradient norm."""
-    ceiling = max_stepsize(consts, agg)
+    ceiling = max_stepsize(consts, plan)
     if stepsize <= 0:
         raise ConfigurationError(f"stepsize must be positive, got {stepsize}")
     if stepsize > ceiling:
@@ -136,17 +135,17 @@ def rate_bound(
         raise ConfigurationError("need n >= 1")
     L = consts.smoothness
     g_sq = consts.grad_bound**2
-    mean_total = float(agg.mean_total)
+    mean_total = float(plan.mean_total)
     opt = 4.0 * consts.initial_gap / (stepsize * mean_total * rounds)
     noise = 4.0 * L * stepsize * consts.noise_var / n
-    drift = 6.0 * L**2 * stepsize**2 * g_sq * agg.drift_sq_sum / (n * mean_total)
+    drift = 6.0 * L**2 * stepsize**2 * g_sq * plan.drift_sq_sum / (n * mean_total)
     staleness = (
         6.0
         * L**2
         * stepsize**2
         * g_sq
-        * agg.max_total
-        * bp.staleness_weight(agg)
+        * plan.max_total
+        * bp.staleness_weight(plan)
         / ((n * mean_total) * (1.0 - bp.contraction))
     )
     return RateBound(
@@ -158,14 +157,14 @@ def rate_bound(
     )
 
 
-def accumulated_dispersion(agg: TimingAggregates, bp: BoundParams) -> float:
+def accumulated_dispersion(plan: TimingPlan, bp: BoundParams) -> float:
     """X = drift_sq_sum + max_total * (pre_weight*S_N + overlap_weight*S_Q) / (1 - c)."""
-    return agg.drift_sq_sum + agg.max_total * bp.staleness_weight(agg) / (1.0 - bp.contraction)
+    return plan.drift_sq_sum + plan.max_total * bp.staleness_weight(plan) / (1.0 - bp.contraction)
 
 
 def round_complexity(
     consts: ProblemConstants,
-    agg: TimingAggregates,
+    plan: TimingPlan,
     bp: BoundParams,
     epsilon: float,
     n: int,
@@ -177,19 +176,19 @@ def round_complexity(
     if n < 1:
         raise ConfigurationError("need n >= 1")
     gap_l = consts.initial_gap * consts.smoothness
-    mean_total = float(agg.mean_total)
+    mean_total = float(plan.mean_total)
     term_noise = gap_l * consts.noise_var / (n * epsilon * mean_total)
-    spread = gap_l * consts.grad_bound * math.sqrt(accumulated_dispersion(agg, bp))
+    spread = gap_l * consts.grad_bound * math.sqrt(accumulated_dispersion(plan, bp))
     scale = epsilon**1.5 * mean_total * math.sqrt(n * mean_total)  # 0.0 once epsilon**1.5 underflows
     term_disp = spread / scale if scale else (math.inf if spread else 0.0)
-    term_opt = gap_l * agg.max_total / (epsilon * mean_total)
+    term_opt = gap_l * plan.max_total / (epsilon * mean_total)
     rounds = c_round * (term_noise + term_disp + term_opt)
     if not math.isfinite(rounds):
         raise ConfigurationError(f"round complexity is not a finite number at epsilon={epsilon}, c_round={c_round}")
     return int(math.ceil(rounds))
 
 
-def tune_bound_params(k: int, d: int, agg: TimingAggregates) -> BoundParams:
+def tune_bound_params(k: int, d: int, plan: TimingPlan) -> BoundParams:
     """Grid-search (alpha, beta) minimizing the staleness weight subject to
     contraction < 1.  With a full mask any choice works; (1, 1) is returned."""
     if k == d:
@@ -207,7 +206,7 @@ def tune_bound_params(k: int, d: int, agg: TimingAggregates) -> BoundParams:
             if (1.0 + alpha) * (1.0 + beta) >= budget:
                 continue
             bp = BoundParams(alpha=float(alpha), beta=float(beta), k=k, d=d)
-            val = bp.staleness_weight(agg) / (1.0 - bp.contraction)
+            val = bp.staleness_weight(plan) / (1.0 - bp.contraction)
             if val < best_val:
                 best, best_val = bp, val
     if best is None:
@@ -241,8 +240,3 @@ def estimate_gradient_stats(
     noise_var = sq_dev / n_draws
     grad_bound = math.sqrt(sq_norm / n_draws)
     return noise_var, grad_bound
-
-
-def initial_gap_upper_bound(dataset: Dataset, reg: RegularizerParams, x0: np.ndarray) -> float:
-    """f(x0) - 0: valid because logistic loss and the penalty are non-negative."""
-    return dataset_loss(x0, dataset) + reg.value(x0)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConfigurationError
 
-__all__ = ["TimingPlan", "TimingAggregates", "build_plan", "aggregates", "MAX_BASE_PERIOD"]
+__all__ = ["TimingPlan", "build_plan", "MAX_BASE_PERIOD"]
 
 # The integer-grid model assumes modest step times; reject pathological lcms.
 MAX_BASE_PERIOD = 2**32
@@ -25,12 +25,21 @@ MAX_BASE_PERIOD = 2**32
 
 @dataclass(frozen=True)
 class TimingPlan:
-    """Derived per-round step counts for one worker fleet.
+    """Per-round step counts for one worker fleet, and their exact aggregates.
 
     pre_steps[i]     local steps before communication starts (tau_i divides
                      compute_periods * base_period exactly)
     overlap_steps[i] local steps that fit inside the communication window
     total_steps[i]   pre_steps[i] + overlap_steps[i], always >= 1
+
+    Derived from the counts on construction:
+    mean_pre / mean_total   average pre-communication / total step counts
+    max_total               largest total step count of any worker
+    sum_sq_pre, sum_sq_overlap   sums of squared pre / overlap step counts
+    drift_sq_sum            sum over workers of 0^2 + 1^2 + ... + (H_i-1)^2,
+                            the within-round drift weight
+    harmonic_step_time      n / sum(1 / step_times[i]); satisfies
+                            harmonic_step_time * mean_total == round_seconds
     """
 
     step_times: tuple[int, ...]
@@ -40,6 +49,28 @@ class TimingPlan:
     pre_steps: tuple[int, ...]
     overlap_steps: tuple[int, ...]
     total_steps: tuple[int, ...]
+    mean_pre: Fraction = field(init=False)
+    mean_total: Fraction = field(init=False)
+    max_total: int = field(init=False)
+    sum_sq_pre: int = field(init=False)
+    sum_sq_overlap: int = field(init=False)
+    drift_sq_sum: int = field(init=False)
+    harmonic_step_time: Fraction = field(init=False)
+
+    def __post_init__(self):
+        n = self.n_workers
+        object.__setattr__(self, "mean_pre", Fraction(sum(self.pre_steps), n))
+        object.__setattr__(self, "mean_total", Fraction(sum(self.total_steps), n))
+        object.__setattr__(self, "max_total", max(self.total_steps))
+        object.__setattr__(self, "sum_sq_pre", sum(v * v for v in self.pre_steps))
+        object.__setattr__(self, "sum_sq_overlap", sum(v * v for v in self.overlap_steps))
+        object.__setattr__(self, "drift_sq_sum", sum((h - 1) * h * (2 * h - 1) // 6 for h in self.total_steps))
+        object.__setattr__(self, "harmonic_step_time", Fraction(n) / sum(Fraction(1, t) for t in self.step_times))
+        # Exact identities on the rationals; a failure means the plan is corrupt.
+        if self.harmonic_step_time * self.mean_total != self.round_seconds:
+            raise ConfigurationError("corrupt timing plan: harmonic_step_time * mean_total != round_seconds")
+        if (self.drift_sq_sum == 0) != all(h == 1 for h in self.total_steps):
+            raise ConfigurationError(f"corrupt timing plan: total steps {self.total_steps}")
 
     @property
     def n_workers(self) -> int:
@@ -92,52 +123,3 @@ def build_plan(step_times, compute_periods: int, comm_seconds: int) -> TimingPla
         overlap_steps=over,
         total_steps=total,
     )
-
-
-@dataclass(frozen=True)
-class TimingAggregates:
-    """Exact summary statistics of one round's local computation.
-
-    mean_pre / mean_total   average pre-communication / total step counts
-    max_total               largest total step count of any worker
-    sum_sq_pre, sum_sq_overlap   sums of squared pre / overlap step counts
-    drift_sq_sum            sum over workers of 0^2 + 1^2 + ... + (H_i-1)^2,
-                            the within-round drift weight
-    harmonic_step_time      n / sum(1 / step_times[i]); satisfies
-                            harmonic_step_time * mean_total == round_seconds
-    """
-
-    mean_pre: Fraction
-    mean_total: Fraction
-    max_total: int
-    sum_sq_pre: int
-    sum_sq_overlap: int
-    drift_sq_sum: int
-    harmonic_step_time: Fraction
-
-
-def aggregates(plan: TimingPlan) -> TimingAggregates:
-    n = plan.n_workers
-    mean_pre = Fraction(sum(plan.pre_steps), n)
-    mean_total = Fraction(sum(plan.total_steps), n)
-    max_total = max(plan.total_steps)
-    sum_sq_pre = sum(v * v for v in plan.pre_steps)
-    sum_sq_overlap = sum(v * v for v in plan.overlap_steps)
-    drift_sq_sum = sum((h - 1) * h * (2 * h - 1) // 6 for h in plan.total_steps)
-    harmonic = Fraction(n) / sum(Fraction(1, t) for t in plan.step_times)
-
-    agg = TimingAggregates(
-        mean_pre=mean_pre,
-        mean_total=mean_total,
-        max_total=max_total,
-        sum_sq_pre=sum_sq_pre,
-        sum_sq_overlap=sum_sq_overlap,
-        drift_sq_sum=drift_sq_sum,
-        harmonic_step_time=harmonic,
-    )
-    # Exact identities on the rationals; a failure means the plan is corrupt.
-    if agg.harmonic_step_time * agg.mean_total != plan.round_seconds:
-        raise ConfigurationError("corrupt timing plan: harmonic_step_time * mean_total != round_seconds")
-    if (agg.drift_sq_sum == 0) != all(h == 1 for h in plan.total_steps):
-        raise ConfigurationError(f"corrupt timing plan: total steps {plan.total_steps}")
-    return agg

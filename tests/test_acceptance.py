@@ -25,7 +25,7 @@ from overlap_sgd.theory import (
     max_stepsize,
     rate_bound,
 )
-from overlap_sgd.timing import aggregates, build_plan
+from overlap_sgd.timing import build_plan
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -271,16 +271,16 @@ def test_criterion_09_theory_specializations():
     exact_full = (bp_full.contraction, bp_full.pre_weight, bp_full.overlap_weight) == (0.0, 0.0, 1.0)
 
     # no communication window: no overlap contribution in the staleness term
-    agg0 = aggregates(build_plan((1, 2), 2, 0))
-    no_overlap = agg0.sum_sq_overlap == 0
+    plan0 = build_plan((1, 2), 2, 0)
+    no_overlap = plan0.sum_sq_overlap == 0
 
     consts = ProblemConstants(smoothness=2.0, noise_var=1.0, grad_bound=2.0, initial_gap=3.0)
 
     # synchronized single-step regime: classic two-term rate exactly
-    agg_mb = aggregates(build_plan((1, 1), 1, 0))
+    plan_mb = build_plan((1, 1), 1, 0)
     bp_mb = BoundParams(alpha=1.0, beta=1.0, k=4, d=4)
-    eta = max_stepsize(consts, agg_mb)
-    rb = rate_bound(consts, agg_mb, bp_mb, eta, n=2, rounds=9)
+    eta = max_stepsize(consts, plan_mb)
+    rb = rate_bound(consts, plan_mb, bp_mb, eta, n=2, rounds=9)
     classic = (
         rb.drift_term == 0.0
         and rb.staleness_term == 0.0
@@ -288,12 +288,12 @@ def test_criterion_09_theory_specializations():
     )
 
     # stepsize gate: equality admitted, anything above rejected
-    agg = aggregates(build_plan((1, 2, 3, 6), 3, 6))
+    plan = build_plan((1, 2, 3, 6), 3, 6)
     bp = BoundParams(alpha=0.1, beta=0.1, k=3, d=10)
-    ceiling = max_stepsize(consts, agg)
-    rate_bound(consts, agg, bp, ceiling, n=4, rounds=5)
+    ceiling = max_stepsize(consts, plan)
+    rate_bound(consts, plan, bp, ceiling, n=4, rounds=5)
     try:
-        rate_bound(consts, agg, bp, ceiling * (1.0 + 1e-9), n=4, rounds=5)
+        rate_bound(consts, plan, bp, ceiling * (1.0 + 1e-9), n=4, rounds=5)
         gate = False
     except ConfigurationError:
         gate = True

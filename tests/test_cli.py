@@ -25,7 +25,7 @@ from overlap_sgd.errors import DivergenceError
 from overlap_sgd.metrics import render_csv
 from overlap_sgd.runner import run_suite
 from overlap_sgd.theory import BoundParams, ProblemConstants, RateBound
-from overlap_sgd.timing import TimingAggregates
+from overlap_sgd.timing import TimingPlan
 
 
 def write_config(tmp_path, **overrides) -> Path:
@@ -1094,7 +1094,7 @@ class TestOtherCommands:
         bounded = stepsize <= report.pop("max_stepsize")
         assert {block: set(keys) for block, keys in report.items()} == {
             "constants": names(ProblemConstants, "note"),
-            "timing": names(TimingAggregates, "round_seconds"),
+            "timing": {f.name for f in fields(TimingPlan) if not f.init} | {"round_seconds"},
             "bound_params": names(BoundParams, "contraction", "pre_weight", "overlap_weight"),
             "rate_bound": names(RateBound, "stepsize", "rounds") if bounded else {"stepsize", "violation"},
             "complexity": {"epsilon", "c_round", "rounds", "seconds"},

@@ -32,18 +32,22 @@ def suite_records(**overrides) -> list[MetricsRecord]:
     return list(run.records)
 
 
+def small_config(rounds, mask_size, bit_width, method="overlap_delay_corrected", seed=5) -> dict:
+    """Overrides for a 10-dimensional suite on ``base_config_dict``'s (1, 2) fleet, one method and one seed."""
+    return {
+        "dataset": {"synthetic": {"dim": 10, "n_examples": 100, "separation": 1.5, "seed": 1}},
+        "val_fraction": 0.2,
+        "methods": [method],
+        "batch_size": 4,
+        "sparsity": mask_size / 10,
+        "rounds": rounds,
+        "seeds": [seed],
+        "value_bit_width": bit_width,
+    }
+
+
 def small_run(method="overlap_delay_corrected", rounds=3, mask_size=3, seed=5, bit_width=32):
-    records = suite_records(
-        dataset={"synthetic": {"dim": 10, "n_examples": 100, "separation": 1.5, "seed": 1}},
-        val_fraction=0.2,
-        methods=[method],
-        batch_size=4,
-        sparsity=mask_size / 10,
-        rounds=rounds,
-        seeds=[seed],
-        value_bit_width=bit_width,
-    )
-    return records, build_plan((1, 2), 1, 2)
+    return suite_records(**small_config(rounds, mask_size, bit_width, method, seed)), build_plan((1, 2), 1, 2)
 
 
 def test_disagreement_examples():
@@ -76,18 +80,35 @@ def test_initial_record_has_zero_everything():
     assert first.train_loss == pytest.approx(math.log(2.0), rel=1e-12)
 
 
-def test_counters_match_closed_forms_overlap():
-    rounds, mask_size, bit_width = 4, 3, 32
-    records, plan = small_run(rounds=rounds, mask_size=mask_size, bit_width=bit_width)
-    assert len(records) == rounds + 1
-    last = records[-1]
+@pytest.mark.parametrize(
+    "bit_width, eval_every", [(32, 1), (16, 1), (64, 1), (32, 3)], ids=["bits32", "bits16", "bits64", "every3"]
+)
+def test_counters_match_closed_forms_overlap(bit_width, eval_every):
+    # every CSV and JSONL row, over ten rounds, so a counter that drifts late shows;
+    # at eval_every 3 the last row comes off-schedule
+    rounds, mask_size = 10, 3
+    counters = ("round", "logical_time", "processed_examples", "comm_coordinates", "comm_bits")
+    overrides = {**small_config(rounds, mask_size, bit_width), "eval_every": eval_every}
+    with tempfile.TemporaryDirectory() as out:
+        config, issues = validate_config(base_config_dict(**overrides, output_dir=out))
+        assert not issues
+        (run,) = manifest_runs(run_suite(config))
+        with open(run.csv, newline="", encoding="utf-8") as fh:
+            csv_rows = [{c: int(row[c]) for c in counters} for row in csv.DictReader(fh)]
+    jsonl_rows = [{c: getattr(rec, c) for c in counters} for rec in run.records]
+    plan = build_plan((1, 2), 1, 2)
     n = plan.n_workers
-    assert last.logical_time == rounds * plan.round_seconds
-    assert last.processed_examples == 4 * rounds * sum(plan.total_steps)
-    assert last.comm_coordinates == 2 * n * mask_size * rounds
-    assert last.comm_bits == 2 * n * mask_size * bit_width * rounds
-    # per-round increment
-    assert records[1].comm_coordinates - records[0].comm_coordinates == 2 * n * mask_size
+    expected = [
+        {
+            "round": r,
+            "logical_time": r * plan.round_seconds,
+            "processed_examples": 4 * r * sum(plan.total_steps),
+            "comm_coordinates": 2 * n * mask_size * r,
+            "comm_bits": 2 * n * mask_size * bit_width * r,
+        }
+        for r in sorted({*range(0, rounds + 1, eval_every), rounds})
+    ]
+    assert csv_rows == jsonl_rows == expected
 
 
 def test_counters_match_closed_forms_blocking():

@@ -19,7 +19,7 @@ from overlap_sgd.theory import (
     round_complexity,
     tune_bound_params,
 )
-from overlap_sgd.timing import aggregates, build_plan
+from overlap_sgd.timing import build_plan
 
 CONSTS = ProblemConstants(smoothness=2.0, noise_var=1.5, grad_bound=3.0, initial_gap=4.0)
 
@@ -46,55 +46,55 @@ class TestBoundParams:
 
     def test_accumulated_dispersion_reference(self):
         # independent recomputation of X for the reference fleet at p = 0.3
-        agg = aggregates(build_plan((1, 2, 3, 6), 3, 6))
+        plan = build_plan((1, 2, 3, 6), 3, 6)
         bp = BoundParams(alpha=0.1, beta=0.1, k=3, d=10)
         expected = 4984 + 24 * (bp.pre_weight * 450 + bp.overlap_weight * 50) / (1 - bp.contraction)
-        assert accumulated_dispersion(agg, bp) == pytest.approx(expected, rel=1e-12)
+        assert accumulated_dispersion(plan, bp) == pytest.approx(expected, rel=1e-12)
         by_hand = 4984 + 24 * (8.47 * 450 + 8 * 50) / 0.153
-        assert accumulated_dispersion(agg, bp) == pytest.approx(by_hand, rel=1e-3)
+        assert accumulated_dispersion(plan, bp) == pytest.approx(by_hand, rel=1e-3)
 
 
 class TestRateBound:
     def test_stepsize_validator_boundary(self):
-        agg = aggregates(build_plan((1, 2), 2, 2))
-        ceiling = max_stepsize(CONSTS, agg)
-        assert ceiling == 1.0 / (8.0 * 2.0 * agg.max_total)
+        plan = build_plan((1, 2), 2, 2)
+        ceiling = max_stepsize(CONSTS, plan)
+        assert ceiling == 1.0 / (8.0 * 2.0 * plan.max_total)
         bp = BoundParams(alpha=1.0, beta=1.0, k=2, d=2)
-        rate_bound(CONSTS, agg, bp, ceiling, n=2, rounds=5)  # accepted at equality
+        rate_bound(CONSTS, plan, bp, ceiling, n=2, rounds=5)  # accepted at equality
         with pytest.raises(ConfigurationError, match="admissible maximum"):
-            rate_bound(CONSTS, agg, bp, ceiling * (1 + 1e-9), n=2, rounds=5)
+            rate_bound(CONSTS, plan, bp, ceiling * (1 + 1e-9), n=2, rounds=5)
 
     def test_zero_delay_drops_overlap_part(self):
-        agg = aggregates(build_plan((1, 2), 2, 0))
-        assert agg.sum_sq_overlap == 0
+        plan = build_plan((1, 2), 2, 0)
+        assert plan.sum_sq_overlap == 0
         bp = BoundParams(alpha=0.05, beta=0.05, k=1, d=8)
-        eta = max_stepsize(CONSTS, agg)
-        rb = rate_bound(CONSTS, agg, bp, eta, n=2, rounds=5)
+        eta = max_stepsize(CONSTS, plan)
+        rb = rate_bound(CONSTS, plan, bp, eta, n=2, rounds=5)
         pre_only = (
-            6 * CONSTS.smoothness**2 * eta**2 * CONSTS.grad_bound**2 * agg.max_total
-            * bp.pre_weight * agg.sum_sq_pre
-            / ((2 * float(agg.mean_total)) * (1 - bp.contraction))
+            6 * CONSTS.smoothness**2 * eta**2 * CONSTS.grad_bound**2 * plan.max_total
+            * bp.pre_weight * plan.sum_sq_pre
+            / ((2 * float(plan.mean_total)) * (1 - bp.contraction))
         )
         assert rb.staleness_term == pytest.approx(pre_only, rel=1e-12)
 
     def test_full_mask_leaves_only_overlap_part(self):
-        agg = aggregates(build_plan((1, 2), 1, 2))
+        plan = build_plan((1, 2), 1, 2)
         bp = BoundParams(alpha=1.0, beta=1.0, k=6, d=6)
-        eta = max_stepsize(CONSTS, agg)
-        rb = rate_bound(CONSTS, agg, bp, eta, n=2, rounds=5)
+        eta = max_stepsize(CONSTS, plan)
+        rb = rate_bound(CONSTS, plan, bp, eta, n=2, rounds=5)
         expected = (
-            6 * CONSTS.smoothness**2 * eta**2 * CONSTS.grad_bound**2 * agg.max_total
-            * agg.sum_sq_overlap / (2 * float(agg.mean_total))
+            6 * CONSTS.smoothness**2 * eta**2 * CONSTS.grad_bound**2 * plan.max_total
+            * plan.sum_sq_overlap / (2 * float(plan.mean_total))
         )
         assert rb.staleness_term == pytest.approx(expected, rel=1e-12)
 
     def test_single_step_specialization_is_classic_rate(self):
         # equal speeds, one step per round, no delay, full mask: only the
         # optimization and noise terms survive
-        agg = aggregates(build_plan((1, 1, 1), 1, 0))
+        plan = build_plan((1, 1, 1), 1, 0)
         bp = BoundParams(alpha=1.0, beta=1.0, k=4, d=4)
-        eta = max_stepsize(CONSTS, agg)
-        rb = rate_bound(CONSTS, agg, bp, eta, n=3, rounds=7)
+        eta = max_stepsize(CONSTS, plan)
+        rb = rate_bound(CONSTS, plan, bp, eta, n=3, rounds=7)
         assert rb.drift_term == 0.0
         assert rb.staleness_term == 0.0
         assert rb.total == rb.opt_term + rb.noise_term
@@ -102,92 +102,91 @@ class TestRateBound:
         assert rb.noise_term == pytest.approx(4 * CONSTS.smoothness * eta * CONSTS.noise_var / 3, rel=1e-12)
 
     def test_all_terms_nonnegative(self):
-        agg = aggregates(build_plan((1, 2, 3, 6), 3, 6))
+        plan = build_plan((1, 2, 3, 6), 3, 6)
         bp = BoundParams(alpha=0.1, beta=0.1, k=3, d=10)
-        rb = rate_bound(CONSTS, agg, bp, max_stepsize(CONSTS, agg), n=4, rounds=20)
+        rb = rate_bound(CONSTS, plan, bp, max_stepsize(CONSTS, plan), n=4, rounds=20)
         for term in (rb.opt_term, rb.noise_term, rb.drift_term, rb.staleness_term):
             assert term >= 0.0
 
     def test_bound_nonincreasing_in_workers(self):
-        agg = aggregates(build_plan((1, 2), 1, 2))
+        plan = build_plan((1, 2), 1, 2)
         bp = BoundParams(alpha=0.05, beta=0.05, k=1, d=4)
-        eta = max_stepsize(CONSTS, agg)
-        totals = [rate_bound(CONSTS, agg, bp, eta, n=n, rounds=10).total for n in (1, 2, 4, 8)]
+        eta = max_stepsize(CONSTS, plan)
+        totals = [rate_bound(CONSTS, plan, bp, eta, n=n, rounds=10).total for n in (1, 2, 4, 8)]
         assert totals == sorted(totals, reverse=True)
 
     def test_bound_nondecreasing_in_residual(self):
-        agg = aggregates(build_plan((1, 2), 1, 2))
-        eta = 1.0 / (8.0 * CONSTS.smoothness * agg.max_total)
+        plan = build_plan((1, 2), 1, 2)
+        eta = 1.0 / (8.0 * CONSTS.smoothness * plan.max_total)
         totals = []
         for k in (10, 9, 8):  # decreasing density, increasing residual
             bp = BoundParams(alpha=0.5, beta=0.5, k=k, d=10)
-            totals.append(rate_bound(CONSTS, agg, bp, eta, n=2, rounds=10).total)
+            totals.append(rate_bound(CONSTS, plan, bp, eta, n=2, rounds=10).total)
         assert totals == sorted(totals)
 
 
 class TestComplexities:
     def test_deterministic_descent_shape(self):
         # single worker, one step per round, no noise, no dispersion
-        agg = aggregates(build_plan((1,), 1, 0))
+        plan = build_plan((1,), 1, 0)
         bp = BoundParams(alpha=1.0, beta=1.0, k=5, d=5)
         consts = ProblemConstants(smoothness=2.0, noise_var=0.0, grad_bound=1.0, initial_gap=3.0)
         eps = 0.01
-        got = round_complexity(consts, agg, bp, eps, n=1, c_round=12.0)
+        got = round_complexity(consts, plan, bp, eps, n=1, c_round=12.0)
         assert got == math.ceil(12.0 * consts.initial_gap * consts.smoothness / eps)
 
     def test_doubling_workers_halves_noise_bound_rounds(self):
-        agg = aggregates(build_plan((1,), 1, 0))
+        plan = build_plan((1,), 1, 0)
         bp = BoundParams(alpha=1.0, beta=1.0, k=5, d=5)
         consts = ProblemConstants(smoothness=1.0, noise_var=1e6, grad_bound=1.0, initial_gap=1.0)
-        r1 = round_complexity(consts, agg, bp, 0.1, n=1)
-        r2 = round_complexity(consts, agg, bp, 0.1, n=2)
+        r1 = round_complexity(consts, plan, bp, 0.1, n=1)
+        r2 = round_complexity(consts, plan, bp, 0.1, n=2)
         assert r1 / r2 == pytest.approx(2.0, rel=1e-5)
 
     @pytest.mark.parametrize("epsilon, c_round", [(1e-300, 12.0), (0.01, 1e308)])
     def test_unbounded_round_count_is_a_config_error(self, epsilon, c_round):
-        agg = aggregates(build_plan((1, 2, 3, 6), 3, 6))
+        plan = build_plan((1, 2, 3, 6), 3, 6)
         bp = BoundParams(alpha=0.1, beta=0.1, k=3, d=10)
         with pytest.raises(ConfigurationError, match="not a finite number"):
-            round_complexity(CONSTS, agg, bp, epsilon, n=2, c_round=c_round)
+            round_complexity(CONSTS, plan, bp, epsilon, n=2, c_round=c_round)
 
     def test_zero_dispersion_term_survives_an_underflowing_epsilon(self):
         # full mask, one worker, no overlap: the dispersion term is 0 even where
         # epsilon**1.5 underflows to 0.0, and the round count stays finite
-        agg = aggregates(build_plan((1,), 1, 0))
+        plan = build_plan((1,), 1, 0)
         bp = BoundParams(alpha=1.0, beta=1.0, k=5, d=5)
         consts = ProblemConstants(smoothness=2.0, noise_var=0.0, grad_bound=1.0, initial_gap=3.0)
-        got = round_complexity(consts, agg, bp, 1e-300, n=1, c_round=12.0)
+        got = round_complexity(consts, plan, bp, 1e-300, n=1, c_round=12.0)
         assert got == pytest.approx(12.0 * 6.0 / 1e-300, rel=1e-12)
 
     # the wall-clock complexity theory_report prints is rounds * round_seconds
     def test_time_complexity_reference(self):
         plan = build_plan((1, 2, 3, 6), 3, 6)
         assert 20 * plan.round_seconds == 480
-        assert aggregates(plan).harmonic_step_time == 2
+        assert plan.harmonic_step_time == 2
 
     def test_time_complexity_unit_fleet(self):
         plan = build_plan((1,), 1, 0)
         assert 7 * plan.round_seconds == 7
-        assert aggregates(plan).harmonic_step_time == 1
+        assert plan.harmonic_step_time == 1
 
     def test_harmonic_identity_holds_for_awkward_fleet(self):
         plan = build_plan((2, 3, 7), 5, 42)
-        agg = aggregates(plan)
-        assert Fraction(13 * plan.round_seconds) == 13 * agg.harmonic_step_time * agg.mean_total
+        assert Fraction(13 * plan.round_seconds) == 13 * plan.harmonic_step_time * plan.mean_total
 
 
 class TestTuning:
     def test_tuned_params_admissible(self):
-        agg = aggregates(build_plan((1, 2, 3, 6), 3, 6))
-        bp = tune_bound_params(3, 10, agg)
+        plan = build_plan((1, 2, 3, 6), 3, 6)
+        bp = tune_bound_params(3, 10, plan)
         assert bp.contraction < 1.0
 
     def test_tuned_params_beat_naive_choice(self):
-        agg = aggregates(build_plan((1, 2, 3, 6), 3, 6))
-        tuned = tune_bound_params(3, 10, agg)
+        plan = build_plan((1, 2, 3, 6), 3, 6)
+        tuned = tune_bound_params(3, 10, plan)
         naive = BoundParams(alpha=0.1, beta=0.1, k=3, d=10)
         def weight(bp):
-            return (bp.pre_weight * agg.sum_sq_pre + bp.overlap_weight * agg.sum_sq_overlap) / (
+            return (bp.pre_weight * plan.sum_sq_pre + bp.overlap_weight * plan.sum_sq_overlap) / (
                 1 - bp.contraction
             )
         assert weight(tuned) <= weight(naive)
@@ -195,12 +194,12 @@ class TestTuning:
     @pytest.mark.parametrize("d", [10000, 100000])
     def test_one_coordinate_mask_has_admissible_params(self, d):
         # (1 + 1e-4)**2 already exceeds 1 / residual, below the old grid's first point
-        agg = aggregates(build_plan((1, 2, 3, 6), 3, 6))
-        assert tune_bound_params(1, d, agg).contraction < 1.0
+        plan = build_plan((1, 2, 3, 6), 3, 6)
+        assert tune_bound_params(1, d, plan).contraction < 1.0
 
     def test_full_mask_shortcut(self):
-        agg = aggregates(build_plan((1,), 1, 0))
-        bp = tune_bound_params(4, 4, agg)
+        plan = build_plan((1,), 1, 0)
+        bp = tune_bound_params(4, 4, plan)
         assert bp.contraction == 0.0
 
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from overlap_sgd.errors import ConfigurationError
-from overlap_sgd.timing import TimingPlan, aggregates, build_plan
+from overlap_sgd.timing import TimingPlan, build_plan
 
 small_taus = st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=5)
 
@@ -35,22 +36,22 @@ def test_single_step_fleet():
 
 
 def test_reference_aggregates():
-    agg = aggregates(build_plan((1, 2, 3, 6), 3, 6))
-    assert agg.mean_total == 12
-    assert agg.max_total == 24
-    assert agg.sum_sq_pre == 450
-    assert agg.sum_sq_overlap == 50
-    assert agg.drift_sq_sum == 4984
-    assert agg.harmonic_step_time == 2
+    plan = build_plan((1, 2, 3, 6), 3, 6)
+    assert plan.mean_total == 12
+    assert plan.max_total == 24
+    assert plan.sum_sq_pre == 450
+    assert plan.sum_sq_overlap == 50
+    assert plan.drift_sq_sum == 4984
+    assert plan.harmonic_step_time == 2
 
 
 def test_single_step_aggregates():
-    agg = aggregates(build_plan((1, 1), 1, 0))
-    assert agg.mean_total == 1
-    assert agg.max_total == 1
-    assert agg.sum_sq_pre == 2
-    assert agg.sum_sq_overlap == 0
-    assert agg.drift_sq_sum == 0
+    plan = build_plan((1, 1), 1, 0)
+    assert plan.mean_total == 1
+    assert plan.max_total == 1
+    assert plan.sum_sq_pre == 2
+    assert plan.sum_sq_overlap == 0
+    assert plan.drift_sq_sum == 0
 
 
 def test_two_step_drift_weight():
@@ -58,7 +59,7 @@ def test_two_step_drift_weight():
     plan = build_plan((2,), 1, 2)
     assert plan.pre_steps == (1,)
     assert plan.overlap_steps == (1,)
-    assert aggregates(plan).drift_sq_sum == sum(t * t for t in range(2))
+    assert plan.drift_sq_sum == sum(t * t for t in range(2))
 
 
 def test_comm_window_must_align_with_base_period():
@@ -115,16 +116,15 @@ def test_time_alignment_is_exact(taus, m, zeta_mult):
     for tau, n, q in zip(plan.step_times, plan.pre_steps, plan.overlap_steps):
         assert tau * n == m * plan.base_period
         assert tau * q == plan.comm_seconds
-    agg = aggregates(plan)
-    assert agg.harmonic_step_time * agg.mean_total == plan.round_seconds
-    assert (agg.drift_sq_sum == 0) == all(h == 1 for h in plan.total_steps)
+    assert plan.harmonic_step_time * plan.mean_total == plan.round_seconds
+    assert (plan.drift_sq_sum == 0) == all(h == 1 for h in plan.total_steps)
 
 
 @given(taus=small_taus, m=st.integers(1, 4))
 def test_zero_delay_kills_overlap(taus, m):
     plan = build_plan(taus, m, 0)
     assert all(q == 0 for q in plan.overlap_steps)
-    assert aggregates(plan).sum_sq_overlap == 0
+    assert plan.sum_sq_overlap == 0
 
 
 @given(taus=small_taus, m=st.integers(1, 4), zeta_mult=st.integers(0, 3))
@@ -139,22 +139,23 @@ def test_monotonicity(taus, m, zeta_mult):
 
 
 def test_harmonic_mean_is_exact_rational():
-    agg = aggregates(build_plan((2, 3), 1, 6))
-    assert agg.harmonic_step_time == Fraction(12, 5)
+    plan = build_plan((2, 3), 1, 6)
+    assert plan.harmonic_step_time == Fraction(12, 5)
 
 
 def test_corrupt_plan_raises_configuration_error():
     # pre_steps of a (1, 2) fleet over a 2-second window are (2, 1), not (2, 2);
-    # the explicit checks must hold under ``python -O`` too
+    # the plan checks its own identities on construction, also under ``python -O``
     good = build_plan((1, 2), 1, 0)
-    corrupt = TimingPlan(
-        step_times=good.step_times,
-        compute_periods=good.compute_periods,
-        comm_seconds=good.comm_seconds,
-        base_period=good.base_period,
-        pre_steps=(2, 2),
-        overlap_steps=(0, 0),
-        total_steps=(2, 2),
-    )
     with pytest.raises(ConfigurationError, match="corrupt timing plan"):
-        aggregates(corrupt)
+        TimingPlan(
+            step_times=good.step_times,
+            compute_periods=good.compute_periods,
+            comm_seconds=good.comm_seconds,
+            base_period=good.base_period,
+            pre_steps=(2, 2),
+            overlap_steps=(0, 0),
+            total_steps=(2, 2),
+        )
+    with pytest.raises(ConfigurationError, match="corrupt timing plan"):
+        replace(good, pre_steps=(2, 2), total_steps=(2, 2))
