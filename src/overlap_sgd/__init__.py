@@ -5,7 +5,7 @@ from .config import ExperimentConfig, rand_k_size, validate_config
 from .core import Mask, RngStream, average, project_mask, sample_rand_k
 from .data import Dataset, load_libsvm, parse_libsvm, synthetic_blobs
 from .engine import (
-    Method,
+    METHODS,
     RoundOutcome,
     local_steps,
     merge_delay_corrected,

@@ -18,7 +18,7 @@ from typing import Any, Mapping
 
 from .core import SEED_MODULUS
 from .data import check_min_examples, validation_size
-from .engine import Method, method_plan_problems
+from .engine import METHODS, method_plan_problems
 from .errors import ConfigurationError
 from .objective import RegularizerParams
 from .theory import BoundParams
@@ -179,9 +179,6 @@ class ConfigIssue:
         return f"{self.field}: {self.message}"
 
 
-_METHOD_NAMES = tuple(m.value for m in Method)
-
-
 class _Fields:
     """Reads from one config mapping, each by the rule on its dataclass field,
     with the defaults of that dataclass.  Keys the dataclass lacks are reported
@@ -292,8 +289,8 @@ def validate_config(raw: Mapping[str, Any]) -> tuple[ExperimentConfig | None, li
 
     methods = values["methods"] or ()
     for m in methods:
-        if m not in _METHOD_NAMES:
-            read.bad("methods", f"unknown method {m!r} (choose from {sorted(_METHOD_NAMES)})")
+        if m not in METHODS:
+            read.bad("methods", f"unknown method {m!r} (choose from {sorted(METHODS)})")
     if any(methods.count(m) > 1 for m in methods):
         read.bad("methods", "must not contain duplicates")
 
@@ -344,7 +341,7 @@ def data_issues(config: ExperimentConfig, plan: TimingPlan, dim: int, n: int | N
     issues = [
         ConfigIssue("methods", problem)
         for m in config.methods
-        for problem in method_plan_problems(Method(m), plan, mask_size, dim)
+        for problem in method_plan_problems(m, plan, mask_size, dim)
     ]
     if config.theory.alpha is not None:
         _checked(issues, "theory", BoundParams, config.theory.alpha, config.theory.beta, mask_size, dim)

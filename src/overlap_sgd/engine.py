@@ -11,7 +11,6 @@ Everything is a deterministic sequential state transition on logical time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .errors import ConfigurationError, DivergenceError
 from .timing import TimingPlan
 
 __all__ = [
-    "Method",
+    "METHODS",
     "RoundOutcome",
     "OVERLAP_METHODS",
     "local_steps",
@@ -35,17 +34,11 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e100
 
 
-class Method(str, Enum):
-    SYNC_SGD = "sync_sgd"
-    FEDAVG_FULL = "fedavg_full"
-    LOCAL_SPARSE = "local_sparse"
-    OVERLAP_OVERWRITE = "overlap_overwrite"
-    OVERLAP_DELAY_CORRECTED = "overlap_delay_corrected"
-
+METHODS = ("sync_sgd", "fedavg_full", "local_sparse", "overlap_overwrite", "overlap_delay_corrected")
 
 # Overlap methods keep taking local steps during the communication window;
 # the other (blocking) methods idle.
-OVERLAP_METHODS = frozenset({Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED})
+OVERLAP_METHODS = frozenset({"overlap_overwrite", "overlap_delay_corrected"})
 
 
 @dataclass(frozen=True)
@@ -142,21 +135,21 @@ def merge_overwrite(latest: np.ndarray, message: np.ndarray, s: Mask) -> np.ndar
     return out
 
 
-def method_plan_problems(method: Method, plan: TimingPlan, mask_size: int, dim: int) -> list[str]:
+def method_plan_problems(method: str, plan: TimingPlan, mask_size: int, dim: int) -> list[str]:
     """Every reason ``method`` cannot run on ``plan`` with a k-of-d mask."""
     wants = []
-    if method is Method.SYNC_SGD:
+    if method == "sync_sgd":
         if len(set(plan.step_times)) != 1:
             wants.append("equal step_times")
         if plan.compute_periods != 1:
             wants.append("compute_periods == 1")
         if plan.comm_seconds != 0:
             wants.append("comm_seconds == 0")
-    if method in (Method.SYNC_SGD, Method.FEDAVG_FULL) and mask_size != dim:
+    if method in ("sync_sgd", "fedavg_full") and mask_size != dim:
         wants.append(f"a full mask (k == d, got k={mask_size}, d={dim})")
     if not wants:
         return []
-    return [f"{method.value} requires " + ", ".join(wants)]
+    return [f"{method} requires " + ", ".join(wants)]
 
 
 def round_mask(root_seed: int, round_index: int, dim: int, mask_size: int) -> Mask:
@@ -172,9 +165,9 @@ def run_round(
     oracle,
     round_index: int,
 ) -> dict:
-    """Execute one round of every method in ``starts``, a mapping from method
-    to its ``(n, d)`` start models; return ``{method: RoundOutcome}`` in the
-    same order.
+    """Execute one round of every method in ``starts``, a mapping from a name
+    in ``METHODS`` to its ``(n, d)`` start models; return ``{method:
+    RoundOutcome}`` in the same order.
 
     The starts are not modified, and the caller draws the round's ``mask``
     (see ``round_mask``).  Sample streams are keyed (worker, round, step
@@ -188,19 +181,20 @@ def run_round(
     """
     if not starts:
         raise ConfigurationError("a round needs at least one method")
-    methods = {key: Method(key) for key in starts}
     n, dim = plan.n_workers, mask.d
     for key, start in starts.items():
+        if key not in METHODS:
+            raise ConfigurationError(f"unknown method {key!r}")
         if start.ndim != 2 or start.shape[0] != n:
             raise ConfigurationError(f"start models have shape {start.shape} but plan has {n} workers")
         if start.shape[1] != dim:
             raise ConfigurationError(f"mask dimension {dim} does not match model dimension {start.shape[1]}")
-        problems = method_plan_problems(methods[key], plan, mask.indices.size, dim)
+        problems = method_plan_problems(key, plan, mask.indices.size, dim)
         if problems:
             raise ConfigurationError("; ".join(problems))
 
-    order = sorted(starts, key=lambda key: methods[key] not in OVERLAP_METHODS)  # stable: overlap methods first
-    q = sum(method in OVERLAP_METHODS for method in methods.values())
+    order = sorted(starts, key=lambda key: key not in OVERLAP_METHODS)  # stable: overlap methods first
+    q = sum(key in OVERLAP_METHODS for key in starts)
     # sent[i, j] is worker i's model of method order[j]; row j of grad_sum sums its
     # gradients: every worker's pre-communication steps, then every overlap step
     grad_sum = np.zeros((len(order), dim))
@@ -220,7 +214,7 @@ def run_round(
         latest_j = latest[:, j] if j < q else sent_j
         # every row is within DIVERGENCE_LIMIT, so this average is finite
         sent_avg = average(sent_j)
-        if methods[key] is Method.OVERLAP_DELAY_CORRECTED:
+        if key == "overlap_delay_corrected":
             next_models = merge_delay_corrected(latest_j, sent_j, sent_avg, mask)
         else:
             # sync_sgd, fedavg_full, local_sparse (latest is sent), overlap_overwrite

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import suppress
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class MetricsRecord:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
-_INT_COLUMNS = frozenset(f.name for f in fields(MetricsRecord) if f.type == "int")  # annotations are strings here
 
 
 def disagreement(models, mean: np.ndarray | None = None) -> float:
@@ -131,17 +130,10 @@ class RunRecorder:
         self.records.append(self._evaluate())
 
 
-def _format_value(name: str, value) -> str:
-    if name in _INT_COLUMNS:
-        return str(int(value))
-    return repr(float(value))
-
-
 def render_csv(records: list[MetricsRecord]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
-        row = asdict(rec)
-        lines.append(",".join(_format_value(c, row[c]) for c in CSV_COLUMNS))
+        lines.append(",".join(map(repr, astuple(rec))))  # every field is a Python int or float
     return "\n".join(lines) + "\n"
 
 
@@ -165,7 +157,7 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 
 def write_metrics(records: list[MetricsRecord], csv_path, jsonl_path) -> None:
-    """Write the CSV table and its full-precision JSONL sidecar atomically."""
+    """Write the CSV table and its JSONL sidecar atomically; both carry every digit."""
     atomic_write_bytes(csv_path, render_csv(records).encode("utf-8"))
     atomic_write_bytes(jsonl_path, render_jsonl(records).encode("utf-8"))
 

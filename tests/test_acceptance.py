@@ -15,7 +15,7 @@ from overlap_sgd.cli import main
 from overlap_sgd.config import rand_k_size, validate_config
 from overlap_sgd.core import RngStream, average, project_mask, sample_rand_k
 from overlap_sgd.data import synthetic_blobs
-from overlap_sgd.engine import Method, merge_delay_corrected, round_mask
+from overlap_sgd.engine import merge_delay_corrected, round_mask
 from overlap_sgd.errors import ConfigurationError
 from overlap_sgd.objective import RegularizerParams, dataset_loss, full_gradient
 from overlap_sgd.runner import run_suite
@@ -90,7 +90,7 @@ def test_criterion_01_average_evolution_identity():
         for r in range(2):
             mean_before = average(models)
             mask = round_mask(trial, r, d, k)
-            out = one_round(np.stack(models), Method.OVERLAP_DELAY_CORRECTED, plan, mask, eta, oracle, r)
+            out = one_round(np.stack(models), "overlap_delay_corrected", plan, mask, eta, oracle, r)
             mean_after = average(list(out.next_models))
             resid = np.linalg.norm(mean_after - (mean_before - eta * out.avg_grad_sum))
             tol = 1e-10 * (1.0 + np.linalg.norm(mean_before))
@@ -117,7 +117,7 @@ def test_criterion_02_mask_expectation_identity():
         oracle = make_quadratic_oracle(dim=d, noise=0.6, seed=trial + 1, curvature=1.0)
         models = [rng.standard_normal(d) for _ in range(n)]
         mask = round_mask(trial + 1, 0, d, k)
-        out = one_round(np.stack(models), Method.OVERLAP_DELAY_CORRECTED, plan, mask, 0.1, oracle, 0)
+        out = one_round(np.stack(models), "overlap_delay_corrected", plan, mask, 0.1, oracle, 0)
         sent = np.stack(out.sent)
         latest = np.stack(out.latest)
         sent_avg = average(list(out.sent))
@@ -159,10 +159,10 @@ def test_criterion_03_minibatch_equivalence():
     oracle = make_logistic_oracle(blobs, n_workers=n, batch_size=8, seed=31)
     plan = build_plan((3, 3, 3, 3), 1, 0)
     methods = (
-        Method.SYNC_SGD,
-        Method.LOCAL_SPARSE,
-        Method.OVERLAP_OVERWRITE,
-        Method.OVERLAP_DELAY_CORRECTED,
+        "sync_sgd",
+        "local_sparse",
+        "overlap_overwrite",
+        "overlap_delay_corrected",
     )
     models = {m: [np.zeros(d) for _ in range(n)] for m in methods}
     worst = 0.0
@@ -171,7 +171,7 @@ def test_criterion_03_minibatch_equivalence():
         for m in methods:
             out = one_round(np.stack(models[m]), m, plan, mask, 0.05, oracle, r)
             models[m] = [v.copy() for v in out.next_models]
-        ref = np.stack(models[Method.SYNC_SGD])
+        ref = np.stack(models["sync_sgd"])
         for m in methods:
             worst = max(worst, float(np.abs(np.stack(models[m]) - ref).max()))
     elapsed = time.time() - started

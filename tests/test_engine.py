@@ -11,7 +11,7 @@ from overlap_sgd.core import Mask, RngStream, average, project_mask, sample_rand
 from overlap_sgd.data import synthetic_blobs
 from overlap_sgd.engine import (
     DIVERGENCE_LIMIT,
-    Method,
+    METHODS,
     RoundOutcome,
     _guard,
     local_steps,
@@ -221,7 +221,7 @@ class TestMergeProperties:
         plan = build_plan(taus, 1, math.lcm(*taus))
         start = RngStream(seed, ("start-property",)).generator().standard_normal((n, d))
         oracle = make_quadratic_oracle(dim=d, noise=0.3, seed=seed)
-        out = one_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, round_mask(seed, 0, d, k), 0.05, oracle, 0)
+        out = one_round(start, "overlap_delay_corrected", plan, round_mask(seed, 0, d, k), 0.05, oracle, 0)
         latest_mean = average(out.latest)
         resid = np.linalg.norm(average(out.next_models) - latest_mean)
         assert resid <= 1e-12 * (1.0 + np.linalg.norm(latest_mean))
@@ -234,18 +234,18 @@ class TestMergeProperties:
         compute_periods=st.integers(min_value=1, max_value=2),
         comm_bases=st.integers(min_value=0, max_value=2),
         method=st.sampled_from(
-            [Method.LOCAL_SPARSE, Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED, Method.FEDAVG_FULL]
+            ["local_sparse", "overlap_overwrite", "overlap_delay_corrected", "fedavg_full"]
         ),
         logistic=st.booleans(),
     )
     @example(
         shape=(1, 1, 1), seed=0, step_times=[1] * 6, compute_periods=1, comm_bases=0,
-        method=Method.OVERLAP_OVERWRITE, logistic=True,
+        method="overlap_overwrite", logistic=True,
     )
     def test_mean_model_identities(self, shape, seed, step_times, compute_periods, comm_bases, method, logistic):
         # criterion 01's identity, with the merge identities, for every merging method on both oracles
         n, d, k = shape
-        k = d if method is Method.FEDAVG_FULL else k
+        k = d if method == "fedavg_full" else k
         taus = step_times[:n]
         plan = build_plan(taus, compute_periods, comm_bases * math.lcm(*taus))
         if logistic:
@@ -261,7 +261,7 @@ class TestMergeProperties:
 
         latest = average(out.latest)
         assert close(latest, average(start) - 0.05 * out.avg_grad_sum)
-        if method is Method.OVERLAP_DELAY_CORRECTED:
+        if method == "overlap_delay_corrected":
             assert close(average(out.next_models), latest)
         else:
             on_mask = np.isin(np.arange(d), mask.indices)
@@ -283,7 +283,7 @@ def assert_same_outcome(got, alone):
         assert flags == (False, False, True)
 
 
-SPARSE_METHODS = (Method.LOCAL_SPARSE, Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED)
+SPARSE_METHODS = ("local_sparse", "overlap_overwrite", "overlap_delay_corrected")
 
 
 def assert_diverges_in_lockstep_and_alone(starts, diverging, plan):
@@ -306,13 +306,13 @@ class TestLockstep:
         compute_periods=st.integers(min_value=1, max_value=2),
         comm_bases=st.integers(min_value=0, max_value=2),
         full_mask=st.booleans(),
-        methods=st.permutations(list(Method)),
-        count=st.integers(min_value=1, max_value=len(Method)),
+        methods=st.permutations(METHODS),
+        count=st.integers(min_value=1, max_value=len(METHODS)),
         oracle_kind=st.sampled_from(["logistic", "regularized", "quadratic"]),
     )
     @example(
         shape=(2, 4, 4), seed=0, step_times=[1] * 6, compute_periods=1, comm_bases=0, full_mask=True,
-        methods=list(Method)[::-1], count=len(Method), oracle_kind="logistic",
+        methods=METHODS[::-1], count=len(METHODS), oracle_kind="logistic",
     )
     def test_each_outcome_is_the_one_its_method_gets_alone(
         self, shape, seed, step_times, compute_periods, comm_bases, full_mask, methods, count, oracle_kind
@@ -345,13 +345,13 @@ class TestLockstep:
         starts[diverging] = np.array([[1.0, 1.0, 1.0], [1.0, 1e99, 1.0]])
         assert_diverges_in_lockstep_and_alone(starts, diverging, build_plan((1, 2), 1, 2))
 
-    @pytest.mark.parametrize("diverging", [Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED])
+    @pytest.mark.parametrize("diverging", ["overlap_overwrite", "overlap_delay_corrected"])
     def test_a_method_diverging_in_its_overlap_steps_raises_in_lockstep_and_alone(self, diverging):
         # each step multiplies a model by -99: worker 1's row at 1e96 stays in range through its two
         # pre-communication steps (9.8e99) and leaves it on its one overlap step
         big = np.array([[1.0, 1.0, 1.0], [1.0, 1e96, 1.0]])
         starts = {m: np.ones((2, 3)) for m in SPARSE_METHODS}
-        starts[diverging] = starts[Method.LOCAL_SPARSE] = big
+        starts[diverging] = starts["local_sparse"] = big
         assert_diverges_in_lockstep_and_alone(starts, diverging, build_plan((1, 1), 2, 1))
 
     def test_rejects_an_empty_round(self):
@@ -363,11 +363,11 @@ class TestRunRound:
     def test_start_models_are_not_modified(self):
         oracle = make_quadratic_oracle(dim=5, noise=0.3, seed=2)
         cases = [
-            (Method.SYNC_SGD, build_plan((1, 1), 1, 0), 5, np.ones((2, 5))),
-            (Method.FEDAVG_FULL, build_plan((1, 2), 1, 2), 5, np.arange(10.0).reshape(2, 5)),
-            (Method.LOCAL_SPARSE, build_plan((1, 2), 1, 2), 2, np.arange(10.0).reshape(2, 5)),
-            (Method.OVERLAP_OVERWRITE, build_plan((1, 2), 1, 2), 2, np.arange(10.0).reshape(2, 5)),
-            (Method.OVERLAP_DELAY_CORRECTED, build_plan((1, 2), 1, 2), 2, np.arange(10.0).reshape(2, 5)),
+            ("sync_sgd", build_plan((1, 1), 1, 0), 5, np.ones((2, 5))),
+            ("fedavg_full", build_plan((1, 2), 1, 2), 5, np.arange(10.0).reshape(2, 5)),
+            ("local_sparse", build_plan((1, 2), 1, 2), 2, np.arange(10.0).reshape(2, 5)),
+            ("overlap_overwrite", build_plan((1, 2), 1, 2), 2, np.arange(10.0).reshape(2, 5)),
+            ("overlap_delay_corrected", build_plan((1, 2), 1, 2), 2, np.arange(10.0).reshape(2, 5)),
         ]
         for method, plan, mask_size, start in cases:
             before = start.copy()
@@ -379,13 +379,13 @@ class TestRunRound:
         oracle = make_quadratic_oracle(dim=4)
         plan = build_plan((1, 2), 1, 0)
         with pytest.raises(ConfigurationError, match="2 workers"):
-            one_round(np.ones((3, 4)), Method.LOCAL_SPARSE, plan, round_mask(0, 0, 4, 2), 0.1, oracle, 0)
+            one_round(np.ones((3, 4)), "local_sparse", plan, round_mask(0, 0, 4, 2), 0.1, oracle, 0)
 
     def test_mean_of_merged_equals_mean_of_latest(self):
         oracle = make_quadratic_oracle(dim=12, noise=0.3, seed=4)
         plan = build_plan((1, 2, 4), 1, 4)
         start = np.stack([np.ones(12)] * 3)
-        out = one_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, round_mask(4, 0, 12, 5), 0.05, oracle, 0)
+        out = one_round(start, "overlap_delay_corrected", plan, round_mask(4, 0, 12, 5), 0.05, oracle, 0)
         merged_mean = average(list(out.next_models))
         latest_mean = average(list(out.latest))
         resid = np.linalg.norm(merged_mean - latest_mean)
@@ -397,7 +397,7 @@ class TestRunRound:
         models = [np.full(6, 2.0)] * 2
         for r in range(5):
             start = np.stack(models)
-            out = one_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, round_mask(8, r, 6, 2), 0.04, oracle, r)
+            out = one_round(start, "overlap_delay_corrected", plan, round_mask(8, r, 6, 2), 0.04, oracle, r)
             mean_before = average(models)
             mean_after = average(list(out.next_models))
             predicted = mean_before - 0.04 * out.avg_grad_sum
@@ -411,12 +411,12 @@ class TestRunRound:
         oracle = make_quadratic_oracle(dim=4, noise=0.1, seed=1)
         plan = build_plan((1, 2), 2, 2)
         for method, expected in [
-            (Method.OVERLAP_DELAY_CORRECTED, plan.total_steps),
-            (Method.OVERLAP_OVERWRITE, plan.total_steps),
-            (Method.LOCAL_SPARSE, plan.pre_steps),
-            (Method.FEDAVG_FULL, plan.pre_steps),
+            ("overlap_delay_corrected", plan.total_steps),
+            ("overlap_overwrite", plan.total_steps),
+            ("local_sparse", plan.pre_steps),
+            ("fedavg_full", plan.pre_steps),
         ]:
-            mask_size = 4 if method is Method.FEDAVG_FULL else 2
+            mask_size = 4 if method == "fedavg_full" else 2
             models = [np.ones(4)] * 2
             total = np.zeros(2, dtype=int)
             for r in range(3):
@@ -430,14 +430,14 @@ class TestRunRound:
         oracle = make_quadratic_oracle(dim=4, noise=0.2, seed=6)
         plan = build_plan((1, 2), 1, 2)
         start = np.stack([np.ones(4)] * 2)
-        out = one_round(start, Method.LOCAL_SPARSE, plan, round_mask(6, 0, 4, 2), 0.05, oracle, 0)
+        out = one_round(start, "local_sparse", plan, round_mask(6, 0, 4, 2), 0.05, oracle, 0)
         assert disagreement(out.latest - out.sent) == 0.0
         assert disagreement(out.sent - start) > 0.0
 
     def test_round_duration_shared_by_all_methods(self):
         oracle = make_quadratic_oracle(dim=4, noise=0.0, seed=0)
         plan = build_plan((1, 2), 3, 4)
-        for method in (Method.LOCAL_SPARSE, Method.OVERLAP_OVERWRITE):
+        for method in ("local_sparse", "overlap_overwrite"):
             start = np.stack([np.ones(4)] * 2)
             out = one_round(start, method, plan, round_mask(0, 0, 4, 2), 0.05, oracle, 0)
             assert out.duration == plan.round_seconds == 10
@@ -450,10 +450,10 @@ class TestRunRound:
         plan = build_plan((1, 2, 3), 2, 0)
         trajectories = {}
         for method in (
-            Method.LOCAL_SPARSE,
-            Method.OVERLAP_OVERWRITE,
-            Method.OVERLAP_DELAY_CORRECTED,
-            Method.FEDAVG_FULL,
+            "local_sparse",
+            "overlap_overwrite",
+            "overlap_delay_corrected",
+            "fedavg_full",
         ):
             models = [np.zeros(6)] * 3
             snaps = []
@@ -463,7 +463,7 @@ class TestRunRound:
                 models = [m.copy() for m in out.next_models]
                 snaps.append(np.stack(models))
             trajectories[method] = np.stack(snaps)
-        ref = trajectories[Method.FEDAVG_FULL]
+        ref = trajectories["fedavg_full"]
         for method, traj in trajectories.items():
             np.testing.assert_array_equal(traj, ref), method
 
@@ -473,18 +473,18 @@ class TestRunRound:
         blobs = synthetic_blobs(dim=5, n_examples=30, separation=1.0, seed=2)
         oracle = make_logistic_oracle(blobs, n_workers=2, batch_size=4, seed=21)
         plan = build_plan((2, 2), 1, 0)
-        methods = (Method.SYNC_SGD, Method.FEDAVG_FULL, Method.OVERLAP_DELAY_CORRECTED)
+        methods = ("sync_sgd", "fedavg_full", "overlap_delay_corrected")
         models = {m: np.zeros((2, 5)) for m in methods}
         for r in range(10):
             mask = round_mask(21, r, 5, 5)
             outs = {m: one_round(models[m], m, plan, mask, 0.1, oracle, r) for m in methods}
-            sync, start = outs[Method.SYNC_SGD], models[Method.SYNC_SGD]
+            sync, start = outs["sync_sgd"], models["sync_sgd"]
             assert sync.latest is sync.sent
             for i in range(2):
                 np.testing.assert_array_equal(sync.sent[i], start[i] - 0.1 * oracle.gradient(start[i], i, r, 0))
             models = {m: out.next_models.copy() for m, out in outs.items()}
-            np.testing.assert_array_equal(models[Method.FEDAVG_FULL], models[Method.SYNC_SGD])
-            dev = np.abs(models[Method.OVERLAP_DELAY_CORRECTED] - models[Method.SYNC_SGD]).max()
+            np.testing.assert_array_equal(models["fedavg_full"], models["sync_sgd"])
+            dev = np.abs(models["overlap_delay_corrected"] - models["sync_sgd"]).max()
             assert dev <= 1e-12
 
     def test_single_worker_merge_rules_via_run_round(self):
@@ -493,9 +493,9 @@ class TestRunRound:
         oracle = make_quadratic_oracle(dim=6, noise=0.4, seed=14)
         plan = build_plan((2,), 1, 2)
         outs = {}
-        for method in (Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED):
+        for method in ("overlap_overwrite", "overlap_delay_corrected"):
             outs[method] = one_round(np.stack([np.ones(6)]), method, plan, round_mask(14, 0, 6, 2), 0.1, oracle, 0)
-        ow, dc = outs[Method.OVERLAP_OVERWRITE], outs[Method.OVERLAP_DELAY_CORRECTED]
+        ow, dc = outs["overlap_overwrite"], outs["overlap_delay_corrected"]
         np.testing.assert_array_equal(ow.mask.indices, dc.mask.indices)
         np.testing.assert_array_equal(ow.latest[0], dc.latest[0])
         on = list(ow.mask.indices)
@@ -519,7 +519,7 @@ class TestRunRound:
         oracle = make_quadratic_oracle(dim=10, noise=0.1, seed=3)
         mask = round_mask(9, 4, 10, 3)
         monkeypatch.setattr(RngStream, "generator", lambda stream: keys.append(stream.key) or generator(stream))
-        for method in (Method.LOCAL_SPARSE, Method.OVERLAP_OVERWRITE, Method.OVERLAP_DELAY_CORRECTED):
+        for method in ("local_sparse", "overlap_overwrite", "overlap_delay_corrected"):
             out = one_round(np.ones((2, 10)), method, build_plan((1, 1), 1, 1), mask, 0.05, oracle, 4)
             assert out.mask is mask
         assert sorted(set(keys)) == [("sample", w, 4, t) for w in range(2) for t in range(2)]
@@ -528,7 +528,7 @@ class TestRunRound:
         oracle = make_quadratic_oracle(dim=4)
         plan = build_plan((1, 2), 1, 0)
         with pytest.raises(ConfigurationError, match="mask dimension 5 does not match model dimension 4"):
-            one_round(np.zeros((2, 4)), Method.LOCAL_SPARSE, plan, round_mask(0, 0, 5, 2), 0.1, oracle, 0)
+            one_round(np.zeros((2, 4)), "local_sparse", plan, round_mask(0, 0, 5, 2), 0.1, oracle, 0)
 
     def test_sync_step_divergence_names_the_first_worker(self):
         # sync_sgd steps each worker like every other method, so the guard
@@ -536,32 +536,34 @@ class TestRunRound:
         oracle = make_quadratic_oracle(dim=3, noise=0.0, seed=0, curvature=1e3)
         with pytest.raises(DivergenceError) as exc:
             plan = build_plan((1, 1), 1, 0)
-            one_round(np.full((2, 3), 1e99), Method.SYNC_SGD, plan, round_mask(0, 7, 3, 3), 1.0, oracle, 7)
+            one_round(np.full((2, 3), 1e99), "sync_sgd", plan, round_mask(0, 7, 3, 3), 1.0, oracle, 7)
         assert (exc.value.worker, exc.value.round_index) == (0, 7)
 
     def test_method_plan_incompatibilities(self):
-        # run_round rejects them before round 0 takes a step
+        # run_round rejects them, and a name outside METHODS, before round 0 takes a step
         oracle = make_quadratic_oracle(dim=4)
         start = np.zeros((2, 4))
         plan_uneq = build_plan((1, 2), 1, 0)
         with pytest.raises(ConfigurationError, match="sync_sgd requires"):
-            one_round(start, Method.SYNC_SGD, plan_uneq, round_mask(0, 0, 4, 4), 0.1, oracle, 0)
+            one_round(start, "sync_sgd", plan_uneq, round_mask(0, 0, 4, 4), 0.1, oracle, 0)
         plan_eq = build_plan((1, 1), 1, 0)
         with pytest.raises(ConfigurationError, match="full mask"):
-            one_round(start, Method.SYNC_SGD, plan_eq, round_mask(0, 0, 4, 2), 0.1, oracle, 0)
+            one_round(start, "sync_sgd", plan_eq, round_mask(0, 0, 4, 2), 0.1, oracle, 0)
         with pytest.raises(ConfigurationError, match="fedavg_full requires"):
-            one_round(start, Method.FEDAVG_FULL, plan_uneq, round_mask(0, 0, 4, 2), 0.1, oracle, 0)
+            one_round(start, "fedavg_full", plan_uneq, round_mask(0, 0, 4, 2), 0.1, oracle, 0)
+        with pytest.raises(ConfigurationError, match="unknown method 'bogus'"):
+            one_round(start, "bogus", plan_uneq, round_mask(0, 0, 4, 2), 0.1, oracle, 0)
 
     def test_method_plan_problems_lists_every_rule(self):
         plan = build_plan((1, 2), 2, 2)
-        problems = method_plan_problems(Method.SYNC_SGD, plan, 3, 4)
+        problems = method_plan_problems("sync_sgd", plan, 3, 4)
         assert len(problems) == 1
         for want in ("equal step_times", "compute_periods == 1", "comm_seconds == 0", "k == d"):
             assert want in problems[0]
-        assert method_plan_problems(Method.FEDAVG_FULL, plan, 4, 4) == []
-        assert "k == d" in method_plan_problems(Method.FEDAVG_FULL, plan, 3, 4)[0]
-        assert method_plan_problems(Method.SYNC_SGD, build_plan((1, 1), 1, 0), 4, 4) == []
-        assert method_plan_problems(Method.OVERLAP_DELAY_CORRECTED, plan, 1, 4) == []
+        assert method_plan_problems("fedavg_full", plan, 4, 4) == []
+        assert "k == d" in method_plan_problems("fedavg_full", plan, 3, 4)[0]
+        assert method_plan_problems("sync_sgd", build_plan((1, 1), 1, 0), 4, 4) == []
+        assert method_plan_problems("overlap_delay_corrected", plan, 1, 4) == []
 
     def test_round_matches_straight_line_reference(self):
         # re-derive one full round with raw loops (no engine helpers) and
@@ -594,24 +596,24 @@ class TestRunRound:
         # one accumulator folds each worker's pre-communication sum in worker order, then each overlap sum
         blocking_sum = np.zeros(d) + pre_sums[0] + pre_sums[1]
         avg_grad_sums = {
-            Method.LOCAL_SPARSE: blocking_sum / n,
-            Method.OVERLAP_OVERWRITE: (blocking_sum + overlap_sums[0] + overlap_sums[1]) / n,
+            "local_sparse": blocking_sum / n,
+            "overlap_overwrite": (blocking_sum + overlap_sums[0] + overlap_sums[1]) / n,
         }
-        avg_grad_sums[Method.OVERLAP_DELAY_CORRECTED] = avg_grad_sums[Method.OVERLAP_OVERWRITE]
+        avg_grad_sums["overlap_delay_corrected"] = avg_grad_sums["overlap_overwrite"]
 
         expected = {}
         merged = [z.copy() for z in latest_ref]
         for i, z in enumerate(merged):
             z[idx] = sent_avg[idx] + (latest_ref[i][idx] - sent_ref[i][idx])
-        expected[Method.OVERLAP_DELAY_CORRECTED] = merged
+        expected["overlap_delay_corrected"] = merged
         merged = [z.copy() for z in latest_ref]
         for z in merged:
             z[idx] = sent_avg[idx]
-        expected[Method.OVERLAP_OVERWRITE] = merged
+        expected["overlap_overwrite"] = merged
         merged = [y.copy() for y in sent_ref]
         for y in merged:
             y[idx] = sent_avg[idx]
-        expected[Method.LOCAL_SPARSE] = merged
+        expected["local_sparse"] = merged
 
         for method, want in expected.items():
             out = one_round(np.stack(x0), method, plan, round_mask(seed, 4, d, k), eta, oracle, round_index=4)
@@ -629,7 +631,7 @@ class TestRunRound:
         gen = RngStream(12, ("init",)).generator()
         models = [gen.standard_normal(8) for _ in range(2)]
         start = np.stack(models)
-        out = one_round(start, Method.OVERLAP_DELAY_CORRECTED, plan, round_mask(12, 0, 8, 3), 0.1, oracle, 0)
+        out = one_round(start, "overlap_delay_corrected", plan, round_mask(12, 0, 8, 3), 0.1, oracle, 0)
         sent = list(out.sent)
         latest = list(out.latest)
         sent_avg = average(sent)

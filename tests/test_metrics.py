@@ -145,14 +145,21 @@ def test_identical_runs_render_identical_bytes():
 
 
 def test_round_trip_preserves_full_precision(tmp_path):
-    records, _ = small_run(rounds=3)
-    csv_path, jsonl_path = tmp_path / "m.csv", tmp_path / "m.jsonl"
-    write_metrics(records, csv_path, jsonl_path)
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [[float(row[c]) for c in CSV_COLUMNS] for row in rows] == [list(astuple(r)) for r in records]
-    lines = jsonl_path.read_text(encoding="utf-8").splitlines()
-    assert [MetricsRecord(**json.loads(line)) for line in lines] == records
+    # every field is exactly a Python int or float and every CSV cell is its repr,
+    # so both files carry every digit; at val_fraction 0 the validation cells are nan
+    for val_fraction in (0.2, 0.0):
+        records = suite_records(**{**small_config(3, 3, 32), "val_fraction": val_fraction})
+        assert math.isnan(records[-1].val_loss) == (val_fraction == 0)
+        values = [astuple(r) for r in records]
+        assert {type(v) for row in values for v in row} <= {int, float}
+        csv_path, jsonl_path = tmp_path / "m.csv", tmp_path / "m.jsonl"
+        write_metrics(records, csv_path, jsonl_path)
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [[row[c] for c in CSV_COLUMNS] for row in rows] == [list(map(repr, row)) for row in values]
+        lines = jsonl_path.read_text(encoding="utf-8").splitlines()
+        loaded = [astuple(MetricsRecord(**json.loads(line))) for line in lines]
+        assert [list(map(repr, row)) for row in loaded] == [list(map(repr, row)) for row in values]
 
 
 def test_accuracy_bounds():

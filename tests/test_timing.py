@@ -159,3 +159,15 @@ def test_corrupt_plan_raises_configuration_error():
         )
     with pytest.raises(ConfigurationError, match="corrupt timing plan"):
         replace(good, pre_steps=(2, 2), total_steps=(2, 2))
+    # (1, 0) steps of 2 seconds meet the harmonic identity (2 * 1/2 == 1 == round_seconds),
+    # but a worker that takes no step is not drift-free
+    with pytest.raises(ConfigurationError, match=r"corrupt timing plan: total steps \(1, 0\)"):
+        TimingPlan(
+            step_times=(2, 2),
+            compute_periods=1,
+            comm_seconds=0,
+            base_period=1,
+            pre_steps=(1, 0),
+            overlap_steps=(0, 0),
+            total_steps=(1, 0),
+        )
