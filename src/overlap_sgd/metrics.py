@@ -19,7 +19,7 @@ from .config import ExperimentConfig
 from .core import average, check_finite
 from .data import Dataset
 from .engine import RoundOutcome
-from .objective import dataset_accuracy, dataset_loss, full_gradient
+from .objective import _rowwise, dataset_accuracy, dataset_loss, full_gradient
 
 __all__ = [
     "MetricsRecord",
@@ -57,7 +57,8 @@ def disagreement(models, mean: np.ndarray | None = None) -> float:
     """
     if mean is None:
         mean = average(models)
-    return float(sum(np.sum((m - mean) ** 2) for m in models))
+    # summed row by row in ascending order, as np.float64 values, so no Python version compensates the sum
+    return float(sum(np.sum((models - mean) ** 2, axis=1)))
 
 
 class RunRecorder:
@@ -81,17 +82,21 @@ class RunRecorder:
     def _evaluate(self) -> MetricsRecord:
         mean_model = average(self.models)
         reg_value = self.config.regularizer.value(mean_model)
-        grad = full_gradient(mean_model, self.train, self.config.regularizer)
+        # one forward product per model and split, shared by the gradient, the loss and the accuracy
+        scores = self.train.features @ mean_model
+        grad = full_gradient(mean_model, scores, self.train, self.config.regularizer)
         with np.errstate(over="ignore"):  # a finite gradient's norm may overflow, and then the run diverges
             check_finite(grad_norm := float(np.linalg.norm(grad)), "full gradient norm")
-        val_loss = dataset_loss(mean_model, self.val) if self.val.n_examples else float("nan")
-        val_acc = dataset_accuracy(mean_model, self.val) if self.val.n_examples else float("nan")
+        val_loss = val_acc = float("nan")
+        if self.val.n_examples:
+            val_scores = self.val.features @ mean_model
+            val_loss, val_acc = dataset_loss(val_scores, self.val), dataset_accuracy(val_scores, self.val)
         record = MetricsRecord(
             round=self.completed_rounds,
             logical_time=self.logical_time,
-            train_loss=dataset_loss(mean_model, self.train) + reg_value,
+            train_loss=dataset_loss(scores, self.train) + reg_value,
             val_loss=val_loss,
-            train_accuracy=dataset_accuracy(mean_model, self.train),
+            train_accuracy=dataset_accuracy(scores, self.train),
             val_accuracy=val_acc,
             grad_norm=grad_norm,
             disagreement_x=disagreement(self.models, mean_model),
@@ -100,13 +105,14 @@ class RunRecorder:
             comm_bits=self.comm_coordinates * self.config.value_bit_width,
         )
         if self.config.eval_per_worker:  # after the checks above, so a diverged run's rows match its records
-            for w, m in enumerate(self.models):
+            worker_scores = _rowwise(self.train.features, self.models)
+            for w, (m, s) in enumerate(zip(self.models, worker_scores)):
                 self.worker_rows.append(
                     {
                         "round": self.completed_rounds,
                         "worker": w,
-                        "train_loss": dataset_loss(m, self.train) + self.config.regularizer.value(m),
-                        "train_accuracy": dataset_accuracy(m, self.train),
+                        "train_loss": dataset_loss(s, self.train) + self.config.regularizer.value(m),
+                        "train_accuracy": dataset_accuracy(s, self.train),
                     }
                 )
         return record

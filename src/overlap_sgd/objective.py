@@ -4,6 +4,10 @@ Binary logistic regression with an optional coordinate-wise Geman-McClure
 regularizer, plus a diagonal quadratic objective whose smoothness and
 noise level are known in closed form (used as an independent oracle in
 tests).
+
+``dataset_loss``, ``dataset_accuracy`` and ``full_gradient`` take the
+dataset's scores ``dataset.features @ w`` from the caller, so one forward
+product per model and dataset serves all three.
 """
 
 from __future__ import annotations
@@ -50,10 +54,11 @@ def _rowwise(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _logistic_gradient(features: np.ndarray, labels: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Gradient of the mean logistic loss over the rows of ``features``, at one
-    ``(d,)`` model or at each row of an ``(m, d)`` stack."""
-    weights = labels * _sigmoid(-(labels * _rowwise(features, w)))
+def _logistic_backward(features: np.ndarray, labels: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Gradient of the mean logistic loss over the rows of ``features``, given
+    their scores ``_rowwise(features, w)`` at one ``(d,)`` model or at each row
+    of an ``(m, d)`` stack."""
+    weights = labels * _sigmoid(-(labels * scores))
     return -_rowwise(features.T, weights) / labels.size
 
 
@@ -103,25 +108,27 @@ class RegularizerParams:
         return 2.0 * self.strength / self.scale**2
 
 
-def dataset_loss(w: np.ndarray, dataset: Dataset) -> float:
-    """Mean logistic loss over the dataset (no regularizer)."""
-    margins = dataset.labels * (dataset.features @ w)
+def dataset_loss(scores: np.ndarray, dataset: Dataset) -> float:
+    """Mean logistic loss over the dataset (no regularizer), given its scores."""
+    margins = dataset.labels * scores
     # softplus(-margins) = log(1 + exp(-margins)), stable for |margins| up to ~1e308
     return float(np.logaddexp(0.0, -margins).mean())
 
 
-def dataset_accuracy(w: np.ndarray, dataset: Dataset) -> float:
-    """Fraction classified correctly by sign(<x, w>); zero scores predict +1."""
-    scores = dataset.features @ w
+def dataset_accuracy(scores: np.ndarray, dataset: Dataset) -> float:
+    """Fraction classified correctly by the sign of the scores <x, w>; zero scores predict +1."""
     preds = np.where(scores >= 0.0, 1.0, -1.0)
     return float(np.mean(preds == dataset.labels))
 
 
-def full_gradient(w: np.ndarray, dataset: Dataset, reg: RegularizerParams | None = None) -> np.ndarray:
-    """Exact gradient of mean logistic loss plus the regularizer gradient."""
+def full_gradient(
+    w: np.ndarray, scores: np.ndarray, dataset: Dataset, reg: RegularizerParams | None = None
+) -> np.ndarray:
+    """Exact gradient of mean logistic loss at ``w`` plus the regularizer gradient,
+    given the dataset's scores at ``w``."""
     if dataset.n_examples == 0:
         raise ConfigurationError("cannot take a gradient over an empty dataset")
-    grad = _logistic_gradient(dataset.features, dataset.labels, w)
+    grad = _logistic_backward(dataset.features, dataset.labels, scores)
     if reg is not None:
         grad = grad + reg.gradient(w)
     check_finite(grad, "full gradient")
@@ -161,7 +168,8 @@ class LogisticOracle:
             raise ConfigurationError(f"worker {worker} has no examples to sample from")
         gen = RngStream(self.root_seed, ("sample", worker, round_index, step)).generator()
         rows = pool[gen.integers(0, pool.size, size=self.batch_size)]
-        grad = _logistic_gradient(self.dataset.features[rows], self.dataset.labels[rows], w)
+        features = self.dataset.features[rows]
+        grad = _logistic_backward(features, self.dataset.labels[rows], _rowwise(features, w))
         if self.regularizer.enabled:
             grad = grad + self.regularizer.gradient(w)
         return grad

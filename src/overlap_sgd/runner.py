@@ -261,7 +261,7 @@ def theory_report(config: ExperimentConfig) -> dict:
         noise_var=noise_var,
         grad_bound=max(grad_bound, 1e-12),
         # f(x0) - 0 bounds the gap, as the logistic loss and the penalty are non-negative
-        initial_gap=dataset_loss(x0, train) + reg.value(x0),
+        initial_gap=dataset_loss(train.features @ x0, train) + reg.value(x0),
     )
 
     if config.theory.alpha is not None:  # validate_config requires both or neither

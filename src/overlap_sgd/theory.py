@@ -230,7 +230,7 @@ def estimate_gradient_stats(
     Draws use the reserved round index -1 so they never collide with
     simulation streams.  These are estimates, not bounds.
     """
-    exact = full_gradient(w, dataset, reg)
+    exact = full_gradient(w, dataset.features @ w, dataset, reg)
     sq_dev = 0.0
     sq_norm = 0.0
     for s in range(n_draws):

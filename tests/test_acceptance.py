@@ -250,15 +250,15 @@ def test_criterion_08_gradient_correctness():
         blobs = synthetic_blobs(dim=8, n_examples=40, separation=1.0, seed=int(reg.strength * 10))
         for _ in range(25):
             w = rng.uniform(-1.5, 1.5, size=8)
-            analytic = full_gradient(w, blobs, reg)
+            analytic = full_gradient(w, blobs.features @ w, blobs, reg)
             fd = np.zeros_like(w)
             for j in range(8):
                 up, down = w.copy(), w.copy()
                 up[j] += 1e-6
                 down[j] -= 1e-6
                 fd[j] = (
-                    (dataset_loss(up, blobs) + reg.value(up))
-                    - (dataset_loss(down, blobs) + reg.value(down))
+                    (dataset_loss(blobs.features @ up, blobs) + reg.value(up))
+                    - (dataset_loss(blobs.features @ down, blobs) + reg.value(down))
                 ) / 2e-6
             rel = np.linalg.norm(fd - analytic) / np.linalg.norm(analytic)
             worst = max(worst, float(rel))

@@ -10,9 +10,11 @@ import pytest
 from conftest import base_config_dict, manifest_runs
 from overlap_sgd.config import validate_config
 from overlap_sgd.core import average
+from overlap_sgd.data import Dataset, synthetic_blobs
 from overlap_sgd.metrics import (
     CSV_COLUMNS,
     MetricsRecord,
+    RunRecorder,
     disagreement,
     render_csv,
     render_jsonl,
@@ -67,6 +69,41 @@ def test_recorder_averages_the_models_once_per_record(monkeypatch):
     monkeypatch.setattr(metrics_mod, "average", counting_average)
     records, _ = small_run(rounds=3)
     assert len(calls) == len(records) == 4
+
+
+class CountingFeatures(np.ndarray):
+    """Features that count each matrix product taking them, or a view of them, as an operand."""
+
+    def __array_finalize__(self, obj):
+        self.products = getattr(obj, "products", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.products[0] += 1
+        plain = [x.view(np.ndarray) if isinstance(x, CountingFeatures) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("per_worker", [False, True], ids=["mean-model", "per-worker"])
+def test_a_record_takes_one_forward_per_model_and_split(per_worker):
+    # the train split is read by one forward and one backward product, the validation split by one forward,
+    # and each worker's own rows add one forward over the train split
+    config, issues = validate_config(base_config_dict(eval_per_worker=per_worker))
+    assert not issues
+    blobs = synthetic_blobs(dim=12, n_examples=50, separation=1.5, seed=3)
+
+    def counted(rows) -> Dataset:
+        features = blobs.features[rows].view(CountingFeatures)
+        features.products = [0]
+        return Dataset(features, blobs.labels[rows])
+
+    train, val = counted(slice(0, 40)), counted(slice(40, 50))
+    models = np.random.default_rng(0).standard_normal((len(config.step_times), 12))
+    recorder = RunRecorder("overlap_delay_corrected", models, train, val, config)
+    recorder.measure_initial()
+    per_worker_rows = len(models) * per_worker
+    assert (train.features.products, val.features.products) == ([2 + per_worker_rows], [1])
+    assert len(recorder.records) == 1 and len(recorder.worker_rows) == per_worker_rows
 
 
 def test_initial_record_has_zero_everything():
@@ -172,10 +209,10 @@ def test_accuracy_bounds():
 def test_accuracy_of_zero_model_on_balanced_labels():
     feats = np.vstack([np.ones((4, 2)), -np.ones((4, 2))])
     labels = np.array([1.0] * 4 + [-1.0] * 4)
-    from overlap_sgd.data import Dataset
     from overlap_sgd.objective import dataset_accuracy
 
-    assert dataset_accuracy(np.zeros(2), Dataset(feats, labels)) == 0.5
+    data = Dataset(feats, labels)
+    assert dataset_accuracy(data.features @ np.zeros(2), data) == 0.5
 
 
 def test_csv_column_order_is_stable():

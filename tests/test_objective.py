@@ -38,26 +38,26 @@ def one_example(x, y):
 
 class TestLogisticLoss:
     def test_zero_model_gives_log_two(self):
-        x = np.array([3.0, -1.0])
-        assert dataset_loss(np.zeros(2), one_example(x, 1.0)) == pytest.approx(math.log(2.0), rel=1e-12)
+        data = one_example([3.0, -1.0], 1.0)
+        assert dataset_loss(data.features @ np.zeros(2), data) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_saturated_correct_classification(self):
-        w = np.array([50.0])
-        assert dataset_loss(w, one_example([1.0], 1.0)) < 1e-20
+        w, data = np.array([50.0]), one_example([1.0], 1.0)
+        assert dataset_loss(data.features @ w, data) < 1e-20
 
     def test_moderate_negative_margin(self):
         # y=+1, <x, w> = -1: loss is log(1 + e), checked against the naive form
-        w = np.array([-1.0])
-        val = dataset_loss(w, one_example([1.0], 1.0))
+        w, data = np.array([-1.0]), one_example([1.0], 1.0)
+        val = dataset_loss(data.features @ w, data)
         assert val == pytest.approx(math.log(1.0 + math.e), rel=1e-12)
         assert val == pytest.approx(1.313262, abs=1e-6)
 
     def test_stable_at_extreme_margins(self):
         for margin in (-1e4, 1e4):
-            w = np.array([margin])
-            assert math.isfinite(dataset_loss(w, one_example([1.0], 1.0)))
-            data = Dataset(np.array([[margin]]), np.array([1.0]))
-            assert np.all(np.isfinite(full_gradient(np.array([1.0]), data)))
+            w, data = np.array([margin]), one_example([1.0], 1.0)
+            assert math.isfinite(dataset_loss(data.features @ w, data))
+            w, data = np.array([1.0]), Dataset(np.array([[margin]]), np.array([1.0]))
+            assert np.all(np.isfinite(full_gradient(w, data.features @ w, data)))
 
 
 def two_branch_sigmoid(t):
@@ -91,7 +91,8 @@ class TestFullGradient:
     def test_zero_model_single_example(self):
         x = np.array([2.0, -1.0, 0.5])
         data = Dataset(x[None, :], np.array([1.0]))
-        np.testing.assert_allclose(full_gradient(np.zeros(3), data), -x / 2.0, rtol=1e-12)
+        w = np.zeros(3)
+        np.testing.assert_allclose(full_gradient(w, data.features @ w, data), -x / 2.0, rtol=1e-12)
 
     def test_regularizer_gradient_vanishes_at_origin(self):
         reg = RegularizerParams(strength=0.7, scale=0.5)
@@ -112,8 +113,8 @@ class TestFullGradient:
                 )
             )
         )
-        analytic = full_gradient(w, blobs, reg)
-        fd = finite_difference(lambda v: dataset_loss(v, blobs) + reg.value(v), w)
+        analytic = full_gradient(w, blobs.features @ w, blobs, reg)
+        fd = finite_difference(lambda v: dataset_loss(blobs.features @ v, blobs) + reg.value(v), w)
         assert np.linalg.norm(fd - analytic) <= 1e-5 * max(1.0, np.linalg.norm(analytic))
 
 
@@ -138,7 +139,7 @@ class TestStochasticGradient:
         oracle = make_logistic_oracle(data, n_workers=1, batch_size=4, seed=0)
         w = np.array([0.3, 0.1])
         np.testing.assert_allclose(
-            oracle.gradient(w, 0, 0, 0), full_gradient(w, data), rtol=1e-12
+            oracle.gradient(w, 0, 0, 0), full_gradient(w, data.features @ w, data), rtol=1e-12
         )
 
     def test_determinism(self, tiny_blobs):
@@ -152,7 +153,7 @@ class TestStochasticGradient:
     def test_unbiasedness_monte_carlo(self, tiny_blobs):
         oracle = make_logistic_oracle(tiny_blobs, n_workers=1, batch_size=8, seed=123)
         w = np.linspace(-0.5, 0.5, tiny_blobs.dim)
-        exact = full_gradient(w, tiny_blobs)
+        exact = full_gradient(w, tiny_blobs.features @ w, tiny_blobs)
         total = np.zeros_like(w)
         draws = 10_000
         for s in range(draws):
@@ -252,4 +253,4 @@ class TestQuadraticOracle:
 
 def test_accuracy_tie_rule_predicts_positive():
     data = Dataset(np.array([[1.0], [1.0]]), np.array([1.0, -1.0]))
-    assert dataset_accuracy(np.zeros(1), data) == 0.5
+    assert dataset_accuracy(data.features @ np.zeros(1), data) == 0.5

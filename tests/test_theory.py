@@ -214,8 +214,9 @@ class TestEstimates:
         for _ in range(10):
             u = gen.standard_normal(5)
             u /= np.linalg.norm(u)
-            g1 = full_gradient(w + 1e-5 * u, blobs, reg)
-            g0 = full_gradient(w - 1e-5 * u, blobs, reg)
+            up, down = w + 1e-5 * u, w - 1e-5 * u
+            g1 = full_gradient(up, blobs.features @ up, blobs, reg)
+            g0 = full_gradient(down, blobs.features @ down, blobs, reg)
             curv = float(u @ (g1 - g0)) / 2e-5
             assert curv <= bound + 1e-6
 
@@ -226,7 +227,7 @@ class TestEstimates:
         w = np.zeros(5)
         noise_var, grad_bound = estimate_gradient_stats(oracle, blobs, reg, w, n_draws=2000)
         assert noise_var > 0
-        exact = np.linalg.norm(full_gradient(w, blobs, reg))
+        exact = np.linalg.norm(full_gradient(w, blobs.features @ w, blobs, reg))
         # E||g||^2 = ||grad||^2 + noise_var; the estimator should agree
         assert grad_bound**2 == pytest.approx(exact**2 + noise_var, rel=0.1)
 
