@@ -5,6 +5,11 @@ rows of one ``(n, d)`` array.  All reductions use a fixed ascending-index
 summation order, and every random draw goes through a keyed
 :class:`RngStream`, so two runs with the same root seed are bit-identical
 regardless of how callers interleave their draws.
+
+A Rand-K mask is the head of a partial Fisher-Yates shuffle: one draw, which
+consumes the stream as k scalar draws do, gives its k swaps, and one exact
+vectorised pass reads the mask off them in O(k log k) time and O(k) memory,
+whatever ``d`` is (see :func:`sample_rand_k`).
 """
 
 from __future__ import annotations
@@ -132,26 +137,44 @@ def sample_rand_k(d: int, k: int, gen: np.random.Generator) -> Mask:
     """Uniformly random size-``k`` subset of ``[0, d)``.
 
     Partial Fisher-Yates over ``[0, d)``, exactly uniform over all C(d, k)
-    subsets.  Swap ``i`` exchanges positions ``i`` and ``i + gen.integers(0,
-    d - i)``; the k offsets come from one vectorised draw, which consumes the
-    stream exactly like k scalar draws.  The swaps are then replayed over
-    native ints, holding positions ``< k`` in a list and displaced positions
-    ``>= k`` in a dict, so the cost is O(k) whatever ``d`` is.
+    subsets: swap ``i`` exchanges positions ``i`` and ``j_i = i + gen.integers(0,
+    d - i)``, the k offsets drawn in one call that consumes the stream exactly
+    like k scalar draws.  The swaps are not replayed.  Swap ``i`` settles slot
+    ``i``, as later swaps touch only higher positions, and only earlier slots
+    write into a slot below k, so every value that passes through the head
+    ``[0, k)`` is a head index.  The mask is therefore the distinct reached tail
+    positions ``j_i >= k`` plus the head indices, less the value that each
+    reached tail position receives from its last swap ``i``: what slot ``i``
+    held just before swap ``i``, found by following "the last earlier swap into
+    slot ``i``" to a fixed point (pointer jumping).  One sort of the swap
+    targets gives them ascending with their last swaps: O(k log k) time and
+    O(k) memory whatever ``d`` is, and no final sort.
     """
-    if not isinstance(d, (int, np.integer)) or not isinstance(k, (int, np.integer)):
+    if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in (d, k)):
         raise ConfigurationError("d and k must be integers")
+    d, k = int(d), int(k)
     if not 1 <= k <= d:
         raise ConfigurationError(f"mask size k={k} outside [1, {d}]")
-    offsets = gen.integers(0, d - np.arange(k)).tolist()
-    head = list(range(k))
-    tail = {}
-    for i, offset in enumerate(offsets):
-        j = i + offset
-        if j < k:
-            head[i], head[j] = head[j], head[i]
-        else:
-            head[i], tail[j] = tail.get(j, j), head[i]
-    return Mask(indices=np.sort(np.array(head, dtype=np.int64)), d=d)
+    offsets = gen.integers(0, d - np.arange(k))
+    moved = np.flatnonzero(offsets)  # a zero offset swaps a slot with itself
+    targets = moved + offsets[moved]
+    order = np.argsort(targets)
+    by_target = targets[order]
+    first = np.ones(by_target.size, dtype=bool)
+    first[1:] = by_target[1:] != by_target[:-1]
+    starts = np.flatnonzero(first)
+    reached = by_target[starts]
+    last_swap = moved[np.maximum.reduceat(order, starts)]
+    split = np.searchsorted(reached, k)  # head targets come first
+    # held[i]: the last earlier swap into slot i, or i; at the fixed point, what slot i holds before swap i
+    held = np.arange(k)
+    held[reached[:split]] = last_swap[:split]
+    jumped = held[held]
+    while (jumped != held).any():
+        held, jumped = jumped, jumped[jumped]
+    keep = np.ones(k, dtype=bool)
+    keep[held[last_swap[split:]]] = False
+    return Mask(indices=np.concatenate([np.flatnonzero(keep), reached[split:]]), d=d)
 
 
 def average(vs) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import suppress
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -139,12 +139,12 @@ class RunRecorder:
 def render_csv(records: list[MetricsRecord]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
-        lines.append(",".join(map(repr, astuple(rec))))  # every field is a Python int or float
+        lines.append(",".join(map(repr, vars(rec).values())))  # the fields in order, each a Python int or float
     return "\n".join(lines) + "\n"
 
 
 def render_jsonl(records: list[MetricsRecord]) -> str:
-    return "".join(json.dumps(asdict(rec)) + "\n" for rec in records)
+    return "".join(json.dumps(vars(rec)) + "\n" for rec in records)
 
 
 def atomic_write_bytes(path, data: bytes) -> None:

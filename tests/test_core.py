@@ -172,6 +172,87 @@ class TestSampleRandK:
         assert rel.max() < 0.02
 
 
+def swap_replay_rand_k(d, k, gen):
+    """The partial Fisher-Yates loop over native ints, one scalar draw per swap:
+    positions below k in a list, displaced positions from k on in a dict, so
+    it reaches any d in O(k) memory."""
+    head = list(range(k))
+    tail = {}
+    for i in range(k):
+        j = i + int(gen.integers(0, d - i))
+        if j < k:
+            head[i], head[j] = head[j], head[i]
+        else:
+            head[i], tail[j] = tail.get(j, j), head[i]
+    return sorted(head)
+
+
+class ScriptedOffsets:
+    """A stand-in generator whose ``integers(0, high)`` hands out the given
+    offsets in order, one per element of ``high``; ``used`` is its stream position."""
+
+    def __init__(self, offsets):
+        self.offsets = list(offsets)
+        self.used = 0
+
+    def integers(self, low, high):
+        high = np.asarray(high)
+        out = np.array(self.offsets[self.used : self.used + high.size], dtype=np.int64).reshape(high.shape)
+        assert low == 0 and out.size == high.size and (out < high).all() and (out >= 0).all()
+        self.used += high.size
+        return out if high.ndim else int(out)
+
+
+def chain(d, k):
+    """Swap i targets slot i + 1, so slot 0's value walks the whole head: the deepest fixed-point walk."""
+    return [1] * (k - 1) + [1 if k < d else 0]
+
+
+WORST_CASES = {
+    "one-tail-position": (50, 20, [37 - i for i in range(20)]),
+    "one-tail-position-after-head-swaps": (50, 20, [1, 1, 1] + [49 - i for i in range(3, 20)]),
+    "head-chain": (50, 20, chain(50, 20)),
+    "head-chain-long": (10**6, 4097, chain(10**6, 4097)),
+    "head-chain-k-equals-d": (20, 20, chain(20, 20)),
+    "k-equals-d-reversal": (20, 20, [19 - 2 * i if i < 10 else 0 for i in range(20)]),
+    "k-equals-d-no-swaps": (9, 9, [0] * 9),
+    "huge-d": (2**62, 3, [2**62 - 1, 2**62 - 2, 1]),
+    "huge-d-chain": (2**62, 3, [1, 1, 2**62 - 3]),
+}
+
+
+class TestSampleRandKWorstCases:
+    @pytest.mark.parametrize("case", sorted(WORST_CASES))
+    def test_matches_swap_replay_on_scripted_offsets(self, case):
+        d, k, offsets = WORST_CASES[case]
+        gen, ref_gen = ScriptedOffsets(offsets), ScriptedOffsets(offsets)
+        assert sample_rand_k(d, k, gen).indices.tolist() == swap_replay_rand_k(d, k, ref_gen)
+        assert gen.used == ref_gen.used == k
+
+    def test_huge_d_matches_swap_replay_on_a_stream(self):
+        for seed in range(5):
+            gen, ref_gen = (RngStream(seed, ("huge", 2**62)).generator() for _ in range(2))
+            assert sample_rand_k(2**62, 3, gen).indices.tolist() == swap_replay_rand_k(2**62, 3, ref_gen)
+            assert gen.integers(0, 1 << 62) == ref_gen.integers(0, 1 << 62)
+
+    def test_swap_replay_matches_scalar_fisher_yates(self):
+        for d, k in [(1, 1), (7, 7), (50, 20), (300, 120)]:
+            gen, ref_gen = (RngStream(d, ("replay", k)).generator() for _ in range(2))
+            assert swap_replay_rand_k(d, k, gen) == reference_rand_k(d, k, ref_gen)
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int32, np.uint8])
+    def test_numpy_integer_sizes_give_the_python_int_mask(self, dtype):
+        gen, ref_gen = (RngStream(3, ("dtype",)).generator() for _ in range(2))
+        m = sample_rand_k(dtype(50), dtype(20), gen)
+        assert m.indices.tolist() == sample_rand_k(50, 20, ref_gen).indices.tolist()
+        assert m.d == 50 and type(m.d) is int
+
+    @pytest.mark.parametrize("d, k", [(True, True), (2, True), (True, 1), (4.0, 2), (4, 2.0)])
+    def test_bools_and_floats_are_not_sizes(self, d, k):
+        with pytest.raises(ConfigurationError, match="d and k must be integers"):
+            sample_rand_k(d, k, RngStream(0, ("m",)).generator())
+
+
 class TestRngStream:
     def test_same_key_same_stream(self):
         a = RngStream(1, ("sample", 0, 0, 0)).generator().integers(0, 1 << 30, size=8)
