@@ -101,11 +101,12 @@ def local_steps(
     if stepsize <= 0:
         raise ConfigurationError(f"stepsize must be positive, got {stepsize}")
     grad_sum = np.zeros_like(w)
-    for t in range(first_step, first_step + count):
-        g = oracle.gradient(w, worker, round_index, t)
-        w -= stepsize * g
-        _guard(w, round_index, worker)
-        grad_sum += g
+    with np.errstate(over="ignore"):  # an overflowing step leaves an infinity for _guard to report
+        for t in range(first_step, first_step + count):
+            g = oracle.gradient(w, worker, round_index, t)
+            w -= stepsize * g
+            _guard(w, round_index, worker)
+            grad_sum += g
     return grad_sum
 
 

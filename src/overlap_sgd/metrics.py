@@ -81,22 +81,30 @@ class RunRecorder:
 
     def _evaluate(self) -> MetricsRecord:
         mean_model = average(self.models)
-        reg_value = self.config.regularizer.value(mean_model)
+        # row 0 is the mean model, and under eval_per_worker each worker's model follows it
+        rows = np.vstack([mean_model, self.models]) if self.config.eval_per_worker else mean_model[None]
         # one forward product per model and split, shared by the gradient, the loss and the accuracy
-        scores = self.train.features @ mean_model
-        grad = full_gradient(mean_model, scores, self.train, self.config.regularizer)
+        scores = _rowwise(self.train.features, rows)
+        grad = full_gradient(mean_model, scores[0], self.train, self.config.regularizer)
         with np.errstate(over="ignore"):  # a finite gradient's norm may overflow, and then the run diverges
             check_finite(grad_norm := float(np.linalg.norm(grad)), "full gradient norm")
+        # after the checks above, so a diverged run's worker rows match its records
+        losses = [dataset_loss(s, self.train) + self.config.regularizer.value(m) for m, s in zip(rows, scores)]
+        accuracies = [dataset_accuracy(s, self.train) for s in scores]
+        for w, (loss, accuracy) in enumerate(zip(losses[1:], accuracies[1:])):
+            self.worker_rows.append(
+                {"round": self.completed_rounds, "worker": w, "train_loss": loss, "train_accuracy": accuracy}
+            )
         val_loss = val_acc = float("nan")
         if self.val.n_examples:
             val_scores = self.val.features @ mean_model
             val_loss, val_acc = dataset_loss(val_scores, self.val), dataset_accuracy(val_scores, self.val)
-        record = MetricsRecord(
+        return MetricsRecord(
             round=self.completed_rounds,
             logical_time=self.logical_time,
-            train_loss=dataset_loss(scores, self.train) + reg_value,
+            train_loss=losses[0],
             val_loss=val_loss,
-            train_accuracy=dataset_accuracy(scores, self.train),
+            train_accuracy=accuracies[0],
             val_accuracy=val_acc,
             grad_norm=grad_norm,
             disagreement_x=disagreement(self.models, mean_model),
@@ -104,18 +112,6 @@ class RunRecorder:
             comm_coordinates=self.comm_coordinates,
             comm_bits=self.comm_coordinates * self.config.value_bit_width,
         )
-        if self.config.eval_per_worker:  # after the checks above, so a diverged run's rows match its records
-            worker_scores = _rowwise(self.train.features, self.models)
-            for w, (m, s) in enumerate(zip(self.models, worker_scores)):
-                self.worker_rows.append(
-                    {
-                        "round": self.completed_rounds,
-                        "worker": w,
-                        "train_loss": dataset_loss(s, self.train) + self.config.regularizer.value(m),
-                        "train_accuracy": dataset_accuracy(s, self.train),
-                    }
-                )
-        return record
 
     def measure_initial(self) -> None:
         self.records.append(self._evaluate())

@@ -99,7 +99,8 @@ class RegularizerParams:
         if not self.enabled:
             return np.zeros_like(w)
         sq = w * w
-        return self.strength * 2.0 * w * self.scale**2 / (sq + self.scale**2) ** 2
+        with np.errstate(over="ignore"):  # past |w| ~ 1e77 the square overflows, and the term is 0, its limit
+            return self.strength * 2.0 * w * self.scale**2 / (sq + self.scale**2) ** 2
 
     def curvature_bound(self) -> float:
         """Upper bound on the second derivative of one penalty term."""

@@ -255,7 +255,7 @@ def theory_report(config: ExperimentConfig) -> dict:
     smooth = logistic_smoothness(train, reg)
     # each draw is compared with the full training gradient, so it samples the whole training split
     whole = LogisticOracle(train, config.batch_size, reg, (np.arange(train.n_examples),), config.seeds[0])
-    noise_var, grad_bound = estimate_gradient_stats(whole, train, reg, x0, n_draws=config.theory.estimate_draws)
+    noise_var, grad_bound = estimate_gradient_stats(whole, x0, n_draws=config.theory.estimate_draws)
     consts = ProblemConstants(
         smoothness=smooth,
         noise_var=noise_var,

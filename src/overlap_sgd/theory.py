@@ -222,15 +222,15 @@ def logistic_smoothness(dataset: Dataset, reg: RegularizerParams) -> float:
     return smooth
 
 
-def estimate_gradient_stats(
-    oracle, dataset: Dataset, reg: RegularizerParams, w: np.ndarray, n_draws: int = 200
-) -> tuple[float, float]:
+def estimate_gradient_stats(oracle, w: np.ndarray, n_draws: int = 200) -> tuple[float, float]:
     """Monte Carlo estimates (noise_var, grad_bound) at the point ``w``.
 
-    Draws use the reserved round index -1 so they never collide with
-    simulation streams.  These are estimates, not bounds.
+    The draws are compared with the exact gradient over the oracle's own
+    dataset and regularizer.  Draws use the reserved round index -1 so they
+    never collide with simulation streams.  These are estimates, not bounds.
     """
-    exact = full_gradient(w, dataset.features @ w, dataset, reg)
+    data = oracle.dataset
+    exact = full_gradient(w, data.features @ w, data, oracle.regularizer)
     sq_dev = 0.0
     sq_norm = 0.0
     for s in range(n_draws):

@@ -81,6 +81,13 @@ class TestRunLocalSteps:
         with pytest.raises(DivergenceError):
             local_steps(np.array([1.0]), 200, 1.0, oracle, round_index=5)
 
+    def test_an_overflowing_step_is_reported_by_the_guard_alone(self):
+        # 1e308 * 10 overflows to inf: the guard raises, and NumPy prints no RuntimeWarning
+        oracle = make_quadratic_oracle(dim=3)
+        with pytest.raises(DivergenceError) as info:
+            local_steps(np.full(3, 10.0), 1, 1e308, oracle, worker=1, round_index=2)
+        assert (info.value.round_index, info.value.worker) == (2, 1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0000001e100, -1.0000001e100])
     def test_guard_names_the_round_and_worker(self, bad):
         w = np.array([0.5, bad, -2.0])

@@ -126,6 +126,13 @@ class TestRegularizer:
             assert 0.0 <= reg.value(w) <= 0.3 * 5
         assert reg.value(np.full(5, 1e9)) == pytest.approx(0.3 * 5, rel=1e-9)
 
+    def test_gradient_past_the_square_overflow_is_zero_without_a_warning(self):
+        # (w^2 + scale^2)^2 overflows once |w| > ~1e77, inside the divergence guard's 1e100;
+        # the term's limit is 0, and the suite turns a RuntimeWarning into an error
+        reg = RegularizerParams(strength=0.05, scale=1.0)
+        grad = reg.gradient(np.array([1e99, -1e99, 0.5]))
+        assert grad.tobytes() == np.array([0.0, -0.0, 0.05 * 2.0 * 0.5 / 1.25**2]).tobytes()
+
     def test_rejects_bad_params(self):
         with pytest.raises(ConfigurationError):
             RegularizerParams(strength=-1.0)

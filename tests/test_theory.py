@@ -225,7 +225,7 @@ class TestEstimates:
         oracle = make_logistic_oracle(blobs, n_workers=1, batch_size=5, seed=2)
         reg = RegularizerParams()
         w = np.zeros(5)
-        noise_var, grad_bound = estimate_gradient_stats(oracle, blobs, reg, w, n_draws=2000)
+        noise_var, grad_bound = estimate_gradient_stats(oracle, w, n_draws=2000)
         assert noise_var > 0
         exact = np.linalg.norm(full_gradient(w, blobs.features @ w, blobs, reg))
         # E||g||^2 = ||grad||^2 + noise_var; the estimator should agree
