@@ -39,27 +39,10 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 
 def _rowwise(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``matrix @ v`` for one vector, or for each row of a stack.
-
-    One matrix-vector product per row: a single matrix-matrix product would
-    not give the bits of the products taken one model at a time.  Each row's
-    product is written straight into the result, as stacking separate
-    products measurably slowed wide models (d=100000) with page faults.
-    """
-    if v.ndim == 1:
-        return matrix @ v
-    out = np.empty((len(v), matrix.shape[0]))
-    for row, dest in zip(v, out):
-        np.matmul(matrix, row, out=dest)
-    return out
-
-
-def _logistic_backward(features: np.ndarray, labels: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Gradient of the mean logistic loss over the rows of ``features``, given
-    their scores ``_rowwise(features, w)`` at one ``(d,)`` model or at each row
-    of an ``(m, d)`` stack."""
-    weights = labels * _sigmoid(-(labels * scores))
-    return -_rowwise(features.T, weights) / labels.size
+    """``matrix @ v`` for one ``(d,)`` vector, or for each row of an ``(m, d)`` stack.  NumPy takes the
+    stacked ``(..., d, 1)`` operand as one matrix-vector product per row, so each row gets the bits of its
+    product alone; a single matrix-matrix product would not."""
+    return np.matmul(matrix, v[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -109,6 +92,20 @@ class RegularizerParams:
         return 2.0 * self.strength / self.scale**2
 
 
+def _logistic_gradient(
+    features: np.ndarray, labels: np.ndarray, scores: np.ndarray, w: np.ndarray, reg: RegularizerParams
+) -> np.ndarray:
+    """Gradient of the mean logistic loss over the rows of ``features``, plus the penalty's, at one ``(d,)``
+    model or at each row of an ``(m, d)`` stack ``w``, given their scores ``_rowwise(features, w)``."""
+    weights = labels * _sigmoid(-(labels * scores))
+    grad = _rowwise(features.T, weights)
+    np.negative(grad, out=grad)
+    grad /= labels.size
+    if reg.enabled:
+        grad += reg.gradient(w)
+    return grad
+
+
 def dataset_loss(scores: np.ndarray, dataset: Dataset) -> float:
     """Mean logistic loss over the dataset (no regularizer), given its scores."""
     margins = dataset.labels * scores
@@ -123,15 +120,13 @@ def dataset_accuracy(scores: np.ndarray, dataset: Dataset) -> float:
 
 
 def full_gradient(
-    w: np.ndarray, scores: np.ndarray, dataset: Dataset, reg: RegularizerParams | None = None
+    w: np.ndarray, scores: np.ndarray, dataset: Dataset, reg: RegularizerParams = RegularizerParams()
 ) -> np.ndarray:
     """Exact gradient of mean logistic loss at ``w`` plus the regularizer gradient,
     given the dataset's scores at ``w``."""
     if dataset.n_examples == 0:
         raise ConfigurationError("cannot take a gradient over an empty dataset")
-    grad = _logistic_backward(dataset.features, dataset.labels, scores)
-    if reg is not None:
-        grad = grad + reg.gradient(w)
+    grad = _logistic_gradient(dataset.features, dataset.labels, scores, w, reg)
     check_finite(grad, "full gradient")
     return grad
 
@@ -170,10 +165,7 @@ class LogisticOracle:
         gen = RngStream(self.root_seed, ("sample", worker, round_index, step)).generator()
         rows = pool[gen.integers(0, pool.size, size=self.batch_size)]
         features = self.dataset.features[rows]
-        grad = _logistic_backward(features, self.dataset.labels[rows], _rowwise(features, w))
-        if self.regularizer.enabled:
-            grad = grad + self.regularizer.gradient(w)
-        return grad
+        return _logistic_gradient(features, self.dataset.labels[rows], _rowwise(features, w), w, self.regularizer)
 
 
 @dataclass(frozen=True)

@@ -259,7 +259,7 @@ def theory_report(config: ExperimentConfig) -> dict:
     consts = ProblemConstants(
         smoothness=smooth,
         noise_var=noise_var,
-        grad_bound=max(grad_bound, 1e-12),
+        grad_bound=grad_bound,
         # f(x0) - 0 bounds the gap, as the logistic loss and the penalty are non-negative
         initial_gap=dataset_loss(train.features @ x0, train) + reg.value(x0),
     )

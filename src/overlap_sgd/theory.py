@@ -90,15 +90,9 @@ class ProblemConstants:
     initial_gap: float      # f(x0) - inf f
 
     def __post_init__(self):
-        if self.smoothness <= 0:
-            raise ConfigurationError("smoothness must be positive")
-        if self.noise_var < 0 or self.initial_gap < 0:
-            raise ConfigurationError("noise_var and initial_gap must be non-negative")
-        if self.grad_bound <= 0:
-            raise ConfigurationError("grad_bound must be positive")
-        for v in (self.smoothness, self.noise_var, self.grad_bound, self.initial_gap):
-            if not math.isfinite(v):
-                raise ConfigurationError("problem constants must be finite")
+        # zero is valid throughout: L = 0 is a flat loss, and G = 0 a zero gradient
+        if not all(0.0 <= v < math.inf for v in (self.smoothness, self.noise_var, self.grad_bound, self.initial_gap)):
+            raise ConfigurationError(f"problem constants must be finite and non-negative, got {self}")
 
 
 @dataclass(frozen=True)
@@ -111,8 +105,8 @@ class RateBound:
 
 
 def max_stepsize(consts: ProblemConstants, plan: TimingPlan) -> float:
-    """Largest admissible stepsize, 1 / (8 L max_total)."""
-    return 1.0 / (8.0 * consts.smoothness * plan.max_total)
+    """Largest admissible stepsize, 1 / (8 L max_total); a flat loss (L = 0) has no ceiling."""
+    return 1.0 / (8.0 * consts.smoothness * plan.max_total) if consts.smoothness else math.inf
 
 
 def rate_bound(

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,6 +10,26 @@ from overlap_sgd.data import Dataset, partition_shared, synthetic_blobs
 from overlap_sgd.engine import run_round
 from overlap_sgd.metrics import MetricsRecord
 from overlap_sgd.objective import LogisticOracle, QuadraticOracle, RegularizerParams
+
+
+def blas_environment() -> str:
+    """NumPy, its BLAS and the BLAS thread count, on which the stored digests depend."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # NumPy older than 1.25 has no dict form
+        blas_name = "unknown"
+    threads = [f"{name}={os.environ.get(name, 'unset')}" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
+    return ", ".join([f"numpy {np.__version__}", f"BLAS {blas_name}", *threads])
+
+
+def pytest_report_header(config) -> list[str]:
+    return [blas_environment()]
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
+    if terminalreporter.verbosity < 0:  # -q drops the header, so say it at the end
+        terminalreporter.write_line(blas_environment())
 
 
 @pytest.fixture

@@ -1082,6 +1082,30 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.err == "" and json.loads(captured.out)["complexity"]["rounds"] >= 1
 
+    def test_theory_reports_a_training_split_with_zero_curvature(self, tmp_path, capsys):
+        # one training row standardizes to all-zero features, so L = 0 and G = 0: the loss is flat,
+        # any stepsize is admissible, and no round is needed; validate and run accept the same config
+        cfg = write_config(
+            tmp_path,
+            dataset={"synthetic": {"dim": 2, "n_examples": 10}},
+            val_fraction=0.9,
+            normalize=True,
+            step_times=[1],
+            methods=["local_sparse"],
+            sparsity=0.5,
+            rounds=2,
+        )
+        assert main(["validate", str(cfg)]) == 0
+        assert main(["run", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["theory", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert captured.err == "" and '"max_stepsize": Infinity' in captured.out
+        assert (report["constants"]["smoothness"], report["constants"]["grad_bound"]) == (0.0, 0.0)
+        assert report["rate_bound"]["total"] == report["rate_bound"]["opt_term"] > 0
+        assert report["complexity"]["rounds"] == 0
+
     @pytest.mark.parametrize("stepsize", [1.0e-6, 0.1], ids=["bound", "violation"])
     def test_theory_blocks_are_their_dataclasses(self, tmp_path, capsys, stepsize):
         # each block holds one dataclass under its own field names, plus the named extras

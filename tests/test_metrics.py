@@ -72,14 +72,16 @@ def test_recorder_averages_the_models_once_per_record(monkeypatch):
 
 
 class CountingFeatures(np.ndarray):
-    """Features that count each matrix product taking them, or a view of them, as an operand."""
+    """Features that count each matrix-vector product taking them, or a view of them, as an operand:
+    a matmul with a stack of ``(..., d, 1)`` columns counts one product per column."""
 
     def __array_finalize__(self, obj):
         self.products = getattr(obj, "products", None)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
-            self.products[0] += 1
+            (other,) = [x for x in inputs if not isinstance(x, CountingFeatures)]
+            self.products[0] += math.prod(np.shape(other)[:-2])
         plain = [x.view(np.ndarray) if isinstance(x, CountingFeatures) else x for x in inputs]
         return getattr(ufunc, method)(*plain, **kwargs)
 

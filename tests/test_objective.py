@@ -15,6 +15,7 @@ from overlap_sgd.objective import (
     LogisticOracle,
     QuadraticOracle,
     RegularizerParams,
+    _rowwise,
     _sigmoid,
     dataset_accuracy,
     dataset_loss,
@@ -208,6 +209,21 @@ def opened_keys(monkeypatch):
 
 
 class TestStackedGradient:
+    @pytest.mark.parametrize(
+        "rows, cols, m",
+        [(256, 100, 1), (256, 100, 2), (256, 100, 3), (256, 5000, 3), (8, 100_000, 3)]
+        + [(rows, cols, m) for rows, cols in ((7200, 100), (64, 100_000)) for m in (1, 5)],
+    )
+    def test_a_stacked_product_keeps_each_rows_bits(self, rows, cols, m):
+        # the workloads' batch and train-split shapes, forward and backward: a BLAS that took the stack
+        # as one matrix-matrix product would change the bits, and every output digest with them
+        rng = np.random.default_rng(rows * cols + m)
+        matrix = rng.standard_normal((rows, cols))
+        models, weights = rng.standard_normal((m, cols)), rng.standard_normal((m, rows))
+        assert _rowwise(matrix, models).tobytes() == np.stack([matrix @ v for v in models]).tobytes()
+        assert _rowwise(matrix.T, weights).tobytes() == np.stack([matrix.T @ u for u in weights]).tobytes()
+        assert _rowwise(matrix, models[0]).tobytes() == (matrix @ models[0]).tobytes()
+
     @pytest.mark.parametrize("strength", [0.0, 0.4])
     def test_a_logistic_stack_equals_its_rows_and_opens_one_stream(self, tiny_blobs, opened_keys, strength):
         oracle = make_logistic_oracle(tiny_blobs, n_workers=2, batch_size=8, seed=3, strength=strength, scale=0.7)

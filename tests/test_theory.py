@@ -233,6 +233,7 @@ class TestEstimates:
 
     def test_constants_validation(self):
         with pytest.raises(ConfigurationError):
-            ProblemConstants(smoothness=0.0, noise_var=1.0, grad_bound=1.0, initial_gap=1.0)
+            ProblemConstants(smoothness=-1.0, noise_var=1.0, grad_bound=1.0, initial_gap=1.0)
+        ProblemConstants(smoothness=0.0, noise_var=1.0, grad_bound=1.0, initial_gap=1.0)  # a flat loss
         with pytest.raises(ConfigurationError):
             ProblemConstants(smoothness=1.0, noise_var=-1.0, grad_bound=1.0, initial_gap=1.0)
