@@ -19,7 +19,6 @@ from .errors import ConfigurationError, DatasetError
 
 __all__ = [
     "Dataset",
-    "NormalizationStats",
     "parse_libsvm",
     "load_libsvm",
     "serialize_libsvm",
@@ -188,14 +187,6 @@ def split_train_val(dataset: Dataset, val_fraction: float, seed: int) -> tuple[D
     return tuple(Dataset(dataset.features[idx], dataset.labels[idx]) for idx in (train_idx, val_idx))
 
 
-@dataclass(frozen=True)
-class NormalizationStats:
-    """Per-feature mean and stdev, computed from the training split only."""
-
-    mean: np.ndarray
-    stdev: np.ndarray
-
-
 def _check_standardizable(values: np.ndarray, what: str) -> None:
     """DatasetError naming the first feature whose ``values`` are not all finite."""
     bad = ~np.isfinite(values).reshape(-1, np.shape(values)[-1]).all(axis=0)
@@ -203,7 +194,8 @@ def _check_standardizable(values: np.ndarray, what: str) -> None:
         raise DatasetError(f"feature {int(np.argmax(bad)) + 1} cannot be standardized: {what} overflows")
 
 
-def compute_normalization(train: Dataset) -> NormalizationStats:
+def compute_normalization(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Per-feature ``(mean, stdev)`` of the training split, the stdev floored at ``STDEV_FLOOR``."""
     x, (n, d) = train.features, train.features.shape
     var, width = np.empty(d), max(2, (1 << 17) // max(n, 1))  # (n, width) blocks of about 1 MiB
     starts = range(0, max(d - 1, 1), width)  # one column alone would sum pairwise, so a 1-column tail joins
@@ -215,23 +207,25 @@ def compute_normalization(train: Dataset) -> NormalizationStats:
         stdev = np.sqrt(np.divide(var, n, out=var), out=var)
     _check_standardizable(mean, "its training mean")
     _check_standardizable(stdev, "its training stdev")
-    return NormalizationStats(mean=mean, stdev=np.maximum(stdev, STDEV_FLOOR, out=stdev))
+    return mean, np.maximum(stdev, STDEV_FLOOR, out=stdev)
 
 
-def apply_normalization(dataset: Dataset, stats: NormalizationStats) -> Dataset:
-    """Standardize ``dataset.features`` in place and return ``dataset``: a split's own copy, never the raw data."""
+def apply_normalization(dataset: Dataset, mean: np.ndarray, stdev: np.ndarray) -> Dataset:
+    """Standardize ``dataset.features`` in place by ``compute_normalization``'s ``(mean, stdev)`` and return
+    ``dataset``: a split's own copy, never the raw data."""
     feats = dataset.features
     with np.errstate(over="ignore", invalid="ignore"):  # monotone steps on finite values: no NaN, so extremes tell
-        feats -= stats.mean
-        feats /= stats.stdev
+        feats -= mean
+        feats /= stdev
     _check_standardizable((feats.min(axis=0, initial=0.0), feats.max(axis=0, initial=0.0)), "a standardized value")
     return dataset
 
 
 def partition_shared(n_examples: int, n_workers: int) -> tuple[np.ndarray, ...]:
-    """Every worker samples from the full training set."""
+    """Every worker samples from the full training set: one read-only index array, shared by all."""
     full = np.arange(n_examples, dtype=np.int64)
-    return tuple(full.copy() for _ in range(n_workers))
+    full.flags.writeable = False
+    return (full,) * n_workers
 
 
 def partition_shard(n_examples: int, n_workers: int, seed: int) -> tuple[np.ndarray, ...]:
@@ -280,14 +274,10 @@ def partition_dirichlet(
     for _ in range(1000):
         buckets: list[list[np.ndarray]] = [[] for _ in range(n_workers)]
         for cls in classes:
-            cls_idx = np.flatnonzero(train.labels == cls)
-            cls_idx = gen.permutation(cls_idx)
-            props = gen.dirichlet(np.full(n_workers, float(alpha)))
-            counts = _largest_remainder(props, cls_idx.size)
-            start = 0
-            for w, c in enumerate(counts):
-                buckets[w].append(cls_idx[start : start + c])
-                start += c
+            cls_idx = gen.permutation(np.flatnonzero(train.labels == cls))
+            counts = _largest_remainder(gen.dirichlet(np.full(n_workers, float(alpha))), cls_idx.size)
+            for bucket, part in zip(buckets, np.split(cls_idx, np.cumsum(counts)[:-1])):
+                bucket.append(part)
         sizes = [sum(a.size for a in b) for b in buckets]
         if min(sizes) >= min_examples:
             break
@@ -296,7 +286,7 @@ def partition_dirichlet(
             f"could not satisfy min_examples={min_examples} within 1000 redraws "
             f"(alpha={alpha} is too extreme for this class balance)"
         )
-    return tuple(np.sort(np.concatenate(b)) if b else np.empty(0, np.int64) for b in buckets)
+    return tuple(np.sort(np.concatenate(b)) for b in buckets)
 
 
 def synthetic_blobs(dim: int, n_examples: int, separation: float = 2.0, seed: int = 0) -> Dataset:

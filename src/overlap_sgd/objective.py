@@ -147,7 +147,7 @@ class LogisticOracle:
     dataset: Dataset
     batch_size: int
     regularizer: RegularizerParams
-    worker_pools: tuple[np.ndarray, ...]
+    worker_pools: tuple[np.ndarray, ...]  # per worker, int64 row indices into dataset
     root_seed: int
 
     def __post_init__(self):
@@ -155,8 +155,6 @@ class LogisticOracle:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.dataset.n_examples == 0:
             raise ConfigurationError("oracle over an empty dataset")
-        pools = tuple(np.asarray(p, dtype=np.int64) for p in self.worker_pools)
-        object.__setattr__(self, "worker_pools", pools)
 
     def gradient(self, w: np.ndarray, worker: int, round_index: int, step: int) -> np.ndarray:
         pool = self.worker_pools[worker]

@@ -87,8 +87,8 @@ class SeedArtifacts:
 def _seed_split(dataset: Dataset, config: ExperimentConfig, seed: int) -> tuple[Dataset, Dataset]:
     train, val = split_train_val(dataset, config.val_fraction, seed)
     if config.normalize:  # both splits by train's statistics, each in place
-        stats = compute_normalization(train)
-        train, val = (apply_normalization(part, stats) for part in (train, val))
+        mean, stdev = compute_normalization(train)
+        train, val = (apply_normalization(part, mean, stdev) for part in (train, val))
     return train, val
 
 

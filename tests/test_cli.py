@@ -534,6 +534,16 @@ class TestConfigFileErrors:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run", "theory"])
+    def test_a_non_positive_pinned_analysis_parameter_is_one_config_error_line(self, tmp_path, capsys, command):
+        # BoundParams states the rule; every command reaches it through the config layer
+        cfg = write_config(tmp_path, theory={"alpha": -0.5, "beta": 1.0})
+        assert main([command, str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["invalid config: theory: alpha and beta must be positive"]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_a_repeated_spec_key_is_a_parse_error(self, tmp_path, capsys):
         spec = tmp_path / "blobs.yaml"
         spec.write_text(f"dim: 3\nn_examples: 5\ndim: 4\nout: {tmp_path / 'blobs.libsvm'}\n", encoding="utf-8")
@@ -1124,6 +1134,13 @@ class TestOtherCommands:
             "complexity": {"epsilon", "c_round", "rounds", "seconds"},
         }
         assert bounded == (stepsize == 1.0e-6)
+
+    def test_theory_at_zero_rounds_prints_the_documented_violation(self, tmp_path, capsys):
+        # an admissible stepsize, so the round count is the one rule the bound breaks
+        assert main(["theory", str(write_config(tmp_path, rounds=0, stepsize=1.0e-6))]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["rate_bound"] == {"stepsize": 1e-06, "violation": "rounds must be >= 1"}
 
     def test_theory_on_data_whose_smoothness_bound_overflows_is_one_error_line(self, tmp_path, capsys):
         data = tmp_path / "huge.libsvm"

@@ -136,16 +136,16 @@ def feature_matrices(draw):
 
 
 def assert_numpy_stats(features):
-    stats = compute_normalization(Dataset(features, np.ones(len(features))))
+    mean, stdev = compute_normalization(Dataset(features, np.ones(len(features))))
     expected_stdev = np.maximum(features.std(axis=0), STDEV_FLOOR)
-    assert stats.mean.tobytes() == features.mean(axis=0).tobytes()
-    assert stats.stdev.tobytes() == expected_stdev.tobytes()
+    assert mean.tobytes() == features.mean(axis=0).tobytes()
+    assert stdev.tobytes() == expected_stdev.tobytes()
 
 
 class TestNormalization:
     def test_train_stats(self, tiny_blobs):
         train = Dataset(tiny_blobs.features.copy(), tiny_blobs.labels)
-        out = apply_normalization(train, compute_normalization(train))
+        out = apply_normalization(train, *compute_normalization(train))
         np.testing.assert_allclose(out.features.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(out.features.std(axis=0), 1.0, atol=1e-9)
 
@@ -153,21 +153,21 @@ class TestNormalization:
         feats = np.column_stack([np.full(8, 3.0), np.arange(8.0)])
         labels = np.array([1.0] * 4 + [-1.0] * 4)
         data = Dataset(feats, labels)
-        out = apply_normalization(data, compute_normalization(data))
+        out = apply_normalization(data, *compute_normalization(data))
         np.testing.assert_array_equal(out.features[:, 0], np.zeros(8))
 
     @pytest.mark.parametrize("val_fraction", [0.0, 0.25])
     def test_standardizes_in_place_bit_for_bit(self, tiny_blobs, val_fraction):
         # val_fraction 0 leaves a (0, d) validation split, which passes through
         train, val = split_train_val(tiny_blobs, val_fraction, seed=3)
-        stats = compute_normalization(train)
+        mean, stdev = compute_normalization(train)
         for part in (train, val):
             features = part.features
             before = features.copy()
-            out = apply_normalization(part, stats)
+            out = apply_normalization(part, mean, stdev)
             assert out is part and out.features is features  # written in place
             assert features.size == 0 or np.shares_memory(out.features, features)
-            expected = (before - stats.mean) / stats.stdev
+            expected = (before - mean) / stdev
             assert (out.features.shape, out.features.tobytes()) == (expected.shape, expected.tobytes())
             np.testing.assert_array_equal(out.labels, part.labels)
         assert val.n_examples == (0 if val_fraction == 0.0 else 15)
@@ -209,12 +209,11 @@ class TestNormalization:
         train = Dataset(np.array([[0.0, 1.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]]), np.array([1.0, -1.0]))
         val = Dataset(np.array([[0.0, 0.0, 0.0, 0.0], [1.0, value, value, value]]), np.array([1.0, -1.0]))
         with pytest.raises(DatasetError, match="^feature 3 cannot be standardized: a standardized value overflows$"):
-            apply_normalization(val, compute_normalization(train))
+            apply_normalization(val, *compute_normalization(train))
 
     def test_validation_reuses_train_stats(self, tiny_blobs):
         train, val = split_train_val(tiny_blobs, 0.2, seed=3)
-        stats = compute_normalization(train)
-        out_val = apply_normalization(val, stats)
+        out_val = apply_normalization(val, *compute_normalization(train))
         # validation columns are not re-centered on their own statistics
         assert abs(out_val.features.mean()) > 0
 
@@ -225,6 +224,11 @@ class TestPartitions:
         assert len(pools) == 3
         for a in pools:
             np.testing.assert_array_equal(a, np.arange(10))
+        # one read-only array, shared by every worker
+        assert all(a is pools[0] for a in pools)
+        assert pools[0].dtype == np.dtype(np.int64)
+        with pytest.raises(ValueError, match="read-only"):
+            pools[0][0] = 1
 
     def test_shard_covers_disjointly(self):
         pools = partition_shard(23, 4, seed=2)
