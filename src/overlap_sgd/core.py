@@ -186,12 +186,10 @@ def average(vs) -> np.ndarray:
     """
     if len(vs) == 0:
         raise ValueError("average of an empty list")
-    first = vs[0]
+    total = np.array(vs[0], dtype=np.float64, copy=True)
     for v in vs[1:]:
-        if v.shape != first.shape:
-            raise ConfigurationError(f"dimension mismatch: {v.shape} vs {first.shape}")
-    total = np.array(first, dtype=np.float64, copy=True)
-    for v in vs[1:]:
+        if v.shape != total.shape:
+            raise ConfigurationError(f"dimension mismatch: {v.shape} vs {total.shape}")
         total += v
     out = total / len(vs)
     check_finite(out, "average")

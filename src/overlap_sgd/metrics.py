@@ -50,13 +50,8 @@ class MetricsRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
-def disagreement(models, mean: np.ndarray | None = None) -> float:
-    """Sum of squared deviations of worker models (rows) from their mean.
-
-    ``mean`` may pass in ``average(models)`` when the caller already has it.
-    """
-    if mean is None:
-        mean = average(models)
+def disagreement(models, mean: np.ndarray) -> float:
+    """Sum of squared deviations of worker models (rows) from their mean ``average(models)``."""
     # summed row by row in ascending order, as np.float64 values, so no Python version compensates the sum
     return float(sum(np.sum((models - mean) ** 2, axis=1)))
 

@@ -126,7 +126,8 @@ def full_gradient(
     given the dataset's scores at ``w``."""
     if dataset.n_examples == 0:
         raise ConfigurationError("cannot take a gradient over an empty dataset")
-    grad = _logistic_gradient(dataset.features, dataset.labels, scores, w, reg)
+    with np.errstate(over="ignore"):  # an overflow is reported below, once
+        grad = _logistic_gradient(dataset.features, dataset.labels, scores, w, reg)
     check_finite(grad, "full gradient")
     return grad
 
@@ -181,10 +182,8 @@ class QuadraticOracle:
     root_seed: int
 
     def __post_init__(self):
-        arr = np.asarray(self.a_diag, dtype=np.float64)
-        if np.any(arr <= 0):
+        if np.any(self.a_diag <= 0):
             raise ConfigurationError("quadratic curvatures must be positive")
-        object.__setattr__(self, "a_diag", arr)
 
     def gradient(self, w: np.ndarray, worker: int, round_index: int, step: int) -> np.ndarray:
         if self.a_diag.shape != w.shape[-1:]:

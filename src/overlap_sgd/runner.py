@@ -254,7 +254,7 @@ def theory_report(config: ExperimentConfig) -> dict:
     x0 = np.zeros(train.dim)
     smooth = logistic_smoothness(train, reg)
     # each draw is compared with the full training gradient, so it samples the whole training split
-    whole = LogisticOracle(train, config.batch_size, reg, (np.arange(train.n_examples),), config.seeds[0])
+    whole = LogisticOracle(train, config.batch_size, reg, partition_shared(train.n_examples, 1), config.seeds[0])
     noise_var, grad_bound = estimate_gradient_stats(whole, x0, n_draws=config.theory.estimate_draws)
     consts = ProblemConstants(
         smoothness=smooth,

@@ -128,20 +128,15 @@ def rate_bound(
     if n < 1:
         raise ConfigurationError("need n >= 1")
     L = consts.smoothness
-    g_sq = consts.grad_bound**2
     mean_total = float(plan.mean_total)
     opt = 4.0 * consts.initial_gap / (stepsize * mean_total * rounds)
     noise = 4.0 * L * stepsize * consts.noise_var / n
-    drift = 6.0 * L**2 * stepsize**2 * g_sq * plan.drift_sq_sum / (n * mean_total)
-    staleness = (
-        6.0
-        * L**2
-        * stepsize**2
-        * g_sq
-        * plan.max_total
-        * bp.staleness_weight(plan)
-        / ((n * mean_total) * (1.0 - bp.contraction))
-    )
+    try:
+        scale = 6.0 * L**2 * stepsize**2 * consts.grad_bound**2
+    except OverflowError:  # a square past float range; stepsize <= ceiling keeps L * stepsize <= 1/8
+        scale = 6.0 * (L * stepsize) ** 2 * consts.grad_bound**2
+    drift = scale * plan.drift_sq_sum / (n * mean_total)
+    staleness = scale * plan.max_total * bp.staleness_weight(plan) / ((n * mean_total) * (1.0 - bp.contraction))
     return RateBound(
         opt_term=opt,
         noise_term=noise,
@@ -173,7 +168,10 @@ def round_complexity(
     mean_total = float(plan.mean_total)
     term_noise = gap_l * consts.noise_var / (n * epsilon * mean_total)
     spread = gap_l * consts.grad_bound * math.sqrt(accumulated_dispersion(plan, bp))
-    scale = epsilon**1.5 * mean_total * math.sqrt(n * mean_total)  # 0.0 once epsilon**1.5 underflows
+    try:
+        scale = epsilon**1.5 * mean_total * math.sqrt(n * mean_total)  # 0.0 once epsilon**1.5 underflows
+    except OverflowError:  # and inf once it overflows, so the dispersion term is 0
+        scale = math.inf
     term_disp = spread / scale if scale else (math.inf if spread else 0.0)
     term_opt = gap_l * plan.max_total / (epsilon * mean_total)
     rounds = c_round * (term_noise + term_disp + term_opt)
@@ -190,22 +188,19 @@ def tune_bound_params(k: int, d: int, plan: TimingPlan) -> BoundParams:
     residual = (d - k) / d
     # contraction < 1 needs (1+alpha)(1+beta) < 1/residual
     budget = 1.0 / residual
-    best = None
-    best_val = math.inf
     # a mask so sparse that (1 + 1e-4)**2 >= budget starts where (low, low) is admissible
     low = 1e-4 if (1.0 + 1e-4) ** 2 < budget else (budget - 1.0) / 3
     candidates = np.exp(np.linspace(math.log(low), math.log(budget - 1.0), BOUND_GRID_POINTS))
-    for alpha in candidates:
-        for beta in candidates:
-            if (1.0 + alpha) * (1.0 + beta) >= budget:
-                continue
-            bp = BoundParams(alpha=float(alpha), beta=float(beta), k=k, d=d)
-            val = bp.staleness_weight(plan) / (1.0 - bp.contraction)
-            if val < best_val:
-                best, best_val = bp, val
-    if best is None:
+    admissible = [
+        BoundParams(alpha=float(alpha), beta=float(beta), k=k, d=d)
+        for alpha in candidates
+        for beta in candidates
+        if (1.0 + alpha) * (1.0 + beta) < budget
+    ]
+    if not admissible:
         raise ConfigurationError(f"no admissible (alpha, beta) found for residual {residual}")
-    return best
+    # min keeps the first of equal values, alpha-major: the least alpha, then the least beta
+    return min(admissible, key=lambda bp: bp.staleness_weight(plan) / (1.0 - bp.contraction))
 
 
 def logistic_smoothness(dataset: Dataset, reg: RegularizerParams) -> float:

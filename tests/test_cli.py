@@ -1116,6 +1116,70 @@ class TestOtherCommands:
         assert report["rate_bound"]["total"] == report["rate_bound"]["opt_term"] > 0
         assert report["complexity"]["rounds"] == 0
 
+    def test_theory_bounds_a_flat_loss_at_a_stepsize_whose_square_overflows(self, tmp_path, capsys):
+        # the one training row standardizes to zeros, so L = 0 and any stepsize is admissible, 1e308 too
+        cfg = write_config(
+            tmp_path,
+            dataset={"synthetic": {"dim": 1, "n_examples": 7, "separation": 5.0, "seed": 2}},
+            step_times=[3],
+            comm_seconds=6,
+            methods=["fedavg_full"],
+            val_fraction=0.9,
+            sparsity=0.01,
+            batch_size=4,
+            rounds=3,
+            seeds=[1],
+            stepsize=1.0e308,
+        )
+        assert main(["run", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["theory", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "NaN" not in captured.out
+        bound = json.loads(captured.out)["rate_bound"]
+        assert (bound["noise_term"], bound["drift_term"], bound["staleness_term"]) == (0.0, 0.0, 0.0)
+        assert bound["total"] == bound["opt_term"]
+
+    def test_theory_drops_the_dispersion_term_at_an_epsilon_whose_power_overflows(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            dataset={"synthetic": {"dim": 1, "n_examples": 7, "separation": 5.0, "seed": 2}},
+            step_times=[3],
+            comm_seconds=6,
+            methods=["fedavg_full"],
+            sparsity=0.01,
+            batch_size=4,
+            rounds=3,
+            seeds=[1],
+        )
+        cfg.write_text(cfg.read_text(encoding="utf-8") + "theory: {epsilon: 1.0e+300}\n", encoding="utf-8")
+        assert main(["theory", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["complexity"] == {"c_round": 12.0, "epsilon": 1e300, "rounds": 1, "seconds": 9}
+
+    def test_an_initial_gradient_that_overflows_ends_the_run_without_a_warning(self, tmp_path, capsys, caplog):
+        # the features reach 1e308, so the initial full gradient's backward product overflows
+        cfg = write_config(
+            tmp_path,
+            dataset={"synthetic": {"dim": 3, "n_examples": 17, "separation": 1.0e308, "seed": 2}},
+            step_times=[1],
+            comm_seconds=2,
+            methods=["overlap_delay_corrected"],
+            val_fraction=0.5,
+            normalize=False,
+            batch_size=1,
+            sparsity=1.0,
+            rounds=2,
+            seeds=[2],
+            eval_every=2,
+        )
+        assert main(["run", str(cfg)]) == 2  # warnings are errors under pytest, so none was emitted
+        assert capsys.readouterr().err == ""
+        (run,) = manifest_runs(tmp_path / "out" / "manifest.json")
+        assert (run.status, run.records) == ("diverged:round=0", [])
+        assert "seed 2: non-finite values in full gradient" in caplog.text
+
     @pytest.mark.parametrize("stepsize", [1.0e-6, 0.1], ids=["bound", "violation"])
     def test_theory_blocks_are_their_dataclasses(self, tmp_path, capsys, stepsize):
         # each block holds one dataclass under its own field names, plus the named extras

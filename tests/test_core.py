@@ -36,6 +36,10 @@ class TestMask:
         with pytest.raises(ConfigurationError, match=r"shape \(0,\), expected \(k,\) with 1 <= k <= 3"):
             Mask((), 3)
 
+    def test_projection_needs_a_vector_of_the_masks_dimension(self):
+        with pytest.raises(ConfigurationError, match="mask dimension 3 does not match vector length 4"):
+            project_mask(np.ones(4), Mask([1], 3))
+
     @pytest.mark.parametrize(
         "indices, d",
         [

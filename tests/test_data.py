@@ -297,6 +297,11 @@ class TestPartitions:
 
 
 class TestSyntheticBlobs:
+    @pytest.mark.parametrize("dim, n_examples", [(0, 5), (3, 0)])
+    def test_needs_a_coordinate_and_an_example(self, dim, n_examples):
+        with pytest.raises(ConfigurationError, match="needs dim >= 1 and n_examples >= 1"):
+            synthetic_blobs(dim, n_examples)
+
     def test_shapes_and_labels(self):
         data = synthetic_blobs(dim=7, n_examples=33, seed=1)
         assert data.features.shape == (33, 7)

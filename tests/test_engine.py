@@ -412,7 +412,7 @@ class TestRunRound:
             models = [m.copy() for m in out.next_models]
 
     def test_identical_init_has_zero_disagreement(self):
-        assert disagreement(np.stack([np.ones(4)] * 3)) == 0.0
+        assert disagreement(np.stack([np.ones(4)] * 3), average([np.ones(4)] * 3)) == 0.0
 
     def test_step_accounting(self):
         oracle = make_quadratic_oracle(dim=4, noise=0.1, seed=1)
@@ -438,8 +438,8 @@ class TestRunRound:
         plan = build_plan((1, 2), 1, 2)
         start = np.stack([np.ones(4)] * 2)
         out = one_round(start, "local_sparse", plan, round_mask(6, 0, 4, 2), 0.05, oracle, 0)
-        assert disagreement(out.latest - out.sent) == 0.0
-        assert disagreement(out.sent - start) > 0.0
+        assert disagreement(out.latest - out.sent, average(out.latest - out.sent)) == 0.0
+        assert disagreement(out.sent - start, average(out.sent - start)) > 0.0
 
     def test_round_duration_shared_by_all_methods(self):
         oracle = make_quadratic_oracle(dim=4, noise=0.0, seed=0)
@@ -643,11 +643,13 @@ class TestRunRound:
         latest = list(out.latest)
         sent_avg = average(sent)
         k, d = 3, 8
-        target = (1 - k / d) * disagreement(out.latest) + (k / d) * disagreement(out.latest - out.sent)
+        target = (1 - k / d) * disagreement(out.latest, average(latest)) + (k / d) * disagreement(
+            out.latest - out.sent, average(out.latest - out.sent)
+        )
         draws, total = 4000, 0.0
         resample = RngStream(12, ("resample",)).generator()
         for _ in range(draws):
             mask = sample_rand_k(d, k, resample)
             merged = [merge_delay_corrected(z, y, sent_avg, mask) for z, y in zip(latest, sent)]
-            total += disagreement(merged)
+            total += disagreement(merged, average(merged))
         assert total / draws == pytest.approx(target, rel=0.05)

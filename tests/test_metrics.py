@@ -53,8 +53,8 @@ def small_run(method="overlap_delay_corrected", rounds=3, mask_size=3, seed=5, b
 
 
 def test_disagreement_examples():
-    assert disagreement([np.array([0.0]), np.array([2.0])]) == 2.0
-    assert disagreement([np.array([1.0, 2.0])] * 3) == 0.0
+    assert disagreement([np.array([0.0]), np.array([2.0])], average([np.array([0.0]), np.array([2.0])])) == 2.0
+    assert disagreement([np.array([1.0, 2.0])] * 3, average([np.array([1.0, 2.0])] * 3)) == 0.0
 
 
 def test_recorder_averages_the_models_once_per_record(monkeypatch):

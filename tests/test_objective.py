@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_logistic_oracle
 from overlap_sgd.core import RngStream
 from overlap_sgd.data import Dataset, synthetic_blobs
-from overlap_sgd.errors import ConfigurationError
+from overlap_sgd.errors import ConfigurationError, DivergenceError
 from overlap_sgd.objective import (
     LogisticOracle,
     QuadraticOracle,
@@ -99,6 +99,23 @@ class TestFullGradient:
         reg = RegularizerParams(strength=0.7, scale=0.5)
         np.testing.assert_array_equal(reg.gradient(np.zeros(4)), np.zeros(4))
 
+    def test_a_disabled_penalty_has_a_zero_gradient_everywhere(self):
+        w = np.array([3.0, -0.5, 1e99])
+        assert RegularizerParams().gradient(w).tobytes() == np.zeros(3).tobytes()
+
+    def test_an_empty_dataset_has_no_gradient(self):
+        empty = Dataset(np.empty((0, 3)), np.empty(0))
+        with pytest.raises(ConfigurationError, match="empty dataset"):
+            full_gradient(np.zeros(3), np.empty(0), empty)
+
+    def test_an_overflowing_gradient_is_reported_once_without_a_warning(self):
+        # at w = 0 each row weighs 1/2, so the backward product sums to 2e308; the suite turns a RuntimeWarning
+        # into an error
+        data = Dataset(np.full((4, 2), 1e308), np.ones(4))
+        w = np.zeros(2)
+        with pytest.raises(DivergenceError, match="non-finite values in full gradient"):
+            full_gradient(w, data.features @ w, data)
+
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_matches_finite_differences(self, data):
@@ -168,6 +185,14 @@ class TestStochasticGradient:
             total += oracle.gradient(w, 0, 0, s)
         rel = np.linalg.norm(total / draws - exact) / np.linalg.norm(exact)
         assert rel < 0.02
+
+    @pytest.mark.parametrize(
+        "rows, batch_size, message",
+        [(4, 0, "batch_size must be >= 1, got 0"), (0, 1, "oracle over an empty dataset")],
+    )
+    def test_rejects_an_empty_batch_and_an_empty_dataset(self, rows, batch_size, message):
+        with pytest.raises(ConfigurationError, match=message):
+            make_logistic_oracle(Dataset(np.ones((rows, 2)), np.ones(rows)), n_workers=1, batch_size=batch_size, seed=0)
 
     def test_empty_pool_is_an_error(self, tiny_blobs):
         oracle = LogisticOracle(

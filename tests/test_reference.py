@@ -18,16 +18,16 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overlap_sgd.config import validate_config
 from overlap_sgd.core import RngStream, average, project_mask, sample_rand_k
 from overlap_sgd.data import synthetic_blobs
 from overlap_sgd.engine import DIVERGENCE_LIMIT, merge_delay_corrected, merge_overwrite
-from overlap_sgd.errors import DivergenceError
+from overlap_sgd.errors import ConfigurationError, DatasetError, DivergenceError
 from overlap_sgd.objective import dataset_accuracy, dataset_loss, full_gradient
-from overlap_sgd.runner import prepare_seed_artifacts, run_suite
+from overlap_sgd.runner import prepare_seed_artifacts, run_suite, theory_report
 
 COLUMNS = (
     "round", "logical_time", "train_loss", "val_loss", "train_accuracy", "val_accuracy",
@@ -201,3 +201,56 @@ def test_run_suite_writes_the_straight_line_reference_bytes(raw):
     assert written.keys() == files.keys()
     for name, data in files.items():
         assert written[name] == data, name
+
+
+@st.composite
+def extreme_configs(draw) -> dict:
+    """``tiny_configs`` widened with extreme values, some of which ``validate_config`` rejects."""
+    raw = draw(tiny_configs())
+    raw["dataset"]["synthetic"]["separation"] = draw(st.sampled_from([2.0, 1e100, 1e154, 1e200, 1e308]))
+    raw["normalize"] = draw(st.booleans())
+    raw["val_fraction"] = draw(st.sampled_from([0.0, 0.3, 0.9, 0.99]))
+    raw["stepsize"] = draw(st.sampled_from([0.05, 1e99, 1e200, 1e308]))
+    if raw["partition"]["mode"] == "dirichlet":
+        raw["partition"]["min_examples"] = draw(st.integers(0, 12))
+    raw["theory"] = {"epsilon": draw(st.sampled_from([0.01, 1e-300, 1e300])), "estimate_draws": 20}
+    if draw(st.booleans()):  # pinned: the first pair gives a contraction below 1 at any mask, the others may not
+        raw["theory"]["alpha"], raw["theory"]["beta"] = draw(st.sampled_from([(1e-9, 1e-9), (0.3, 0.3), (5.0, 1e-3)]))
+    return raw
+
+
+# the one training row standardizes to zeros, so L = 0 and the stepsize's square overflows in the rate bound
+FLAT_LOSS = {
+    "dataset": {"synthetic": {"dim": 1, "n_examples": 7, "separation": 5.0, "seed": 2}},
+    "step_times": [3], "comm_seconds": 6, "methods": ["fedavg_full"], "val_fraction": 0.9, "sparsity": 0.01,
+    "batch_size": 4, "rounds": 3, "seeds": [1], "stepsize": 1.0e308,
+}
+# epsilon**1.5 overflows in the round complexity
+HUGE_EPSILON = {**FLAT_LOSS, "val_fraction": 0.1, "stepsize": 0.1, "theory": {"epsilon": 1.0e300}}
+# the initial full gradient's backward product overflows
+HUGE_FEATURES = {
+    "dataset": {"synthetic": {"dim": 3, "n_examples": 17, "separation": 1.0e308, "seed": 2}},
+    "step_times": [1], "comm_seconds": 2, "methods": ["overlap_delay_corrected"], "val_fraction": 0.5,
+    "normalize": False, "batch_size": 1, "sparsity": 1.0, "rounds": 2, "seeds": [2], "eval_every": 2,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=extreme_configs())
+@example(raw=FLAT_LOSS)
+@example(raw=HUGE_EPSILON)
+@example(raw=HUGE_FEATURES)
+def test_an_accepted_config_ends_in_a_one_line_error_or_none(raw):
+    # the CLI prints each of these errors as one line; any other exception is a traceback, and the suite
+    # turns a warning into an error
+    with tempfile.TemporaryDirectory() as out:
+        config, issues = validate_config({"name": "extreme", **raw, "output_dir": out})
+        if issues:
+            return
+        for action in (run_suite, theory_report):
+            try:
+                result = action(config)
+            except (ConfigurationError, DatasetError, DivergenceError):
+                continue
+            if action is theory_report:
+                assert "NaN" not in json.dumps(result)

@@ -1,14 +1,19 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import overlap_sgd.theory as theory_mod
 from conftest import make_logistic_oracle
+from overlap_sgd.config import rand_k_size, validate_config
 from overlap_sgd.data import synthetic_blobs
 from overlap_sgd.errors import ConfigurationError
 from overlap_sgd.objective import RegularizerParams, full_gradient
 from overlap_sgd.theory import (
+    BOUND_GRID_POINTS,
     BoundParams,
     ProblemConstants,
     accumulated_dispersion,
@@ -22,6 +27,20 @@ from overlap_sgd.theory import (
 from overlap_sgd.timing import build_plan
 
 CONSTS = ProblemConstants(smoothness=2.0, noise_var=1.5, grad_bound=3.0, initial_gap=4.0)
+BUNDLED = [
+    validate_config(yaml.safe_load(path.read_text(encoding="utf-8")))[0]
+    for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+]
+# (k, d, plan) of each bundled config, and two one-coordinate masks where (1 + 1e-4)**2 >= 1 / residual
+TUNER_CASES = {
+    **{
+        c.name: (rand_k_size(c.sparsity, c.dataset.synthetic.dim), c.dataset.synthetic.dim,
+                 build_plan(c.step_times, c.compute_periods, c.comm_seconds))
+        for c in BUNDLED
+    },
+    "k1-d1e4": (1, 10000, build_plan((1, 2, 3, 6), 3, 6)),
+    "k1-d1e5": (1, 100000, build_plan((1, 2, 3, 6), 3, 6)),
+}
 
 
 class TestBoundParams:
@@ -29,6 +48,11 @@ class TestBoundParams:
         # residual 0.7 with alpha=beta=0.3 gives 0.7 * 1.3 * 1.3 = 1.183
         with pytest.raises(ConfigurationError, match="contraction"):
             BoundParams(alpha=0.3, beta=0.3, k=3, d=10)
+
+    @pytest.mark.parametrize("k, d", [(0, 5), (6, 5)])
+    def test_rejects_a_mask_size_outside_one_to_d(self, k, d):
+        with pytest.raises(ConfigurationError, match=rf"mask size {k} outside \[1, {d}\]"):
+            BoundParams(alpha=0.1, beta=0.1, k=k, d=d)
 
     def test_full_mask_is_exact(self):
         bp = BoundParams(alpha=2.0, beta=5.0, k=7, d=7)
@@ -63,6 +87,36 @@ class TestRateBound:
         rate_bound(CONSTS, plan, bp, ceiling, n=2, rounds=5)  # accepted at equality
         with pytest.raises(ConfigurationError, match="admissible maximum"):
             rate_bound(CONSTS, plan, bp, ceiling * (1 + 1e-9), n=2, rounds=5)
+
+    @pytest.mark.parametrize(
+        "stepsize, n, rounds, message",
+        [
+            (0.0, 2, 5, "stepsize must be positive, got 0.0"),
+            (-1e-3, 2, 5, "stepsize must be positive, got -0.001"),
+            (1e-3, 2, 0, "rounds must be >= 1"),
+            (1e-3, 0, 5, "need n >= 1"),
+        ],
+    )
+    def test_rejects_inputs_outside_the_theorem(self, stepsize, n, rounds, message):
+        plan = build_plan((1, 2), 1, 2)
+        bp = BoundParams(alpha=1.0, beta=1.0, k=2, d=2)
+        with pytest.raises(ConfigurationError, match=message):
+            rate_bound(CONSTS, plan, bp, stepsize, n=n, rounds=rounds)
+
+    @pytest.mark.parametrize("smoothness", [0.0, 1e-170, 1e170])
+    def test_a_square_past_float_range_keeps_the_four_terms_finite(self, smoothness):
+        # stepsize**2 (at L = 0 or a tiny L) or L**2 (at a huge L) overflows; at the ceiling L * stepsize is
+        # 1 / (8 max_total), so the drift and staleness terms keep their size, and no 0 * inf makes a NaN
+        consts = ProblemConstants(smoothness=smoothness, noise_var=1.5, grad_bound=3.0, initial_gap=4.0)
+        plan = build_plan((1, 2), 1, 2)
+        bp = BoundParams(alpha=0.1, beta=0.1, k=1, d=4)
+        stepsize = 1e308 if smoothness == 0.0 else max_stepsize(consts, plan)
+        rb = rate_bound(consts, plan, bp, stepsize, n=2, rounds=5)
+        assert all(math.isfinite(v) for v in vars(rb).values())
+        scale = 6.0 * (smoothness * stepsize) ** 2 * consts.grad_bound**2
+        assert rb.drift_term == pytest.approx(scale * plan.drift_sq_sum / (2 * float(plan.mean_total)), rel=1e-12)
+        if smoothness == 0.0:  # a flat loss: only the optimisation term is left, and stepsize * T * R overflows
+            assert (rb.noise_term, rb.drift_term, rb.staleness_term, rb.total) == (0.0, 0.0, 0.0, rb.opt_term)
 
     def test_zero_delay_drops_overlap_part(self):
         plan = build_plan((1, 2), 2, 0)
@@ -150,6 +204,20 @@ class TestComplexities:
         with pytest.raises(ConfigurationError, match="not a finite number"):
             round_complexity(CONSTS, plan, bp, epsilon, n=2, c_round=c_round)
 
+    @pytest.mark.parametrize("epsilon, n, message", [(0.0, 2, "epsilon must be positive"), (0.1, 0, "need n >= 1")])
+    def test_rejects_inputs_outside_the_theorem(self, epsilon, n, message):
+        plan = build_plan((1, 2), 1, 2)
+        bp = BoundParams(alpha=1.0, beta=1.0, k=2, d=2)
+        with pytest.raises(ConfigurationError, match=message):
+            round_complexity(CONSTS, plan, bp, epsilon, n=n)
+
+    def test_an_overflowing_epsilon_drops_the_dispersion_term(self):
+        # epsilon**1.5 overflows, the mirror of the underflow below: the dispersion term is 0, and the
+        # noise and optimisation terms are tiny, so one round suffices
+        plan = build_plan((1, 2, 3, 6), 3, 6)
+        bp = BoundParams(alpha=0.1, beta=0.1, k=3, d=10)
+        assert round_complexity(CONSTS, plan, bp, 1e300, n=2) == 1
+
     def test_zero_dispersion_term_survives_an_underflowing_epsilon(self):
         # full mask, one worker, no overlap: the dispersion term is 0 even where
         # epsilon**1.5 underflows to 0.0, and the round count stays finite
@@ -202,6 +270,16 @@ class TestTuning:
         bp = tune_bound_params(4, 4, plan)
         assert bp.contraction == 0.0
 
+    def test_an_empty_grid_is_a_config_error(self, monkeypatch):
+        monkeypatch.setattr(theory_mod, "BOUND_GRID_POINTS", 0)
+        with pytest.raises(ConfigurationError, match="no admissible"):
+            tune_bound_params(3, 10, build_plan((1, 2), 1, 2))
+
+    @pytest.mark.parametrize("case", sorted(TUNER_CASES))
+    def test_picks_what_a_hand_kept_minimum_picks(self, case):
+        k, d, plan = TUNER_CASES[case]
+        assert tune_bound_params(k, d, plan) == hand_kept_minimum(k, d, plan)
+
 
 class TestEstimates:
     def test_logistic_smoothness_bound_dominates_hessian(self):
@@ -237,3 +315,28 @@ class TestEstimates:
         ProblemConstants(smoothness=0.0, noise_var=1.0, grad_bound=1.0, initial_gap=1.0)  # a flat loss
         with pytest.raises(ConfigurationError):
             ProblemConstants(smoothness=1.0, noise_var=-1.0, grad_bound=1.0, initial_gap=1.0)
+
+
+def hand_kept_minimum(k: int, d: int, plan) -> BoundParams:
+    """The tuner as a 40 x 40 loop that keeps the first point, alpha-major, of least weight by a strict <."""
+    if k == d:
+        return BoundParams(alpha=1.0, beta=1.0, k=k, d=d)
+    residual = (d - k) / d
+    # contraction < 1 needs (1+alpha)(1+beta) < 1/residual
+    budget = 1.0 / residual
+    best = None
+    best_val = math.inf
+    # a mask so sparse that (1 + 1e-4)**2 >= budget starts where (low, low) is admissible
+    low = 1e-4 if (1.0 + 1e-4) ** 2 < budget else (budget - 1.0) / 3
+    candidates = np.exp(np.linspace(math.log(low), math.log(budget - 1.0), BOUND_GRID_POINTS))
+    for alpha in candidates:
+        for beta in candidates:
+            if (1.0 + alpha) * (1.0 + beta) >= budget:
+                continue
+            bp = BoundParams(alpha=float(alpha), beta=float(beta), k=k, d=d)
+            val = bp.staleness_weight(plan) / (1.0 - bp.contraction)
+            if val < best_val:
+                best, best_val = bp, val
+    if best is None:
+        raise ConfigurationError(f"no admissible (alpha, beta) found for residual {residual}")
+    return best
