@@ -4,7 +4,6 @@ Subcommands:
   run <config>       run every (method, seed) pair and write metrics + manifest
   validate <config>  check a config and report every problem
   theory <config>    print bound constants, terms, and complexities as JSON
-  gen-data <spec>    write a synthetic two-blob dataset as LIBSVM text
 
 Exit codes: 0 success, 1 an input problem or an output that cannot be written
 (reported on stderr), 2 at least one run diverged.
@@ -20,10 +19,8 @@ from pathlib import Path
 
 import yaml
 
-from .config import ExperimentConfig, blocking_file, path_issue, read_synthetic_spec, validate_config
-from .data import serialize_libsvm, synthetic_blobs
+from .config import ExperimentConfig, validate_config
 from .errors import ConfigurationError, DatasetError, DivergenceError
-from .metrics import atomic_write_bytes
 from .runner import run_suite, theory_report
 
 
@@ -51,29 +48,26 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep)
 
 
-def _read_yaml(path, kind: str):
-    """The YAML document at ``path``; InputError if it is missing, unreadable, not YAML or repeats a key."""
+def load_config(path) -> ExperimentConfig:
+    """The config in a config file or a manifest, whose ``config`` block is replayed;
+    InputError if the file is missing, unreadable, not YAML, repeats a key or is no valid config."""
     try:
-        return yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_UniqueKeyLoader)
+        raw = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_UniqueKeyLoader)
     except FileNotFoundError:
-        message = f"{kind} file not found: {path}"
+        message = f"config file not found: {path}"
     except (OSError, UnicodeDecodeError) as exc:
         message = f"could not read {path}: {exc}"
     except yaml.YAMLError as exc:
         message = f"could not parse {path}: {exc}"
     except RecursionError:  # the parser recurses once per nesting level
         message = f"could not parse {path}: nested too deeply"
+    else:
+        if isinstance(raw, dict) and "config" in raw and "runs" in raw:
+            raw = raw["config"]
+        config, issues = (None, ["<root>: empty config file"]) if raw is None else validate_config(raw)
+        reject([f"invalid config: {issue}" for issue in issues])
+        return config
     raise InputError(f"error: {message}")
-
-
-def load_config(path) -> ExperimentConfig:
-    """The config in a config file or a manifest, whose ``config`` block is replayed."""
-    raw = _read_yaml(path, "config")
-    if isinstance(raw, dict) and "config" in raw and "runs" in raw:
-        raw = raw["config"]
-    config, issues = (None, ["<root>: empty config file"]) if raw is None else validate_config(raw)
-    reject([f"invalid config: {issue}" for issue in issues])
-    return config
 
 
 def with_dataset(action, config):
@@ -109,29 +103,6 @@ def cmd_theory(args) -> int:
     return 0
 
 
-def cmd_gen_data(args) -> int:
-    raw = _read_yaml(args.spec, "spec")
-    out = raw.get("out") if isinstance(raw, dict) else None
-    if out is None:
-        raise InputError("error: gen-data spec needs at least an 'out' path")
-    if (problem := path_issue(out)) is not None:
-        raise InputError(f"error: out: {problem}")
-    # the same reader as a config's dataset.synthetic, plus the 'out' key
-    spec, issues = read_synthetic_spec({k: v for k, v in raw.items() if k != "out"})
-    reject([f"invalid spec: {issue}" for issue in issues])
-    out = Path(out)
-    if (blocker := blocking_file(out.parent)) is not None:
-        raise InputError(f"error: not a directory: {blocker}")
-    try:
-        dataset = synthetic_blobs(spec.dim, spec.n_examples, spec.separation, spec.seed)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(out, serialize_libsvm(dataset).encode("utf-8"))
-    except (DatasetError, OSError) as exc:
-        raise InputError(f"error: {exc}") from None
-    print(f"wrote {dataset.n_examples} examples (dim {dataset.dim}) to {out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="overlap-sgd",
@@ -139,15 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="enable info logging")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, help_text, arg, arg_help in (
-        ("run", cmd_run, "run an experiment suite from a config or manifest", "config", None),
-        ("validate", cmd_validate, "validate a config file", "config", None),
-        ("theory", cmd_theory, "print bound constants and complexities as JSON", "config", None),
-        ("gen-data", cmd_gen_data, "write a synthetic dataset as LIBSVM text", "spec",
-         "YAML with dim, n_examples, separation, seed, out"),
+    for name, func, help_text in (
+        ("run", cmd_run, "run an experiment suite from a config or manifest"),
+        ("validate", cmd_validate, "validate a config file"),
+        ("theory", cmd_theory, "print bound constants and complexities as JSON"),
     ):
         command = sub.add_parser(name, help=help_text)
-        command.add_argument(arg, help=arg_help)
+        command.add_argument("config")
         command.set_defaults(func=func)
     return parser
 

@@ -33,9 +33,6 @@ __all__ = [
     "ConfigIssue",
     "validate_config",
     "data_issues",
-    "blocking_file",
-    "path_issue",
-    "read_synthetic_spec",
     "rand_k_size",
 ]
 
@@ -220,13 +217,6 @@ def _nested(raw: Mapping, key: str, cls, issues: list, message: str) -> _Fields:
     return _Fields(value, cls, key + ".", issues)
 
 
-def read_synthetic_spec(raw: Mapping, prefix: str = "") -> tuple[SyntheticSpec | None, list[ConfigIssue]]:
-    """Read a synthetic-data spec: a config's ``dataset.synthetic`` or a ``gen-data`` file."""
-    issues: list[ConfigIssue] = []
-    values = _Fields(raw, SyntheticSpec, prefix, issues).ruled()
-    return (None, issues) if issues else (SyntheticSpec(**values), [])
-
-
 def _read_dataset(raw, issues: list) -> DatasetSpec | None:
     """Exactly one of a LIBSVM ``path`` (optional ``dimension``) or a ``synthetic`` spec."""
     if not isinstance(raw, Mapping):
@@ -248,9 +238,8 @@ def _read_dataset(raw, issues: list) -> DatasetSpec | None:
         read.bad("dimension", "only meaningful with 'path'")
     if not isinstance(synthetic, Mapping):
         return read.bad("synthetic", "must be a mapping")
-    spec, problems = read_synthetic_spec(synthetic, "dataset.synthetic.")
-    issues.extend(problems)
-    return DatasetSpec(synthetic=spec)
+    values = _Fields(synthetic, SyntheticSpec, "dataset.synthetic.", issues).ruled()
+    return DatasetSpec(synthetic=SyntheticSpec(**values))  # a bad value reads as None; the issue voids the config
 
 
 def _read_partition(raw: Mapping, issues: list) -> PartitionSpec | None:

@@ -21,7 +21,6 @@ __all__ = [
     "Dataset",
     "parse_libsvm",
     "load_libsvm",
-    "serialize_libsvm",
     "split_train_val",
     "validation_size",
     "check_min_examples",
@@ -153,17 +152,6 @@ def load_libsvm(path, dimension: int | None = None) -> Dataset:
     except (OSError, DatasetError) as exc:
         problem = str(exc)
     raise DatasetError(f"could not load dataset {path}: {problem}")
-
-
-def serialize_libsvm(dataset: Dataset) -> str:
-    """Inverse of :func:`parse_libsvm`: zeros omitted, full float precision."""
-    lines = []
-    for row, label in zip(dataset.features, dataset.labels):
-        parts = ["+1" if label > 0 else "-1"]
-        for j in np.flatnonzero(row):
-            parts.append(f"{j + 1}:{float(row[j])!r}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
 
 
 def validation_size(n: int, val_fraction: float) -> int:

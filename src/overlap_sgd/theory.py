@@ -164,16 +164,14 @@ def round_complexity(
         raise ConfigurationError("epsilon must be positive")
     if n < 1:
         raise ConfigurationError("need n >= 1")
-    gap_l = consts.initial_gap * consts.smoothness
+    # epsilon divides first, so a huge epsilon keeps the products of the constants in float range
+    gap_l_per_eps = consts.initial_gap * consts.smoothness / epsilon
     mean_total = float(plan.mean_total)
-    term_noise = gap_l * consts.noise_var / (n * epsilon * mean_total)
-    spread = gap_l * consts.grad_bound * math.sqrt(accumulated_dispersion(plan, bp))
-    try:
-        scale = epsilon**1.5 * mean_total * math.sqrt(n * mean_total)  # 0.0 once epsilon**1.5 underflows
-    except OverflowError:  # and inf once it overflows, so the dispersion term is 0
-        scale = math.inf
-    term_disp = spread / scale if scale else (math.inf if spread else 0.0)
-    term_opt = gap_l * plan.max_total / (epsilon * mean_total)
+    term_noise = gap_l_per_eps * consts.noise_var / (n * mean_total)
+    # 0 when G or X is, so the dispersion term is 0 too, whatever epsilon (inf * 0 would be NaN)
+    spread = consts.grad_bound * math.sqrt(accumulated_dispersion(plan, bp)) / math.sqrt(epsilon)
+    term_disp = gap_l_per_eps * spread / (mean_total * math.sqrt(n * mean_total))
+    term_opt = gap_l_per_eps * plan.max_total / mean_total
     rounds = c_round * (term_noise + term_disp + term_opt)
     if not math.isfinite(rounds):
         raise ConfigurationError(f"round complexity is not a finite number at epsilon={epsilon}, c_round={c_round}")
@@ -220,12 +218,15 @@ def estimate_gradient_stats(oracle, w: np.ndarray, n_draws: int = 200) -> tuple[
     """
     data = oracle.dataset
     exact = full_gradient(w, data.features @ w, data, oracle.regularizer)
+    # each term is scaled by an exact power of two <= 1 / n_draws, so a sum cannot overflow while its mean
+    # fits; power-of-two scaling commutes with rounding, so (without subnormal terms) the means keep their bits
+    scale = 2.0 ** -math.ceil(math.log2(n_draws))
     sq_dev = 0.0
     sq_norm = 0.0
     for s in range(n_draws):
         g = oracle.gradient(w, 0, -1, s)
-        sq_dev += float(np.sum((g - exact) ** 2))
-        sq_norm += float(np.sum(g * g))
-    noise_var = sq_dev / n_draws
-    grad_bound = math.sqrt(sq_norm / n_draws)
+        sq_dev += float(np.sum((g - exact) ** 2)) * scale
+        sq_norm += float(np.sum(g * g)) * scale
+    noise_var = sq_dev / n_draws / scale
+    grad_bound = math.sqrt(sq_norm / n_draws / scale)
     return noise_var, grad_bound

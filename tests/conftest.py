@@ -61,6 +61,17 @@ def one_round(start, method, plan, mask, stepsize, oracle, round_index):
     return run_round({method: start}, plan, mask, stepsize, oracle, round_index)[method]
 
 
+def serialize_libsvm(dataset: Dataset) -> str:
+    """Inverse of :func:`parse_libsvm`: zeros omitted, full float precision."""
+    lines = []
+    for row, label in zip(dataset.features, dataset.labels):
+        parts = ["+1" if label > 0 else "-1"]
+        for j in np.flatnonzero(row):
+            parts.append(f"{j + 1}:{float(row[j])!r}")
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
 def base_config_dict(**overrides) -> dict:
     """A small, valid config; tests override what they exercise."""
     raw = {

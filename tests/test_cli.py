@@ -1,6 +1,7 @@
 import errno
 import gzip
 import json
+import math
 import os
 from dataclasses import fields
 from pathlib import Path
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import base_config_dict, manifest_runs
-from overlap_sgd.cli import _read_yaml, main
+from conftest import base_config_dict, manifest_runs, serialize_libsvm
+from overlap_sgd.cli import _UniqueKeyLoader, main
 from overlap_sgd.config import (
     ConfigIssue,
     ExperimentConfig,
@@ -20,7 +21,7 @@ from overlap_sgd.config import (
     rand_k_size,
     validate_config,
 )
-from overlap_sgd.data import load_libsvm, serialize_libsvm, synthetic_blobs
+from overlap_sgd.data import synthetic_blobs
 from overlap_sgd.errors import DivergenceError
 from overlap_sgd.metrics import render_csv
 from overlap_sgd.runner import run_suite
@@ -517,13 +518,6 @@ class TestConfigFileErrors:
         assert captured.err.startswith(f"error: could not read {path}: ")
         assert captured.out == ""
 
-    def test_gen_data_reports_an_unreadable_spec_in_one_line(self, tmp_path, capsys):
-        spec = tmp_path / "blobs.yaml"
-        spec.write_bytes(b"dim: 3\nout: caf\xe9.libsvm\n")
-        assert main(["gen-data", str(spec)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: could not read {spec}: ")
-
     @pytest.mark.parametrize("command", ["validate", "run", "theory"])
     def test_a_repeated_config_key_is_a_parse_error(self, tmp_path, capsys, command):
         path = write_config(tmp_path, rounds=2)
@@ -544,13 +538,6 @@ class TestConfigFileErrors:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
-    def test_a_repeated_spec_key_is_a_parse_error(self, tmp_path, capsys):
-        spec = tmp_path / "blobs.yaml"
-        spec.write_text(f"dim: 3\nn_examples: 5\ndim: 4\nout: {tmp_path / 'blobs.libsvm'}\n", encoding="utf-8")
-        assert main(["gen-data", str(spec)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: could not parse {spec}: duplicate key 'dim'\n")
-        assert not (tmp_path / "blobs.libsvm").exists()
-
     def test_a_repeated_nested_key_is_a_parse_error(self, tmp_path, capsys):
         path = write_config(tmp_path)
         text = path.read_text(encoding="utf-8") + "regularizer: {strength: 0.0, strength: 0.1}\n"
@@ -561,7 +548,8 @@ class TestConfigFileErrors:
     def test_merge_keys_still_load_and_own_keys_override_them(self, tmp_path):
         path = tmp_path / "merge.yaml"
         path.write_text("base: &b {x: 1, y: 2}\nm: {<<: *b, x: 3}\n", encoding="utf-8")
-        assert _read_yaml(path, "config") == {"base": {"x": 1, "y": 2}, "m": {"x": 3, "y": 2}}
+        loaded = yaml.load(path.read_text(encoding="utf-8"), Loader=_UniqueKeyLoader)
+        assert loaded == {"base": {"x": 1, "y": 2}, "m": {"x": 3, "y": 2}}
 
     @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
     def test_output_dir_at_or_below_a_file_is_a_config_error(self, tmp_path, capsys, below):
@@ -877,18 +865,14 @@ class TestDatasetFileErrors:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["run", "theory", "gen-data"])
+    @pytest.mark.parametrize("command", ["run", "theory"])
     @pytest.mark.parametrize("n_examples, dim", [(2**62, 3), (40, 2**62)], ids=["examples", "features"])
     def test_a_synthetic_dataset_too_large_to_hold_densely_is_one_error_line(
         self, tmp_path, capsys, command, n_examples, dim
     ):
         # 2**62 rows or columns fail before any allocation, whatever the overcommit setting
         spec = {"dim": dim, "n_examples": n_examples, "separation": 1.0, "seed": 0}
-        if command == "gen-data":
-            path = tmp_path / "blobs.yaml"
-            path.write_text(yaml.safe_dump({**spec, "out": str(tmp_path / "out" / "blobs.libsvm")}), encoding="utf-8")
-        else:
-            path = write_config(tmp_path, dataset={"synthetic": spec}, methods=["local_sparse"], sparsity=1.0)
+        path = write_config(tmp_path, dataset={"synthetic": spec}, methods=["local_sparse"], sparsity=1.0)
         assert main([command, str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
@@ -1014,18 +998,22 @@ class TestOtherCommands:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "theory, message",
+        "overrides, message",
         [
-            # epsilon**1.5 underflows to 0.0
-            ("{epsilon: 1.0e-300}", "epsilon=1e-300, c_round=12.0"),
+            # the dispersion term overflows: epsilon**1.5 is far below float range
+            ({"theory": {"epsilon": 1.0e-300}}, "epsilon=1e-300, c_round=12.0"),
             # the round count overflows to inf
-            ("{c_round: 1.0e+308}", "epsilon=0.01, c_round=1e+308"),
+            ({"theory": {"c_round": 1.0e308}}, "epsilon=0.01, c_round=1e+308"),
+            # 200 squared gradient norms whose sum overflows: their mean is finite, so this is the rule met
+            (
+                {"dataset": {"synthetic": {"dim": 2, "n_examples": 20, "separation": 1.0e154}}, "normalize": False},
+                "epsilon=0.01, c_round=12.0",
+            ),
         ],
-        ids=["underflow", "overflow"],
+        ids=["underflow", "overflow", "gradient-sum"],
     )
-    def test_theory_rejects_an_unbounded_round_count_in_one_line(self, tmp_path, capsys, theory, message):
-        cfg = write_config(tmp_path)
-        cfg.write_text(cfg.read_text(encoding="utf-8") + f"theory: {theory}\n", encoding="utf-8")
+    def test_theory_rejects_an_unbounded_round_count_in_one_line(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path, **overrides)
         assert main(["validate", str(cfg)]) == 0
         capsys.readouterr()
         assert main(["theory", str(cfg)]) == 1
@@ -1158,6 +1146,25 @@ class TestOtherCommands:
         assert captured.err == ""
         assert json.loads(captured.out)["complexity"] == {"c_round": 12.0, "epsilon": 1e300, "rounds": 1, "seconds": 9}
 
+    @pytest.mark.parametrize(
+        "separation, least",
+        # 1e100: gap * L * noise_var overflows before epsilon divides it, for a count of about 2e66;
+        # 1e154: the sum of the 200 squared gradient norms overflows, while their mean is finite
+        [(1.0e100, 1e66), (1.0e154, 1e100)],
+        ids=["noise-term", "gradient-sum"],
+    )
+    def test_theory_reaches_a_finite_count_whose_factors_overflow(self, tmp_path, capsys, separation, least):
+        synthetic = {"dim": 2, "n_examples": 20, "separation": separation, "seed": 1}
+        cfg = write_config(
+            tmp_path, dataset={"synthetic": synthetic}, normalize=False, rounds=2, theory={"epsilon": 1.0e300}
+        )
+        assert main(["theory", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert all(math.isfinite(v) for v in report["constants"].values() if not isinstance(v, str))
+        assert isinstance(report["complexity"]["rounds"], int) and report["complexity"]["rounds"] > least
+
     def test_an_initial_gradient_that_overflows_ends_the_run_without_a_warning(self, tmp_path, capsys, caplog):
         # the features reach 1e308, so the initial full gradient's backward product overflows
         cfg = write_config(
@@ -1245,80 +1252,3 @@ class TestOtherCommands:
         assert main(["theory", str(cfg)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["bound_params"]["contraction"] < 1.0
-
-    def test_gen_data_writes_loadable_libsvm(self, tmp_path, capsys):
-        spec = tmp_path / "blobs.yaml"
-        out_file = tmp_path / "data" / "blobs.libsvm"
-        spec.write_text(
-            yaml.safe_dump({"dim": 6, "n_examples": 30, "separation": 2.0, "seed": 1, "out": str(out_file)}),
-            encoding="utf-8",
-        )
-        assert main(["gen-data", str(spec)]) == 0
-        data = load_libsvm(out_file)
-        assert data.n_examples == 30
-        assert data.dim == 6
-        capsys.readouterr()
-
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            ("dim: abc", "invalid spec: dim: must be a positive integer"),
-            ("dim: 0", "invalid spec: dim: must be a positive integer"),
-            ("separtion: 3", "invalid spec: separtion: unknown configuration key"),
-            ("1: 3", "invalid spec: 1: unknown configuration key"),
-        ],
-    )
-    def test_gen_data_reports_a_bad_spec_in_one_line(self, tmp_path, capsys, line, message):
-        spec = tmp_path / "blobs.yaml"
-        out_file = tmp_path / "blobs.libsvm"
-        spec.write_text(f"{line}\nout: {out_file}\n", encoding="utf-8")
-        assert main(["gen-data", str(spec)]) == 1
-        assert capsys.readouterr().err.splitlines() == [message]
-        assert not out_file.exists()
-
-    @pytest.mark.parametrize("case", ["below-a-file", "a-directory"])
-    def test_gen_data_reports_an_unwritable_out_in_one_line(self, tmp_path, capsys, case):
-        blocker = tmp_path / "afile"
-        blocker.write_text("", encoding="utf-8")
-        out_file = blocker / "blobs.libsvm" if case == "below-a-file" else tmp_path / "data"
-        if case == "a-directory":
-            out_file.mkdir()
-        spec = tmp_path / "blobs.yaml"
-        spec.write_text(f"dim: 3\nn_examples: 5\nout: {out_file}\n", encoding="utf-8")
-        assert main(["gen-data", str(spec)]) == 1
-        captured = capsys.readouterr()
-        err = captured.err.splitlines()
-        if case == "below-a-file":
-            expected = f"error: not a directory: {blocker}"
-        else:
-            expected = f"error: failed writing {out_file}: "
-        assert len(err) == 1 and err[0].startswith(expected), err
-        assert captured.out == ""
-        assert not Path(f"{out_file}.tmp").exists()
-
-    def test_gen_data_rejects_an_out_with_a_nul_byte_in_one_line(self, tmp_path, capsys, monkeypatch):
-        spec = tmp_path / "blobs.yaml"
-        spec.write_text(yaml.safe_dump({"dim": 3, "n_examples": 5, "out": "d\0x/blobs.svm"}), encoding="utf-8")
-        monkeypatch.chdir(tmp_path)
-        assert main(["gen-data", str(spec)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == ["error: out: must not contain a NUL byte"]
-        assert captured.out == ""
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["blobs.yaml"]
-
-    def test_gen_data_rejects_an_out_too_long_for_the_os_in_one_line(self, tmp_path, capsys, monkeypatch):
-        spec = tmp_path / "blobs.yaml"
-        out = "d" * 5000 + "/blobs.svm"
-        spec.write_text(yaml.safe_dump({"dim": 3, "n_examples": 5, "out": out}), encoding="utf-8")
-        monkeypatch.chdir(tmp_path)
-        assert main(["gen-data", str(spec)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == [f"error: out: unusable path: {os.strerror(errno.ENAMETOOLONG)}"]
-        assert captured.out == ""
-        assert [p.name for p in tmp_path.iterdir()] == ["blobs.yaml"]
-
-    def test_gen_data_requires_out(self, tmp_path, capsys):
-        spec = tmp_path / "nospec.yaml"
-        spec.write_text("dim: 3\n", encoding="utf-8")
-        assert main(["gen-data", str(spec)]) == 1
-        capsys.readouterr()

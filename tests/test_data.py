@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import serialize_libsvm
 from overlap_sgd.core import RngStream
 from overlap_sgd.data import (
     STDEV_FLOOR,
@@ -17,7 +18,6 @@ from overlap_sgd.data import (
     partition_dirichlet,
     partition_shard,
     partition_shared,
-    serialize_libsvm,
     split_train_val,
     synthetic_blobs,
 )

@@ -61,7 +61,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = [p for p in sorted((ROOT / "src" / "overlap_sgd").glob("*.py")) if p.name != "__init__.py"]
 
 
-@pytest.mark.parametrize("path", SOURCES + sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    SOURCES + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),
+    ids=lambda p: p.name,
+)
 def test_no_unused_imports(path):
     # __init__.py is exempt: its imports are the package's re-exports
     assert _unused_imports(path) == []

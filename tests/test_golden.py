@@ -19,7 +19,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
 import yaml
 
 import overlap_sgd

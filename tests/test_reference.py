@@ -225,7 +225,7 @@ FLAT_LOSS = {
     "step_times": [3], "comm_seconds": 6, "methods": ["fedavg_full"], "val_fraction": 0.9, "sparsity": 0.01,
     "batch_size": 4, "rounds": 3, "seeds": [1], "stepsize": 1.0e308,
 }
-# epsilon**1.5 overflows in the round complexity
+# epsilon**1.5 is past float range in the round complexity
 HUGE_EPSILON = {**FLAT_LOSS, "val_fraction": 0.1, "stepsize": 0.1, "theory": {"epsilon": 1.0e300}}
 # the initial full gradient's backward product overflows
 HUGE_FEATURES = {
@@ -234,12 +234,25 @@ HUGE_FEATURES = {
     "normalize": False, "batch_size": 1, "sparsity": 1.0, "rounds": 2, "seeds": [2], "eval_every": 2,
 }
 
+# gap * L * noise_var overflows in the round complexity, whose count is finite
+HUGE_NOISE_TERM = {
+    "dataset": {"synthetic": {"dim": 2, "n_examples": 20, "separation": 1.0e100, "seed": 1}},
+    "normalize": False, "step_times": [1, 2], "comm_seconds": 2, "methods": ["overlap_delay_corrected"],
+    "sparsity": 0.5, "rounds": 2, "seeds": [0], "theory": {"epsilon": 1.0e300},
+}
+# the sum of the squared gradient norms overflows in the estimate, whose mean is finite
+HUGE_GRADIENT_SUM = {
+    **HUGE_NOISE_TERM, "dataset": {"synthetic": {"dim": 2, "n_examples": 20, "separation": 1.0e154, "seed": 1}},
+}
+
 
 @settings(max_examples=150, deadline=None)
 @given(raw=extreme_configs())
 @example(raw=FLAT_LOSS)
 @example(raw=HUGE_EPSILON)
 @example(raw=HUGE_FEATURES)
+@example(raw=HUGE_NOISE_TERM)
+@example(raw=HUGE_GRADIENT_SUM)
 def test_an_accepted_config_ends_in_a_one_line_error_or_none(raw):
     # the CLI prints each of these errors as one line; any other exception is a traceback, and the suite
     # turns a warning into an error

@@ -12,9 +12,9 @@ import pytest
 import yaml
 
 import overlap_sgd
-from conftest import base_config_dict
+from conftest import base_config_dict, serialize_libsvm
 from overlap_sgd.cli import main
-from overlap_sgd.data import serialize_libsvm, synthetic_blobs
+from overlap_sgd.data import synthetic_blobs
 
 SCRIPT_DIR = Path(__file__).resolve().parents[1] / "scripts"
 SCRIPTS = sorted(SCRIPT_DIR.glob("*.py"))

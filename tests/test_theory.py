@@ -227,6 +227,17 @@ class TestComplexities:
         got = round_complexity(consts, plan, bp, 1e-300, n=1, c_round=12.0)
         assert got == pytest.approx(12.0 * 6.0 / 1e-300, rel=1e-12)
 
+    def test_a_finite_count_whose_products_overflow_stays_finite(self):
+        # the constants of a synthetic set at separation 1e100: gap * L * noise_var is past float range,
+        # but divided by epsilon = 1e300 first the noise term is about 1.7e65
+        plan = build_plan((1, 2), 1, 2)
+        bp = BoundParams(alpha=0.2, beta=0.2, k=1, d=2)
+        consts = ProblemConstants(smoothness=6.25e198, noise_var=2.4e167, grad_bound=2.5e99, initial_gap=math.log(2))
+        exact = 12 * (
+            Fraction(consts.initial_gap) * Fraction(consts.smoothness) / Fraction(1e300) / plan.mean_total
+        ) * (Fraction(consts.noise_var) / 2 + plan.max_total)  # the dispersion term is below 1e-150
+        assert round_complexity(consts, plan, bp, 1e300, n=2) == pytest.approx(float(exact), rel=1e-12)
+
     # the wall-clock complexity theory_report prints is rounds * round_seconds
     def test_time_complexity_reference(self):
         plan = build_plan((1, 2, 3, 6), 3, 6)
@@ -308,6 +319,25 @@ class TestEstimates:
         exact = np.linalg.norm(full_gradient(w, blobs.features @ w, blobs, reg))
         # E||g||^2 = ||grad||^2 + noise_var; the estimator should agree
         assert grad_bound**2 == pytest.approx(exact**2 + noise_var, rel=0.1)
+
+    def test_gradient_stats_keep_the_bits_of_the_plain_means(self):
+        blobs = synthetic_blobs(dim=5, n_examples=200, separation=1.0, seed=4)
+        oracle = make_logistic_oracle(blobs, n_workers=1, batch_size=5, seed=2)
+        w = np.zeros(5)
+        exact = full_gradient(w, blobs.features @ w, blobs, oracle.regularizer)
+        draws = [oracle.gradient(w, 0, -1, s) for s in range(200)]
+        assert estimate_gradient_stats(oracle, w, n_draws=200) == (
+            sum(float(np.sum((g - exact) ** 2)) for g in draws) / 200,
+            math.sqrt(sum(float(np.sum(g * g)) for g in draws) / 200),
+        )
+
+    def test_gradient_stats_whose_sum_overflows_have_a_finite_mean(self):
+        # each squared norm is about 6.25e306, so 200 of them add up past float range
+        blobs = synthetic_blobs(dim=2, n_examples=20, separation=1.0e154, seed=1)
+        oracle = make_logistic_oracle(blobs, n_workers=1, batch_size=5, seed=0)
+        noise_var, grad_bound = estimate_gradient_stats(oracle, np.zeros(2))
+        assert math.isfinite(noise_var)
+        assert grad_bound == pytest.approx(2.5e153, rel=1e-12)
 
     def test_constants_validation(self):
         with pytest.raises(ConfigurationError):
