@@ -36,6 +36,8 @@ __all__ = [
 # after standardization.
 STDEV_FLOOR = 1e-12
 
+_TILE_ELEMENTS, _CHUNK_COLUMNS = 1 << 17, 8192  # compute_normalization's float64 tiles (1 MiB) and chunk width
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -183,15 +185,22 @@ def _check_standardizable(values: np.ndarray, what: str) -> None:
 
 
 def compute_normalization(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature ``(mean, stdev)`` of the training split, the stdev floored at ``STDEV_FLOOR``."""
+    """Per-feature ``(mean, stdev)`` of the training split, the stdev floored at ``STDEV_FLOOR``: ``std(axis=0)``'s
+    bits, read in tiles of about ``_TILE_ELEMENTS`` over chunks of up to ``_CHUNK_COLUMNS`` columns, each chunk's sum
+    carried in ascending rows; ``d == 1`` sums pairwise in one tile, and a 1-column tail joins the chunk before it."""
     x, (n, d) = train.features, train.features.shape
-    var, width = np.empty(d), max(2, (1 << 17) // max(n, 1))  # (n, width) blocks of about 1 MiB
-    starts = range(0, max(d - 1, 1), width)  # one column alone would sum pairwise, so a 1-column tail joins
+    rows = max(1, n if d == 1 else min(n, _TILE_ELEMENTS // min(d, _CHUNK_COLUMNS)))  # one tile when d == 1
+    var, scratch = np.empty(d), np.empty((rows + 1) * min(d, _CHUNK_COLUMNS + 1))  # a tile and the carried row
+    starts = range(0, max(d - 1, 1), _CHUNK_COLUMNS)  # a 1-column tail joins the chunk before it
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=0)
-        for a, b in zip(starts, [*starts[1:], d]):  # NumPy's _var, block by block
-            sq = x[:, a:b] - mean[a:b]
-            np.add.reduce(np.multiply(sq, sq, out=sq), axis=0, out=var[a:b])
+        for a, b in zip(starts, [*starts[1:], d]):  # NumPy's _var, tile by tile
+            buf = scratch[: (rows + 1) * (b - a)].reshape(rows + 1, b - a)
+            for r in range(0, max(n, 1), rows):
+                sq = buf[1 : 1 + min(rows, n - r)]
+                np.square(np.subtract(x[r : r + rows, a:b], mean[a:b], out=sq), out=sq)
+                buf[0] = var[a:b]  # the sum so far, which the first tile (r == 0) leaves out
+                np.add.reduce(buf[r == 0 : 1 + len(sq)], axis=0, out=var[a:b])
         stdev = np.sqrt(np.divide(var, n, out=var), out=var)
     _check_standardizable(mean, "its training mean")
     _check_standardizable(stdev, "its training stdev")

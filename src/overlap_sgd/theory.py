@@ -106,7 +106,8 @@ class RateBound:
 
 def max_stepsize(consts: ProblemConstants, plan: TimingPlan) -> float:
     """Largest admissible stepsize, 1 / (8 L max_total); a flat loss (L = 0) has no ceiling."""
-    return 1.0 / (8.0 * consts.smoothness * plan.max_total) if consts.smoothness else math.inf
+    L, total = consts.smoothness, plan.max_total  # where 8 L max_total overflows, divide in steps: tiny, not 0.0
+    return (1.0 / (8.0 * L * total) or 0.125 / L / total) if L else math.inf
 
 
 def rate_bound(

@@ -1164,6 +1164,10 @@ class TestOtherCommands:
         report = json.loads(captured.out)
         assert all(math.isfinite(v) for v in report["constants"].values() if not isinstance(v, str))
         assert isinstance(report["complexity"]["rounds"], int) and report["complexity"]["rounds"] > least
+        # at 1e154, L = 6.25e306 and 8 L max_total overflows, but the ceiling is still a positive number
+        ceiling = report["max_stepsize"]
+        assert ceiling > 0.0
+        assert report["rate_bound"]["violation"] == f"stepsize exceeds the admissible maximum {ceiling}"
 
     def test_an_initial_gradient_that_overflows_ends_the_run_without_a_warning(self, tmp_path, capsys, caplog):
         # the features reach 1e308, so the initial full gradient's backward product overflows

@@ -1,5 +1,6 @@
 import gzip
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,13 +180,27 @@ class TestNormalization:
 
     @pytest.mark.parametrize(
         "shape",
-        # blocks of 2 columns from n = 65537 on; at n = 64 a block holds 2048 columns
-        [(65537, 1), (65537, 2), (65537, 5), (65537, 7), (64, 2049), (64, 2 * 2048 + 1), (3, 100001)],
+        # a tile holds 2**17 // min(d, 8192) rows (1310 at d = 100) of a chunk of up to 8192 columns; d == 1 sums
+        # pairwise in one tile of any length, and a 1-column tail joins the chunk before it (d = 8193), as it too
+        # would sum pairwise
+        [(65537, 1), (65537, 2), (65537, 5), (65537, 7), (64, 2049), (64, 2 * 2048 + 1), (3, 100001),
+         (2**17 + 1, 1), (1309, 100), (1311, 100), (100, 8193), (100, 8194), (1, 8193), (2, 8193), (64, 100000)],
         ids=str,
     )
     def test_stats_are_bit_equal_to_numpy_at_block_edges(self, shape):
         rng = np.random.default_rng(shape[0] * shape[1])
         assert_numpy_stats(rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, size=shape[1]) + 3.0)
+
+    def test_the_variance_holds_one_tile_of_scratch(self):
+        # std(axis=0) would hold a 51 MB (n, d) copy; a tile and its carried row are about 1 MiB
+        features = np.random.default_rng(0).standard_normal((64, 100000))
+        tracemalloc.start()
+        try:
+            mean, stdev = compute_normalization(Dataset(features, np.ones(64)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - mean.nbytes - stdev.nbytes < 2 * 2**20
 
     @pytest.mark.parametrize(
         "column, problem",

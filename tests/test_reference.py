@@ -211,6 +211,8 @@ def extreme_configs(draw) -> dict:
     raw["normalize"] = draw(st.booleans())
     raw["val_fraction"] = draw(st.sampled_from([0.0, 0.3, 0.9, 0.99]))
     raw["stepsize"] = draw(st.sampled_from([0.05, 1e99, 1e200, 1e308]))
+    raw["batch_size"] = draw(st.sampled_from([raw["batch_size"], 50, 1000]))  # past n <= 40, and past 256 too
+    raw["comm_seconds"] += draw(st.sampled_from([0, 1]))  # + 1: not a multiple of lcm(step_times), unless that is 1
     if raw["partition"]["mode"] == "dirichlet":
         raw["partition"]["min_examples"] = draw(st.integers(0, 12))
     raw["theory"] = {"epsilon": draw(st.sampled_from([0.01, 1e-300, 1e300])), "estimate_draws": 20}

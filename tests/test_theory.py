@@ -88,6 +88,18 @@ class TestRateBound:
         with pytest.raises(ConfigurationError, match="admissible maximum"):
             rate_bound(CONSTS, plan, bp, ceiling * (1 + 1e-9), n=2, rounds=5)
 
+    @pytest.mark.parametrize("smoothness", [6.25e306, 1e308])
+    def test_a_ceiling_whose_product_overflows_stays_positive(self, smoothness):
+        # 8 L max_total overflows (at 1e308, 8 L alone does), while the ceiling itself is a positive subnormal
+        consts = ProblemConstants(smoothness=smoothness, noise_var=1.5, grad_bound=3.0, initial_gap=4.0)
+        plan = build_plan((1, 2), 2, 2)
+        assert math.isinf(8.0 * smoothness * plan.max_total)
+        ceiling = max_stepsize(consts, plan)
+        assert 0.0 < ceiling == pytest.approx(float(1 / (8 * Fraction(smoothness) * plan.max_total)), rel=1e-12)
+        bp = BoundParams(alpha=1.0, beta=1.0, k=2, d=2)
+        with pytest.raises(ConfigurationError, match=rf"^stepsize exceeds the admissible maximum {ceiling}$"):
+            rate_bound(consts, plan, bp, ceiling * 2, n=2, rounds=5)
+
     @pytest.mark.parametrize(
         "stepsize, n, rounds, message",
         [
