@@ -1,9 +1,7 @@
 """Losses, gradients, and the keyed stochastic-gradient oracles.
 
 Binary logistic regression with an optional coordinate-wise Geman-McClure
-regularizer, plus a diagonal quadratic objective whose smoothness and
-noise level are known in closed form (used as an independent oracle in
-tests).
+regularizer.
 
 ``dataset_loss``, ``dataset_accuracy`` and ``full_gradient`` take the
 dataset's scores ``dataset.features @ w`` from the caller, so one forward
@@ -24,7 +22,6 @@ from .errors import ConfigurationError
 __all__ = [
     "RegularizerParams",
     "LogisticOracle",
-    "QuadraticOracle",
     "dataset_loss",
     "dataset_accuracy",
     "full_gradient",
@@ -165,31 +162,3 @@ class LogisticOracle:
         rows = pool[gen.integers(0, pool.size, size=self.batch_size)]
         features = self.dataset.features[rows]
         return _logistic_gradient(features, self.dataset.labels[rows], _rowwise(features, w), w, self.regularizer)
-
-
-@dataclass(frozen=True)
-class QuadraticOracle:
-    """Gradient of 0.5 * sum_j a_j w_j^2 plus Gaussian noise, keyed for the engine.
-
-    Uses the same (sample, worker, round, step) key scheme as the logistic
-    oracle, and adds its one noise draw to every row of an ``(m, d)`` stack.
-    Closed forms: smoothness L = max(a_diag), optimum value 0, per-draw noise
-    second moment sigma^2 * d.
-    """
-
-    a_diag: np.ndarray
-    noise_sigma: float
-    root_seed: int
-
-    def __post_init__(self):
-        if np.any(self.a_diag <= 0):
-            raise ConfigurationError("quadratic curvatures must be positive")
-
-    def gradient(self, w: np.ndarray, worker: int, round_index: int, step: int) -> np.ndarray:
-        if self.a_diag.shape != w.shape[-1:]:
-            raise ConfigurationError(f"dimension mismatch: {self.a_diag.shape} vs {w.shape}")
-        grad = self.a_diag * w
-        if self.noise_sigma > 0:
-            rng = RngStream(self.root_seed, ("sample", worker, round_index, step))
-            grad = grad + self.noise_sigma * rng.generator().standard_normal(self.a_diag.size)
-        return grad

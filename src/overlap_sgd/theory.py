@@ -128,14 +128,12 @@ def rate_bound(
         raise ConfigurationError("rounds must be >= 1")
     if n < 1:
         raise ConfigurationError("need n >= 1")
-    L = consts.smoothness
+    # stepsize <= ceiling keeps L * stepsize <= 1/8, so no product of L and stepsize overflows on the way
+    l_step = consts.smoothness * stepsize
     mean_total = float(plan.mean_total)
     opt = 4.0 * consts.initial_gap / (stepsize * mean_total * rounds)
-    noise = 4.0 * L * stepsize * consts.noise_var / n
-    try:
-        scale = 6.0 * L**2 * stepsize**2 * consts.grad_bound**2
-    except OverflowError:  # a square past float range; stepsize <= ceiling keeps L * stepsize <= 1/8
-        scale = 6.0 * (L * stepsize) ** 2 * consts.grad_bound**2
+    noise = 4.0 * l_step * consts.noise_var / n
+    scale = 6.0 * l_step**2 * consts.grad_bound**2
     drift = scale * plan.drift_sq_sum / (n * mean_total)
     staleness = scale * plan.max_total * bp.staleness_weight(plan) / ((n * mean_total) * (1.0 - bp.contraction))
     return RateBound(

@@ -1,15 +1,18 @@
 import json
 import os
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from overlap_sgd.core import RngStream
 from overlap_sgd.data import Dataset, partition_shared, synthetic_blobs
 from overlap_sgd.engine import run_round
+from overlap_sgd.errors import ConfigurationError
 from overlap_sgd.metrics import MetricsRecord
-from overlap_sgd.objective import LogisticOracle, QuadraticOracle, RegularizerParams
+from overlap_sgd.objective import LogisticOracle, RegularizerParams
 
 
 def blas_environment() -> str:
@@ -50,6 +53,34 @@ def make_logistic_oracle(dataset, n_workers, batch_size, seed, strength=0.0, sca
         worker_pools=partition_shared(dataset.n_examples, n_workers),
         root_seed=seed,
     )
+
+
+@dataclass(frozen=True)
+class QuadraticOracle:
+    """Gradient of 0.5 * sum_j a_j w_j^2 plus Gaussian noise, keyed for the engine.
+
+    Uses the same (sample, worker, round, step) key scheme as the logistic
+    oracle, and adds its one noise draw to every row of an ``(m, d)`` stack.
+    Closed forms: smoothness L = max(a_diag), optimum value 0, per-draw noise
+    second moment sigma^2 * d.
+    """
+
+    a_diag: np.ndarray
+    noise_sigma: float
+    root_seed: int
+
+    def __post_init__(self):
+        if np.any(self.a_diag <= 0):
+            raise ConfigurationError("quadratic curvatures must be positive")
+
+    def gradient(self, w: np.ndarray, worker: int, round_index: int, step: int) -> np.ndarray:
+        if self.a_diag.shape != w.shape[-1:]:
+            raise ConfigurationError(f"dimension mismatch: {self.a_diag.shape} vs {w.shape}")
+        grad = self.a_diag * w
+        if self.noise_sigma > 0:
+            rng = RngStream(self.root_seed, ("sample", worker, round_index, step))
+            grad = grad + self.noise_sigma * rng.generator().standard_normal(self.a_diag.size)
+        return grad
 
 
 def make_quadratic_oracle(dim, noise=0.0, seed=0, curvature=1.0):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_logistic_oracle, make_quadratic_oracle, one_round
+from conftest import QuadraticOracle, make_logistic_oracle, make_quadratic_oracle, one_round
 from overlap_sgd.core import Mask, RngStream, average, project_mask, sample_rand_k
 from overlap_sgd.data import synthetic_blobs
 from overlap_sgd.engine import (
@@ -578,8 +578,6 @@ class TestRunRound:
         taus, m_periods, zeta, k, eta, seed = (1, 2), 2, 2, 3, 0.07, 123
         plan = build_plan(taus, m_periods, zeta)
         d, n = 6, 2
-        from overlap_sgd.objective import QuadraticOracle
-
         oracle = QuadraticOracle(a_diag=np.linspace(0.5, 2.0, d), noise_sigma=0.3, root_seed=seed)
         x0 = [np.arange(d, dtype=float), -np.ones(d)]
 

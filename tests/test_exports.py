@@ -17,12 +17,24 @@ import overlap_sgd
 MODULES = sorted(m.name for m in pkgutil.iter_modules(overlap_sgd.__path__) if not m.name.startswith("_"))
 
 
-def test_package_imports_in_a_fresh_interpreter():
-    # the package re-exports names from its modules; one stale name fails the import
+def _import_alone(module: str) -> subprocess.CompletedProcess:
+    """``import <module>`` as the first import of a fresh interpreter, with every warning an error."""
     env = {**os.environ, "PYTHONPATH": str(Path(overlap_sgd.__file__).resolve().parents[1])}
-    result = subprocess.run(
-        [sys.executable, "-c", "import overlap_sgd"], env=env, capture_output=True, text=True, timeout=60
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", f"import {module}"], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def test_package_imports_in_a_fresh_interpreter():
+    # the package root binds only __version__; it imports under -W error too
+    result = _import_alone("overlap_sgd")
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_each_module_imports_first_in_a_fresh_interpreter(name):
+    # the package root imports no module, so an import cycle would show only for some import orders
+    result = _import_alone(f"overlap_sgd.{name}")
     assert result.returncode == 0, result.stderr
 
 
@@ -58,16 +70,15 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = [p for p in sorted((ROOT / "src" / "overlap_sgd").glob("*.py")) if p.name != "__init__.py"]
 
 
 @pytest.mark.parametrize(
     "path",
-    SOURCES + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),
+    [p for folder in ("src/overlap_sgd", "scripts", "tests") for p in sorted((ROOT / folder).glob("*.py"))],
     ids=lambda p: p.name,
 )
 def test_no_unused_imports(path):
-    # __init__.py is exempt: its imports are the package's re-exports
+    # __init__.py included: a name the package root imports only to re-bind is a second import path
     assert _unused_imports(path) == []
 
 

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_logistic_oracle
+from conftest import QuadraticOracle, make_logistic_oracle
 from overlap_sgd.core import RngStream
 from overlap_sgd.data import Dataset, synthetic_blobs
 from overlap_sgd.errors import ConfigurationError, DivergenceError
 from overlap_sgd.objective import (
     LogisticOracle,
-    QuadraticOracle,
     RegularizerParams,
     _rowwise,
     _sigmoid,

@@ -100,6 +100,18 @@ class TestRateBound:
         with pytest.raises(ConfigurationError, match=rf"^stepsize exceeds the admissible maximum {ceiling}$"):
             rate_bound(consts, plan, bp, ceiling * 2, n=2, rounds=5)
 
+    def test_a_noise_term_whose_factors_overflow_stays_finite(self):
+        # 4 L overflows at L = 1e308, while 4 (L stepsize) sigma^2 / n at the ceiling is about 4 / 48 * 1.5 / 2
+        consts = ProblemConstants(smoothness=1e308, noise_var=1.5, grad_bound=3.0, initial_gap=1e-10)
+        plan = build_plan((1, 2), 2, 2)
+        assert math.isinf(4.0 * consts.smoothness)
+        stepsize = max_stepsize(consts, plan)
+        rb = rate_bound(consts, plan, BoundParams(alpha=1.0, beta=1.0, k=2, d=2), stepsize, n=2, rounds=5)
+        exact = 4 * Fraction(consts.smoothness) * Fraction(stepsize) * Fraction(consts.noise_var) / 2
+        assert rb.noise_term == pytest.approx(float(exact), rel=1e-12)
+        assert rb.noise_term == pytest.approx(0.0625, rel=1e-12)
+        assert math.isfinite(rb.total) and rb.total == rb.opt_term + rb.noise_term + rb.drift_term + rb.staleness_term
+
     @pytest.mark.parametrize(
         "stepsize, n, rounds, message",
         [
